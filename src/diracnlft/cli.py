@@ -160,8 +160,7 @@ def cmd_transform(cfg: dict) -> int:
     grid = _real_grid(cfg)
     sd = nlft_forward(pot, T=T, grid=grid)
     defects = sd.real_axis_defects()
-    tracked = transfer_batch(pot, grid.astype(complex), T)
-    det_defect = float(np.max(tracked.det_drift))
+    det_defect = float(np.max(sd.det_drift))
     print(f"max | |a|^2 - |b|^2 - 1 | = {defects['unimodular']:.6e}")
     print(f"max | det M - 1 |        = {det_defect:.6e}")
     tol = float(cfg.get("tolerances", {}).get("unimodular", 1e-8))

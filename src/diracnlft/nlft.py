@@ -33,14 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .potential import SampledPotential, l2_norm_sq
-from .propagator import (
-    PropagationState,
-    _advance,
-    _check_drift,
-    _check_range,
-    _prepared_cells,
-    hermite_biehler,
-)
+from .propagator import PropagationState, _propagate, hermite_biehler
 
 __all__ = [
     "ScatteringData",
@@ -70,6 +63,7 @@ class ScatteringData:
     b: np.ndarray
     r: np.ndarray
     log_abs_a: np.ndarray
+    det_drift: np.ndarray  # |tracked det M - 1| of the propagation behind a, b
 
     def real_axis_defects(self) -> dict:
         """Max violations of the real-axis structure identities.
@@ -123,6 +117,7 @@ def _scattering_from_state(state: PropagationState, width: float, grid: np.ndarr
         b=b,
         r=b / a,
         log_abs_a=np.log(mod_a),
+        det_drift=np.abs(state.det - 1.0),
     )
 
 
@@ -141,12 +136,8 @@ def nlft_forward(pot: SampledPotential, T: float | None = None, grid=None) -> Sc
     T = min(float(T), pot.T)
     if grid is None:
         raise ValidationError("nlft_forward needs a frequency grid")
-    z = np.atleast_1d(np.asarray(grid, dtype=complex))
-    _check_range(z, T)
-    qs, ws = _prepared_cells(pot, 0.0, T, z)
-    state = _advance(PropagationState(z, order=0), qs, ws)
-    _check_drift(state)
-    return _scattering_from_state(state, T, z, T)
+    state, _ = _propagate(pot, grid, T, order=0)
+    return _scattering_from_state(state, T, state.z, T)
 
 
 def interval_scattering_grid(
@@ -161,12 +152,8 @@ def interval_scattering_grid(
         raise RangeError(f"need 0 <= t1 < t2 <= pot.T = {pot.T}, got [{t1}, {t2}]")
     t2 = min(float(t2), pot.T)
     width = t2 - t1
-    z = np.atleast_1d(np.asarray(grid, dtype=complex))
-    _check_range(z, width)
-    qs, ws = _prepared_cells(pot, float(t1), t2, z)
-    state = _advance(PropagationState(z, order=0), qs, ws)
-    _check_drift(state)
-    return _scattering_from_state(state, width, z, width)
+    state, _ = _propagate(pot, grid, t2, order=0, t1=float(t1))
+    return _scattering_from_state(state, width, state.z, width)
 
 
 def interval_scattering(pot: SampledPotential, t1: float, t2: float, z: complex) -> complex:

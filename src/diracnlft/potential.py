@@ -258,28 +258,26 @@ def cell_cover(pot: SampledPotential, t1: float, t2: float, coalesce: bool = Fal
         raise RangeError(f"bad interval [{t1}, {t2}]")
     t1 = max(0.0, t1)
     t2 = max(t1, t2)
-    qs: list[float] = []
-    ws: list[float] = []
+    qs_a, ws_a = np.empty(0), np.empty(0)
     if t2 > t1:
         h = pot.h
         eps = _BOUNDARY_RTOL * max(1.0, t2)
-        j = int(math.floor(t1 / h + _BOUNDARY_RTOL))
-        pos = t1
-        n = len(pot.cells)
-        widths = pot.cell_widths()
-        while pos < min(t2, pot.T) - eps and j < n:
-            cell_end = j * h + widths[j]
-            nxt = min(cell_end, t2)
-            if nxt > pos + 0.0:
-                qs.append(pot.cells[j])
-                ws.append(nxt - pos)
-            pos = nxt
-            j += 1
+        lim = min(t2, pot.T)
+        # Cell int(lim / h) ends past lim, so no later cell is reached.
+        j0 = int(math.floor(t1 / h + _BOUNDARY_RTOL))
+        j1 = max(j0, min(len(pot.cells), int(lim / h) + 2))
+        js = np.arange(j0, j1)
+        ends = np.minimum(js * h + pot.cell_widths()[j0:j1], t2)
+        starts = np.concatenate(([t1], ends[:-1]))
+        # Cells are visited up to the first that starts at lim - eps or later.
+        late = starts >= lim - eps
+        n_in = int(np.argmax(late)) if late.any() else len(js)
+        keep = ends[:n_in] > starts[:n_in]
+        qs_a = np.asarray(pot.cells[j0:j0 + n_in], dtype=float)[keep]
+        ws_a = (ends - starts)[:n_in][keep]
+        pos = ends[n_in - 1] if n_in else t1
         if t2 > pos + eps:  # beyond the support: potential vanishes there
-            qs.append(0.0)
-            ws.append(t2 - pos)
-    qs_a = np.asarray(qs, dtype=float)
-    ws_a = np.asarray(ws, dtype=float)
+            qs_a, ws_a = np.append(qs_a, 0.0), np.append(ws_a, t2 - pos)
     if coalesce and len(qs_a) > 1:
         keep = np.empty(len(qs_a), dtype=bool)
         keep[0] = True

@@ -15,7 +15,15 @@ tracked determinant (product of per-cell closed-form determinants) is carried
 alongside the entries, because the direct ``A D - B C`` of the accumulated
 product loses all precision once ``exp(2 |Im z| t)`` overtakes ``1/eps``.
 
-First and second z-derivatives propagate by the product rule.
+Evaluation order.  The product is associative, so cells go in blocks of
+``max(1, _TREE_BUDGET // nz)`` for ``nz`` frequencies: a block's propagators
+are built at once as ``(cells, nz)`` arrays, reduced in a balanced pairwise
+tree (later cells on the left) and multiplied onto the running product.
+Each cell keeps its closed form; only the order of the products differs from
+a cell-by-cell loop (~1e-12 relative).  ``nz > _TREE_BUDGET // 2`` gives
+one-cell blocks, i.e. that loop.  z-derivatives up to order 2 ride along as
+a z-jet (``jet[j] = d^j M / dz^j``) by the product rule
+``(L R)^(j) = sum_i binom(j, i) L^(i) R^(j-i)``.
 """
 
 from __future__ import annotations
@@ -69,6 +77,11 @@ _SERIES_DERIV = 1e-3
 # Max |l| * width per propagated chunk; keeps the per-cell determinant
 # conditioned (error ~ eps * exp(2 * cap)) while coalesced cells stay exact.
 _CHUNK_CAP = 2.5
+# Cells x frequencies per block of the tree product (see the module docstring).
+_TREE_BUDGET = 4096
+# Elements per matrix entry (times product-rule terms) from which jet products
+# run entry by entry instead of broadcast: keeps temporaries <= 64 KiB.
+_ENTRYWISE_MIN = 1024
 
 # Test hook: cmd_verify perturbs the cosh coefficient through this to prove
 # the invariant monitor trips (never set outside tests / the verify command).
@@ -175,11 +188,6 @@ class AugmentedTransfer:
     def dM(self) -> np.ndarray:
         return np.array([[self.dA, self.dB], [self.dC, self.dD]], dtype=complex)
 
-    def d2M(self) -> np.ndarray | None:
-        if self.d2A is None:
-            return None
-        return np.array([[self.d2A, self.d2B], [self.d2C, self.d2D]], dtype=complex)
-
     def trace_inv_d(self) -> complex:
         """trace(M^-1 dM); identically zero since det M == 1."""
         m = self.m
@@ -206,58 +214,45 @@ class HermiteBiehlerPair:
 
 
 # ---------------------------------------------------------------------------
-# scalar cell coefficients
+# cell coefficients
 # ---------------------------------------------------------------------------
 
 
-def _coeffs(m: np.ndarray, w: float, order: int):
-    """Even-in-l coefficient functions of one cell.
+def _coeffs(m: np.ndarray, w, order: int):
+    """Even-in-l coefficient functions of a block of cells.
 
     Returns ``c = cosh(l w)`` and ``s = sinh(l w)/l`` as functions of
     ``m = l^2``, plus ``ds/dm`` (order >= 1) and ``d2s/dm2`` (order >= 2).
-    ``dc/dm = w s / 2`` and ``d2c/dm2 = w (ds/dm) / 2`` are exact identities
-    applied by the caller.  Series are used near ``m w^2 = 0`` where the
-    closed forms cancel.
+    ``w`` is a width or an array of widths broadcasting against ``m`` (one
+    per row of cells).  ``dc/dm = w s / 2`` and ``d2c/dm2 = w (ds/dm) / 2``
+    are exact identities applied by the caller.  The closed forms are
+    overwritten by series near ``m w^2 = 0``, where they cancel.
     """
     x = m * (w * w)
-    c = np.empty_like(m)
-    s = np.empty_like(m)
-    big = np.abs(x) >= _SERIES_EVAL
-    if np.any(big):
-        lam = np.sqrt(m[big])
+    with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 takes the series
+        lam = np.sqrt(m)
         lw = lam * w
-        c[big] = np.cosh(lw)
-        s[big] = np.sinh(lw) / lam
-    if not np.all(big):
-        xs = x[~big]
-        c[~big] = 1.0 + xs * (0.5 + xs * (1.0 / 24.0 + xs * (1.0 / 720.0)))
-        s[~big] = w * (1.0 + xs * (1.0 / 6.0 + xs * (1.0 / 120.0 + xs * (1.0 / 5040.0))))
+        c = np.cosh(lw)
+        s = np.sinh(lw) / lam
+        sm = (w * c - s) / (2.0 * m) if order >= 1 else None
+        smm = (w * (0.5 * w * s) - 3.0 * sm) / (2.0 * m) if order >= 2 else None
+    small = np.abs(x) < _SERIES_EVAL
+    if small.any():
+        xs, ws = x[small], np.broadcast_to(w, m.shape)[small]
+        c[small] = 1.0 + xs * (0.5 + xs * (1.0 / 24.0 + xs * (1.0 / 720.0)))
+        s[small] = ws * (1.0 + xs * (1.0 / 6.0 + xs * (1.0 / 120.0 + xs * (1.0 / 5040.0))))
     if order == 0:
         return c, s, None, None
-
-    sm = np.empty_like(m)
-    bigd = np.abs(x) >= _SERIES_DERIV
-    if np.any(bigd):
-        sm[bigd] = (w * c[bigd] - s[bigd]) / (2.0 * m[bigd])
-    if not np.all(bigd):
-        xs = x[~bigd]
-        w3 = w**3
-        sm[~bigd] = (w3 / 2.0) * (
+    small = np.abs(x) < _SERIES_DERIV
+    if small.any():
+        xs, ws = x[small], np.broadcast_to(w, m.shape)[small]
+        sm[small] = (ws**3 / 2.0) * (
             1.0 / 3.0 + xs * (1.0 / 30.0 + xs * (1.0 / 840.0 + xs * (1.0 / 45360.0)))
         )
-    if order == 1:
-        return c, s, sm, None
-
-    smm = np.empty_like(m)
-    if np.any(bigd):
-        cm_big = 0.5 * w * s[bigd]
-        smm[bigd] = (w * cm_big - 3.0 * sm[bigd]) / (2.0 * m[bigd])
-    if not np.all(bigd):
-        xs = x[~bigd]
-        w5 = w**5
-        smm[~bigd] = (w5 / 2.0) * (
-            1.0 / 30.0 + xs * (1.0 / 420.0 + xs * (1.0 / 15120.0 + xs * (1.0 / 997920.0)))
-        )
+        if order >= 2:
+            smm[small] = (ws**5 / 2.0) * (
+                1.0 / 30.0 + xs * (1.0 / 420.0 + xs * (1.0 / 15120.0 + xs * (1.0 / 997920.0)))
+            )
     return c, s, sm, smm
 
 
@@ -269,7 +264,6 @@ def cell_propagator(q: float, width: float, z: complex) -> np.ndarray:
     """
     if width < 0:
         raise RangeError(f"cell width must be >= 0, got {width}")
-    zarr = np.asarray([z], dtype=complex)
     m = np.asarray([q * q - z * z], dtype=complex)
     c, s, _, _ = _coeffs(m, float(width), 0)
     c0 = complex(c[0]) + _TEST_CORRUPTION
@@ -285,38 +279,30 @@ def cell_propagator(q: float, width: float, z: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class PropagationState:
-    """Mutable accumulator for one batch propagation (internal)."""
+def _entry(j: int, r: int, c: int):
+    return property(lambda self: self.jet[j, r, c] if j <= self.order else None)
 
-    __slots__ = ("z", "order", "A", "B", "C", "D", "dA", "dB", "dC", "dD",
-                 "d2A", "d2B", "d2C", "d2D", "det")
+
+class PropagationState:
+    """Running product of one batch propagation (internal).
+
+    ``jet[j]`` is ``d^j M / dz^j`` with shape ``(2, 2, nz)``; the entries
+    are exposed as ``A``..``D``, ``dA``..``dD`` and ``d2A``..``d2D`` (None
+    above ``order``).  ``det`` is the tracked determinant.
+    """
+
+    __slots__ = ("z", "order", "jet", "det")
 
     def __init__(self, z: np.ndarray, order: int = 0):
-        z = np.asarray(z, dtype=complex)
-        self.z = z
+        self.z = np.asarray(z, dtype=complex)
         self.order = order
-        one = np.ones(z.shape, dtype=complex)
-        zero = np.zeros(z.shape, dtype=complex)
-        self.A, self.B, self.C, self.D = one.copy(), zero.copy(), zero.copy(), one.copy()
-        self.det = one.copy()
-        self.dA = self.dB = self.dC = self.dD = None
-        self.d2A = self.d2B = self.d2C = self.d2D = None
-        if order >= 1:
-            self.dA, self.dB, self.dC, self.dD = (
-                zero.copy(), zero.copy(), zero.copy(), zero.copy())
-        if order >= 2:
-            self.d2A, self.d2B, self.d2C, self.d2D = (
-                zero.copy(), zero.copy(), zero.copy(), zero.copy())
+        self.jet = np.zeros((order + 1, 2, 2) + self.z.shape, dtype=complex)
+        self.jet[0, 0, 0] = self.jet[0, 1, 1] = 1.0
+        self.det = np.ones(self.z.shape, dtype=complex)
 
-    def copy(self) -> "PropagationState":
-        out = PropagationState.__new__(PropagationState)
-        out.z = self.z
-        out.order = self.order
-        for name in ("A", "B", "C", "D", "dA", "dB", "dC", "dD",
-                     "d2A", "d2B", "d2C", "d2D", "det"):
-            val = getattr(self, name)
-            setattr(out, name, None if val is None else val.copy())
-        return out
+    A, B, C, D, dA, dB, dC, dD, d2A, d2B, d2C, d2D = (
+        _entry(j, r, c) for j in range(3) for r in range(2) for c in range(2)
+    )
 
 
 def _prepared_cells(pot: SampledPotential, t1: float, t2: float, z: np.ndarray):
@@ -338,59 +324,110 @@ def _prepared_cells(pot: SampledPotential, t1: float, t2: float, z: np.ndarray):
     return qs, ws
 
 
+def _cell_jets(q, w, z: np.ndarray, zz: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
+    """Write the propagator jets of a block of cells into ``out``.
+
+    ``q`` and ``w`` are scalars (one cell) or columns (one cell per row),
+    ``zz = z * z``; ``out`` has shape ``(order + 1, 2, 2) + m.shape`` with
+    ``m = q^2 - z^2``.  ``P = c I + s G`` with ``G' = [[0, -1], [1, 0]]`` and
+    ``G'' = 0``, so ``P^(j) = c^(j) I + s^(j) G + j s^(j-1) G'``.  Returns the
+    closed-form determinants ``c^2 - m s^2``.
+    """
+    m = (q * q) - zz
+    c, s, sm, smm = _coeffs(m, w, order)
+    if _TEST_CORRUPTION != 0.0:
+        c = c + _TEST_CORRUPTION
+    cs, ss = [c], [s]
+    if order >= 1:
+        cm = 0.5 * w * s
+        cs.append(-2.0 * z * cm)
+        ss.append(-2.0 * z * sm)
+    if order >= 2:
+        cmm = 0.5 * w * sm
+        cs.append(-2.0 * cm + 4.0 * zz * cmm)
+        ss.append(-2.0 * sm + 4.0 * zz * smm)
+    for j in range(order + 1):
+        off = np.multiply(ss[j], z, out=out[j, 1, 0])
+        if j:
+            off += j * ss[j - 1]
+        np.negative(off, out=out[j, 0, 1])
+        sq = ss[j] * q
+        np.add(cs[j], sq, out=out[j, 0, 0])
+        np.subtract(cs[j], sq, out=out[j, 1, 1])
+    return c * c - m * (s * s)
+
+
+def _product_rule(n: int):
+    """Derivative orders ``(i, j - i)`` of the product-rule terms for jets of
+    length ``n``, each repeated ``binom(j, i)`` times, and where order j starts."""
+    pairs = [(i, j - i) for j in range(n) for i in range(j + 1)
+             for _ in range(math.comb(j, i))]
+    left, right = (np.array(side) for side in zip(*pairs))
+    return left, right, np.cumsum([0] + [2**j for j in range(n - 1)])
+
+
+_RULES = {n: _product_rule(n) for n in (1, 2, 3)}
+
+
+def _jet_mul(X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Jet of the matrix product: ``(X Y)^(j) = sum_i binom(j, i) X^(i) Y^(j-i)``.
+
+    The 2x2 products run over axes 1 and 2, elementwise over the rest.
+    """
+    left, right, starts = _RULES[len(X)]
+    if len(left) * X[0, 0, 0].size < _ENTRYWISE_MIN:  # small: all terms in one product
+        L, R = X[left], Y[right]
+        terms = L[:, :, :1] * R[:, :1] + L[:, :, 1:] * R[:, 1:]
+        return np.add.reduceat(terms, starts, axis=0, out=out)
+    for j in range(len(X)):  # large: contiguous per-entry temporaries only
+        for r in range(2):
+            for c in range(2):
+                o = np.multiply(X[0, r, 0], Y[j, 0, c], out=out[j, r, c])
+                o += X[0, r, 1] * Y[j, 1, c]
+                for i in range(1, j + 1):
+                    k = j - i
+                    o += math.comb(j, i) * (X[i, r, 0] * Y[k, 0, c] + X[i, r, 1] * Y[k, 1, c])
+    return out
+
+
+def _tree(jet: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Ordered product ``P_K ... P_1`` over the cell axis by pairwise reduction.
+
+    Levels alternate between ``jet`` and ``spare`` (same shape), both of
+    which are overwritten; returns a view of the product.
+    """
+    n = jet.shape[-2]
+    while n > 1:
+        h = n // 2
+        _jet_mul(jet[..., 1:2 * h:2, :], jet[..., 0:2 * h:2, :], spare[..., :h, :])
+        if n % 2:
+            spare[..., h, :] = jet[..., n - 1, :]
+        jet, spare, n = spare, jet, h + n % 2
+    return jet[..., 0, :]
+
+
 def _advance(state: PropagationState, qs, ws) -> PropagationState:
-    """Multiply the ordered cell propagators onto ``state`` (in place)."""
-    z = state.z
-    order = state.order
-    corruption = _TEST_CORRUPTION
-    for q, w in zip(qs, ws):
-        m = (q * q) - z * z
-        c, s, sm, smm = _coeffs(m, float(w), order)
-        if corruption != 0.0:
-            c = c + corruption
-        p11 = c + s * q
-        p12 = -s * z
-        p21 = s * z
-        p22 = c - s * q
-        if order >= 1:
-            cm = 0.5 * w * s
-            cz = -2.0 * z * cm
-            sz = -2.0 * z * sm
-            q11 = cz + sz * q
-            q12 = -(sz * z + s)
-            q21 = sz * z + s
-            q22 = cz - sz * q
-        if order >= 2:
-            cmm = 0.5 * w * sm
-            czz = -2.0 * cm + 4.0 * (z * z) * cmm
-            szz = -2.0 * sm + 4.0 * (z * z) * smm
-            r11 = czz + szz * q
-            r12 = -(szz * z + 2.0 * sz)
-            r21 = szz * z + 2.0 * sz
-            r22 = czz - szz * q
-            n2A = r11 * state.A + r12 * state.C + 2.0 * (q11 * state.dA + q12 * state.dC) \
-                + p11 * state.d2A + p12 * state.d2C
-            n2C = r21 * state.A + r22 * state.C + 2.0 * (q21 * state.dA + q22 * state.dC) \
-                + p21 * state.d2A + p22 * state.d2C
-            n2B = r11 * state.B + r12 * state.D + 2.0 * (q11 * state.dB + q12 * state.dD) \
-                + p11 * state.d2B + p12 * state.d2D
-            n2D = r21 * state.B + r22 * state.D + 2.0 * (q21 * state.dB + q22 * state.dD) \
-                + p21 * state.d2B + p22 * state.d2D
-        if order >= 1:
-            n1A = q11 * state.A + q12 * state.C + p11 * state.dA + p12 * state.dC
-            n1C = q21 * state.A + q22 * state.C + p21 * state.dA + p22 * state.dC
-            n1B = q11 * state.B + q12 * state.D + p11 * state.dB + p12 * state.dD
-            n1D = q21 * state.B + q22 * state.D + p21 * state.dB + p22 * state.dD
-        nA = p11 * state.A + p12 * state.C
-        nC = p21 * state.A + p22 * state.C
-        nB = p11 * state.B + p12 * state.D
-        nD = p21 * state.B + p22 * state.D
-        state.A, state.B, state.C, state.D = nA, nB, nC, nD
-        if order >= 1:
-            state.dA, state.dB, state.dC, state.dD = n1A, n1B, n1C, n1D
-        if order >= 2:
-            state.d2A, state.d2B, state.d2C, state.d2D = n2A, n2B, n2C, n2D
-        state.det = state.det * (c * c - m * (s * s))
+    """Multiply the ordered cell propagators onto ``state`` (in place).
+
+    Blocks reuse their buffers (fresh wide arrays would page-fault on every
+    use); ``state.jet`` alternates between two, never the array it held on entry.
+    """
+    z, zz, order = state.z, state.z * state.z, state.order
+    block = max(1, _TREE_BUDGET // max(1, z.size))
+    cells = np.empty((order + 1, 2, 2, min(block, len(qs))) + z.shape, dtype=complex)
+    scratch = np.empty_like(cells)
+    running = (np.empty_like(state.jet), np.empty_like(state.jet))
+    for n, i in enumerate(range(0, len(qs), block)):
+        if block == 1:  # wide batch: one cell at scalar width, no tree
+            prod = cells[..., 0, :]
+            det = _cell_jets(qs[i], float(ws[i]), z, zz, order, prod)
+        else:
+            k = min(block, len(qs) - i)
+            jet = cells[..., :k, :]
+            det = _cell_jets(qs[i:i + k, None], ws[i:i + k, None], z, zz, order, jet)
+            prod, det = _tree(jet, scratch[..., :k, :]), np.prod(det, axis=0)
+        state.jet = _jet_mul(prod, state.jet, running[n % 2])
+        state.det = state.det * det
     return state
 
 
@@ -420,14 +457,20 @@ def _resolve_t(pot: SampledPotential, t: float | None) -> float:
     return float(t)
 
 
-def _propagate(pot, z, t, order):
+def _propagate(pot, z, t, order, t1=0.0):
+    """Propagate ``z`` (made a 1-d batch) over ``[t1, t]``; returns (state, t)."""
     t = _resolve_t(pot, t)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_range(z, t)
-    qs, ws = _prepared_cells(pot, 0.0, t, z)
+    _check_range(z, t - t1)
+    qs, ws = _prepared_cells(pot, t1, t, z)
     state = _advance(PropagationState(z, order=order), qs, ws)
     _check_drift(state)
     return state, t
+
+
+def _batch(state: PropagationState, t: float) -> BatchTransfer:
+    return BatchTransfer(t=t, z=state.z, A=state.A, B=state.B, C=state.C, D=state.D,
+                         det_tracked=state.det)
 
 
 def transfer(pot: SampledPotential, z: complex, t: float | None = None) -> TransferMatrix:
@@ -439,20 +482,12 @@ def transfer(pot: SampledPotential, z: complex, t: float | None = None) -> Trans
         t: evaluation time (defaults to ``pot.T``); may exceed the support,
             in which case the potential is extended by zero.
     """
-    state, t = _propagate(pot, z, t, order=0)
-    return BatchTransfer(
-        t=t, z=state.z, A=state.A, B=state.B, C=state.C, D=state.D,
-        det_tracked=state.det,
-    ).at(0)
+    return _batch(*_propagate(pot, z, t, order=0)).at(0)
 
 
 def transfer_batch(pot: SampledPotential, z, t: float | None = None) -> BatchTransfer:
     """Vectorized :func:`transfer` over an array of frequencies."""
-    state, t = _propagate(pot, z, t, order=0)
-    return BatchTransfer(
-        t=t, z=state.z, A=state.A, B=state.B, C=state.C, D=state.D,
-        det_tracked=state.det,
-    )
+    return _batch(*_propagate(pot, z, t, order=0))
 
 
 def transfer_derivative(
@@ -467,22 +502,9 @@ def transfer_derivative(
     if order not in (1, 2):
         raise RangeError(f"derivative order must be 1 or 2, got {order}")
     state, t = _propagate(pot, z, t, order=order)
-    tm = BatchTransfer(
-        t=t, z=state.z, A=state.A, B=state.B, C=state.C, D=state.D,
-        det_tracked=state.det,
-    ).at(0)
-    kw = {}
-    if order >= 2:
-        kw = dict(
-            d2A=complex(state.d2A[0]), d2B=complex(state.d2B[0]),
-            d2C=complex(state.d2C[0]), d2D=complex(state.d2D[0]),
-        )
-    return AugmentedTransfer(
-        m=tm,
-        dA=complex(state.dA[0]), dB=complex(state.dB[0]),
-        dC=complex(state.dC[0]), dD=complex(state.dD[0]),
-        **kw,
-    )
+    names = ("dA", "dB", "dC", "dD", "d2A", "d2B", "d2C", "d2D")
+    derivs = map(complex, state.jet[1:, :, :, 0].ravel())
+    return AugmentedTransfer(m=_batch(state, t).at(0), **dict(zip(names, derivs)))
 
 
 def transfer_derivative_batch(
@@ -507,18 +529,10 @@ def transfer_checkpoints(pot: SampledPotential, z, t_list) -> list[BatchTransfer
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if ts:
         _check_range(z, ts[-1])
-    state = PropagationState(z, order=0)
-    out: list[BatchTransfer] = []
-    prev = 0.0
+    state, out, prev = PropagationState(z, order=0), [], 0.0
     for t in ts:
         qs, ws = _prepared_cells(pot, prev, t, z)
-        state = _advance(state, qs, ws)
-        out.append(
-            BatchTransfer(
-                t=t, z=z, A=state.A.copy(), B=state.B.copy(),
-                C=state.C.copy(), D=state.D.copy(), det_tracked=state.det.copy(),
-            )
-        )
+        out.append(_batch(_advance(state, qs, ws), t))
         prev = t
     _check_drift(state)
     return out

@@ -80,6 +80,41 @@ def free_rotation(t: float, z: complex) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# cell cover by a per-cell walk
+# ---------------------------------------------------------------------------
+
+
+def cell_cover_by_hand(pot: SampledPotential, t1: float, t2: float):
+    """Cells covering [t1, t2] by walking the grid one cell at a time.
+
+    Each width is ``min(cell_end, t2) - previous end``; zero-width pieces are
+    dropped and an overhang past the support becomes one zero cell.  Same
+    1e-9 boundary slack as the package.
+    """
+    rtol = 1e-9
+    t1 = max(0.0, t1)
+    t2 = max(t1, t2)
+    h, n = pot.h, len(pot.cells)
+    qs, ws = [], []
+    if t2 > t1:
+        eps = rtol * max(1.0, t2)
+        j = int(np.floor(t1 / h + rtol))
+        pos = t1
+        while pos < min(t2, pot.T) - eps and j < n:
+            width = h if j < n - 1 else pot.T - (n - 1) * h
+            nxt = min(j * h + width, t2)
+            if nxt > pos:
+                qs.append(pot.cells[j])
+                ws.append(nxt - pos)
+            pos = nxt
+            j += 1
+        if t2 > pos + eps:
+            qs.append(0.0)
+            ws.append(t2 - pos)
+    return np.asarray(qs, dtype=float), np.asarray(ws, dtype=float)
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 

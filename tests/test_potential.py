@@ -22,7 +22,7 @@ from diracnlft.potential import (
     sigma_intervals,
 )
 
-from oracles import sigma_intervals_by_hand
+from oracles import cell_cover_by_hand, sigma_intervals_by_hand
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +104,33 @@ def test_cover_partition_property(t1, span):
     t2 = t1 + span
     qs, ws = cell_cover(pot, t1, t2)
     assert np.isclose(ws.sum(), span, atol=1e-12)
+
+
+@st.composite
+def _cover_case(draw):
+    """A potential (short last cell allowed) and an interval hitting edge cases."""
+    h = draw(st.sampled_from([0.01, 0.05, 0.13, 0.1, 1.0 / 3.0, 2.5]))
+    n = draw(st.integers(1, 40))
+    last = draw(st.sampled_from([1.0, 0.5, 1e-6, 0.999999999]))
+    pot = SampledPotential(h=h, cells=tuple(np.round(np.sin(np.arange(n) * 1.7), 1)),
+                           T=(n - 1 + last) * h)
+    time = st.one_of(
+        st.floats(0.0, 1.3 * pot.T),
+        st.builds(lambda k, f: k * h * f, st.integers(0, n + 2),
+                  st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-8])),
+        st.just(pot.T),
+    )
+    t1, t2 = sorted((draw(time), draw(time)))
+    return pot, t1, t2
+
+
+@given(case=_cover_case())
+@settings(max_examples=300, deadline=None)
+def test_cover_matches_per_cell_walk(case):
+    pot, t1, t2 = case
+    qs, ws = cell_cover(pot, t1, t2)
+    ref_q, ref_w = cell_cover_by_hand(pot, t1, t2)
+    assert np.array_equal(qs, ref_q) and np.array_equal(ws, ref_w)
 
 
 def test_integrals_exact_cell_arithmetic():

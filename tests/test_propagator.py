@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,10 @@ from diracnlft.errors import (
 )
 from diracnlft.potential import SampledPotential
 from diracnlft.propagator import (
+    _TREE_BUDGET,
     TransferMatrix,
+    _cell_jets,
+    _prepared_cells,
     cell_propagator,
     corrupted_propagator,
     hermite_biehler,
@@ -22,6 +27,7 @@ from diracnlft.propagator import (
     transfer_batch,
     transfer_checkpoints,
     transfer_derivative,
+    transfer_derivative_batch,
 )
 
 from oracles import fd1, fd2_of_derivative, free_rotation, oracle_transfer
@@ -201,6 +207,109 @@ def test_derivative_order_validation():
     pot = SampledPotential(h=0.1, cells=(1.0,))
     with pytest.raises(RangeError):
         transfer_derivative(pot, 1.0, order=3)
+
+
+# ---------------------------------------------------------------------------
+# blocked tree product vs a plain per-cell loop
+# ---------------------------------------------------------------------------
+
+
+def _sequential(pot, z, t, order):
+    """Jet and tracked det of M(t, z) multiplying the same cells one at a time."""
+    qs, ws = _prepared_cells(pot, 0.0, t, z)
+    jet = np.zeros((order + 1, 2, 2, z.size), dtype=complex)
+    jet[0, 0, 0] = jet[0, 1, 1] = 1.0
+    det = np.ones(z.size, dtype=complex)
+    for q, w in zip(qs, ws):
+        cell = np.empty_like(jet)
+        det = det * _cell_jets(q, float(w), z, z * z, order, cell)
+        jet = np.array([
+            sum(math.comb(j, i) * np.einsum("abz,bcz->acz", cell[i], jet[j - i])
+                for i in range(j + 1))
+            for j in range(order + 1)
+        ])
+    return jet, det
+
+
+def _propagated(pot, z, t, order):
+    if order == 0:
+        m = transfer_batch(pot, z, t)
+        return np.array([[[m.A, m.B], [m.C, m.D]]]), m.det_tracked
+    state = transfer_derivative_batch(pot, z, t, order=order)
+    return state.jet, state.det
+
+
+def _assert_jets_close(got, ref, rtol=1e-12):
+    for j in range(len(ref)):  # per derivative order, relative to its largest entry
+        scale = np.max(np.abs(ref[j]), axis=(0, 1))
+        err = np.max(np.abs(got[j] - ref[j]), axis=(0, 1))
+        assert np.all(err <= rtol * np.maximum(scale, 1e-300)), (j, np.max(err / scale))
+
+
+_TREE_CASES = {  # kind -> (cell width, amplitude)
+    "rough": (0.05, 1.5),
+    "series": (1e-4, 1.0),  # m w^2 <= 1e-6: every cell on the series branch
+    "chunked": (3.0, 2.0),  # |l| w up to ~7: cells are split before propagating
+}
+
+
+def _n_cells(kind):
+    # 150 wide cells (T = 450, ~290 chunks) cancel so strongly that tree and
+    # loop differ by up to 1.5e-11 of the largest entry; there the loop itself
+    # is 1.3e-11 off the exact product of its cells and the tree 2.8e-12.
+    return [0, 1, 2, 3, 7, 33] if kind == "chunked" else [0, 1, 2, 3, 7, 33, 150]
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    kind_n=st.sampled_from(sorted(_TREE_CASES)).flatmap(
+        lambda kind: st.tuples(st.just(kind), st.sampled_from(_n_cells(kind)))),
+    nz=st.sampled_from([1, 5, 64, 300]),
+    order=st.sampled_from([0, 1, 2]),
+)
+@settings(max_examples=60, deadline=None)
+def test_tree_matches_per_cell_loop(seed, kind_n, nz, order):
+    kind, n = kind_n
+    rng = np.random.default_rng(seed)
+    h, amp = _TREE_CASES[kind]
+    pot = SampledPotential(h=h, cells=tuple(rng.uniform(-amp, amp, max(n, 1))))
+    t = pot.T if n else 0.0
+    im_max = min(0.4, 40.0 / pot.T)  # stay inside the working range |Im z| t <= 50
+    z = rng.uniform(-6.0, 6.0, nz) + 1j * rng.choice([0.0, im_max], nz) * rng.uniform(0, 1, nz)
+    # a skew of 1e-11 per cell makes every cell's det factor count at 1e-12
+    with corrupted_propagator(0.0 if kind == "chunked" else 1e-11):
+        ref_jet, ref_det = _sequential(pot, z, t, order)
+        jet, det = _propagated(pot, z, t, order)
+    _assert_jets_close(jet, ref_jet)
+    assert np.max(np.abs(det - ref_det)) < 1e-12
+
+
+def test_tree_spans_several_blocks():
+    rng = np.random.default_rng(11)
+    n = _TREE_BUDGET + 905  # one full block of cells at nz = 1, then a partial one
+    pot = SampledPotential(h=0.002, cells=tuple(rng.uniform(-1.0, 1.0, n)))
+    z = np.array([1.3 + 0.2j])
+    assert len(_prepared_cells(pot, 0.0, pot.T, z)[0]) > _TREE_BUDGET
+    for order in (0, 1, 2):
+        ref_jet, ref_det = _sequential(pot, z, pot.T, order)
+        jet, det = _propagated(pot, z, pot.T, order)
+        _assert_jets_close(jet, ref_jet)
+        assert np.max(np.abs(det - ref_det)) < 1e-12
+
+
+@pytest.mark.parametrize("nz", [300, _TREE_BUDGET + 1])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_scalar_z_matches_wide_batch(nz, order):
+    rng = np.random.default_rng(12)
+    pot = SampledPotential(h=0.05, cells=tuple(rng.uniform(-1.5, 1.5, 60)))
+    z0 = 0.8 + 0.3j  # the batch's largest |Im z|, so both chunk the same
+    batch = np.concatenate([rng.uniform(-6.0, 6.0, nz - 1) + 0j, [z0]])
+    alone, _ = _propagated(pot, np.array([z0]), pot.T, order)
+    wide, _ = _propagated(pot, batch, pot.T, order)
+    _assert_jets_close(wide[..., -1:], alone)
+    if order:
+        aug = transfer_derivative(pot, z0, order=order)
+        assert abs(aug.dA - wide[1, 0, 0, -1]) <= 1e-12 * np.max(np.abs(wide[1, ..., -1]))
 
 
 # ---------------------------------------------------------------------------
