@@ -24,12 +24,21 @@ a cell-by-cell loop (~1e-12 relative).  ``nz > _TREE_BUDGET // 2`` gives
 one-cell blocks, i.e. that loop.  z-derivatives up to order 2 ride along as
 a z-jet (``jet[j] = d^j M / dz^j``) by the product rule
 ``(L R)^(j) = sum_i binom(j, i) L^(i) R^(j-i)``.
+
+Number field.  The potential is real, so for a batch of real frequencies
+every cell jet, every product and the tracked determinant are real: such a
+batch runs the same code on float64 arrays, taking ``cosh``/``sinh`` of
+``sqrt(m)`` where ``m > 0`` and ``cos``/``sin`` of ``sqrt(-m)`` where
+``m < 0``, and is cast back to complex at the end.  It differs from the
+complex arithmetic by rounding only (<= 2e-14 relative).  A batch holding
+any non-real z runs in complex arithmetic throughout.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +94,8 @@ _ENTRYWISE_MIN = 1024
 
 # Test hook: cmd_verify perturbs the cosh coefficient through this to prove
 # the invariant monitor trips (never set outside tests / the verify command).
-_TEST_CORRUPTION = 0.0
+# A context variable, so it never leaks into other threads or contexts.
+_CORRUPTION: ContextVar[float] = ContextVar("_CORRUPTION", default=0.0)
 
 
 @contextmanager
@@ -93,15 +103,13 @@ def corrupted_propagator(eps: float):
     """Context manager that deliberately skews every cell propagator.
 
     Only for self-test machinery: a non-zero ``eps`` must trip the
-    determinant monitor downstream.
+    determinant monitor downstream.  Confined to the current context.
     """
-    global _TEST_CORRUPTION
-    old = _TEST_CORRUPTION
-    _TEST_CORRUPTION = float(eps)
+    token = _CORRUPTION.set(float(eps))
     try:
         yield
     finally:
-        _TEST_CORRUPTION = old
+        _CORRUPTION.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +233,25 @@ def _coeffs(m: np.ndarray, w, order: int):
     ``m = l^2``, plus ``ds/dm`` (order >= 1) and ``d2s/dm2`` (order >= 2).
     ``w`` is a width or an array of widths broadcasting against ``m`` (one
     per row of cells).  ``dc/dm = w s / 2`` and ``d2c/dm2 = w (ds/dm) / 2``
-    are exact identities applied by the caller.  The closed forms are
-    overwritten by series near ``m w^2 = 0``, where they cancel.
+    are exact identities applied by the caller.  A real ``m`` stays real:
+    ``l = sqrt(|m|)``, hyperbolic where ``m > 0``, circular where ``m < 0``.
+    The closed forms are overwritten by series near ``m w^2 = 0``, where
+    they cancel.
     """
     x = m * (w * w)
     with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 takes the series
-        lam = np.sqrt(m)
-        lw = lam * w
-        c = np.cosh(lw)
-        s = np.sinh(lw) / lam
+        if m.dtype.kind == "c":
+            lam = np.sqrt(m)
+            lw = lam * w
+            c, s = np.cosh(lw), np.sinh(lw)
+        else:
+            lam = np.sqrt(np.abs(m))
+            lw, pos = lam * w, m > 0
+            c, s = np.empty_like(lw), np.empty_like(lw)
+            for sel, fc, fs in ((pos, np.cosh, np.sinh), (~pos, np.cos, np.sin)):
+                fc(lw, out=c, where=sel)
+                fs(lw, out=s, where=sel)
+        s /= lam
         sm = (w * c - s) / (2.0 * m) if order >= 1 else None
         smm = (w * (0.5 * w * s) - 3.0 * sm) / (2.0 * m) if order >= 2 else None
     small = np.abs(x) < _SERIES_EVAL
@@ -266,7 +284,7 @@ def cell_propagator(q: float, width: float, z: complex) -> np.ndarray:
         raise RangeError(f"cell width must be >= 0, got {width}")
     m = np.asarray([q * q - z * z], dtype=complex)
     c, s, _, _ = _coeffs(m, float(width), 0)
-    c0 = complex(c[0]) + _TEST_CORRUPTION
+    c0 = complex(c[0]) + _CORRUPTION.get()
     s0 = complex(s[0])
     return np.array(
         [[c0 + s0 * q, -s0 * z], [s0 * z, c0 - s0 * q]],
@@ -324,19 +342,21 @@ def _prepared_cells(pot: SampledPotential, t1: float, t2: float, z: np.ndarray):
     return qs, ws
 
 
-def _cell_jets(q, w, z: np.ndarray, zz: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
+def _cell_jets(q, w, z: np.ndarray, zz: np.ndarray, order: int, out: np.ndarray,
+               eps: float) -> np.ndarray:
     """Write the propagator jets of a block of cells into ``out``.
 
     ``q`` and ``w`` are scalars (one cell) or columns (one cell per row),
     ``zz = z * z``; ``out`` has shape ``(order + 1, 2, 2) + m.shape`` with
     ``m = q^2 - z^2``.  ``P = c I + s G`` with ``G' = [[0, -1], [1, 0]]`` and
     ``G'' = 0``, so ``P^(j) = c^(j) I + s^(j) G + j s^(j-1) G'``.  Returns the
-    closed-form determinants ``c^2 - m s^2``.
+    closed-form determinants ``c^2 - m s^2``.  ``eps`` is the corruption
+    hook's skew of ``c``.
     """
     m = (q * q) - zz
     c, s, sm, smm = _coeffs(m, w, order)
-    if _TEST_CORRUPTION != 0.0:
-        c = c + _TEST_CORRUPTION
+    if eps != 0.0:
+        c = c + eps
     cs, ss = [c], [s]
     if order >= 1:
         cm = 0.5 * w * s
@@ -410,24 +430,29 @@ def _advance(state: PropagationState, qs, ws) -> PropagationState:
     """Multiply the ordered cell propagators onto ``state`` (in place).
 
     Blocks reuse their buffers (fresh wide arrays would page-fault on every
-    use); ``state.jet`` alternates between two, never the array it held on entry.
+    use); the running jet alternates between two, never the array ``state``
+    held on entry.  A real batch runs in float64 (see the module docstring).
     """
-    z, zz, order = state.z, state.z * state.z, state.order
+    z, jet, det = state.z, state.jet, state.det
+    if not z.imag.any():  # real batch: propagate in float64
+        z, jet, det = z.real.copy(), jet.real, det.real
+    zz, order, eps = z * z, state.order, _CORRUPTION.get()
     block = max(1, _TREE_BUDGET // max(1, z.size))
-    cells = np.empty((order + 1, 2, 2, min(block, len(qs))) + z.shape, dtype=complex)
+    cells = np.empty((order + 1, 2, 2, min(block, len(qs))) + z.shape, dtype=z.dtype)
     scratch = np.empty_like(cells)
-    running = (np.empty_like(state.jet), np.empty_like(state.jet))
+    running = (np.empty_like(jet), np.empty_like(jet))
     for n, i in enumerate(range(0, len(qs), block)):
         if block == 1:  # wide batch: one cell at scalar width, no tree
             prod = cells[..., 0, :]
-            det = _cell_jets(qs[i], float(ws[i]), z, zz, order, prod)
+            cell_det = _cell_jets(qs[i], float(ws[i]), z, zz, order, prod, eps)
         else:
             k = min(block, len(qs) - i)
-            jet = cells[..., :k, :]
-            det = _cell_jets(qs[i:i + k, None], ws[i:i + k, None], z, zz, order, jet)
-            prod, det = _tree(jet, scratch[..., :k, :]), np.prod(det, axis=0)
-        state.jet = _jet_mul(prod, state.jet, running[n % 2])
-        state.det = state.det * det
+            prod = cells[..., :k, :]
+            cell_det = _cell_jets(qs[i:i + k, None], ws[i:i + k, None], z, zz, order, prod, eps)
+            prod, cell_det = _tree(prod, scratch[..., :k, :]), np.prod(cell_det, axis=0)
+        jet = _jet_mul(prod, jet, running[n % 2])
+        det = det * cell_det
+    state.jet, state.det = jet.astype(complex, copy=False), det.astype(complex, copy=False)
     return state
 
 

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,11 +15,15 @@ from diracnlft.errors import (
     PoleProximityError,
     RangeError,
 )
+from diracnlft.nlft import nlft_forward
 from diracnlft.potential import SampledPotential
 from diracnlft.propagator import (
+    _SERIES_DERIV,
+    _SERIES_EVAL,
     _TREE_BUDGET,
     TransferMatrix,
     _cell_jets,
+    _coeffs,
     _prepared_cells,
     cell_propagator,
     corrupted_propagator,
@@ -143,20 +150,53 @@ def test_det_tracked_stays_at_one(seed, re, im):
     assert m.det_drift < 1e-11
 
 
-def test_corruption_trips_the_monitor():
+_HOOK_POINTS = pytest.mark.parametrize("z", [1.0, 1.0 + 0.3j], ids=["real", "complex"])
+
+
+@_HOOK_POINTS
+def test_corruption_trips_the_monitor(z):
     pot = SampledPotential(h=0.05, cells=tuple(np.linspace(-1, 1, 40)))
     with corrupted_propagator(1e-4):
         with pytest.raises(InvariantViolation):
-            transfer(pot, 1.0)
+            transfer(pot, z)
     # restored afterwards
-    assert transfer(pot, 1.0).det_drift < 1e-12
+    assert transfer(pot, z).det_drift < 1e-12
 
 
-def test_mild_corruption_is_visible_but_tolerated():
+@_HOOK_POINTS
+def test_mild_corruption_is_visible_but_tolerated(z):
     pot = SampledPotential(h=0.05, cells=tuple(np.linspace(-1, 1, 40)))
     with corrupted_propagator(1e-12):
-        drift = transfer(pot, 1.0).det_drift
+        drift = transfer(pot, z).det_drift
     assert 1e-12 < drift < 1e-8
+
+
+def test_corruption_stays_in_its_thread():
+    pot = SampledPotential(h=0.05, cells=tuple(np.linspace(-1, 1, 40)))
+    start = threading.Barrier(4, timeout=30)
+
+    def corrupted():
+        with corrupted_propagator(1e-4):
+            start.wait()
+            for _ in range(50):
+                with pytest.raises(InvariantViolation):
+                    transfer(pot, 1.0)
+
+    def clean():
+        start.wait()
+        return max(transfer(pot, 1.0).det_drift for _ in range(50))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads finely
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            bad = [pool.submit(corrupted) for _ in range(2)]
+            good = [pool.submit(clean) for _ in range(2)]
+            for f in bad:
+                f.result(timeout=60)
+            assert max(f.result(timeout=60) for f in good) < 1e-12
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_working_range_guard():
@@ -214,15 +254,16 @@ def test_derivative_order_validation():
 # ---------------------------------------------------------------------------
 
 
-def _sequential(pot, z, t, order):
-    """Jet and tracked det of M(t, z) multiplying the same cells one at a time."""
+def _sequential(pot, z, t, order, eps=0.0):
+    """Jet and tracked det of M(t, z) multiplying the same cells one at a time
+    (``eps``: the corruption hook's skew)."""
     qs, ws = _prepared_cells(pot, 0.0, t, z)
     jet = np.zeros((order + 1, 2, 2, z.size), dtype=complex)
     jet[0, 0, 0] = jet[0, 1, 1] = 1.0
     det = np.ones(z.size, dtype=complex)
     for q, w in zip(qs, ws):
         cell = np.empty_like(jet)
-        det = det * _cell_jets(q, float(w), z, z * z, order, cell)
+        det = det * _cell_jets(q, float(w), z, z * z, order, cell, eps)
         jet = np.array([
             sum(math.comb(j, i) * np.einsum("abz,bcz->acz", cell[i], jet[j - i])
                 for i in range(j + 1))
@@ -277,8 +318,9 @@ def test_tree_matches_per_cell_loop(seed, kind_n, nz, order):
     im_max = min(0.4, 40.0 / pot.T)  # stay inside the working range |Im z| t <= 50
     z = rng.uniform(-6.0, 6.0, nz) + 1j * rng.choice([0.0, im_max], nz) * rng.uniform(0, 1, nz)
     # a skew of 1e-11 per cell makes every cell's det factor count at 1e-12
-    with corrupted_propagator(0.0 if kind == "chunked" else 1e-11):
-        ref_jet, ref_det = _sequential(pot, z, t, order)
+    eps = 0.0 if kind == "chunked" else 1e-11
+    ref_jet, ref_det = _sequential(pot, z, t, order, eps)
+    with corrupted_propagator(eps):
         jet, det = _propagated(pot, z, t, order)
     _assert_jets_close(jet, ref_jet)
     assert np.max(np.abs(det - ref_det)) < 1e-12
@@ -310,6 +352,78 @@ def test_scalar_z_matches_wide_batch(nz, order):
     if order:
         aug = transfer_derivative(pot, z0, order=order)
         assert abs(aug.dA - wide[1, 0, 0, -1]) <= 1e-12 * np.max(np.abs(wide[1, ..., -1]))
+
+
+# ---------------------------------------------------------------------------
+# real axis: float64 propagation vs complex arithmetic
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_real_coeffs_match_complex(order):
+    w = np.array([[1e-3], [0.05], [1.0], [2.5]])
+    # m w^2 on both sides of both series switches, both signs, and m = 0
+    x = np.array([1e-9, 0.5 * _SERIES_EVAL, 2 * _SERIES_EVAL, 0.5 * _SERIES_DERIV,
+                  2 * _SERIES_DERIV, 0.3, 1.0, 6.0])
+    x = np.concatenate([-x[::-1], [0.0], x])
+    m = x / (w * w)
+    q = 0.7
+    m[:, len(x) // 2] = q * q - (-q) ** 2  # z = -q: m = 0 exactly
+    got, ref = _coeffs(m, w, order), _coeffs(m + 0j, w, order)
+    for g, r in zip(got, ref):
+        if r is None:
+            assert g is None
+            continue
+        assert g.dtype == np.float64
+        assert np.all(np.abs(g - r) <= 1e-12 * np.abs(r))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 150, _TREE_BUDGET + 905])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_real_batch_matches_complex_path(n, order):
+    # 4096+905 cells skip nz = 4097 (20 M cell x frequency steps per path)
+    rng = np.random.default_rng(13)
+    h = 0.002 if n > 150 else 0.05
+    pot = SampledPotential(h=h, cells=tuple(rng.uniform(-1.5, 1.5, max(n, 1))))
+    t = pot.T if n else 0.0
+    q0 = pot.cells[0]
+    for nz in [1, 5, 300] + ([] if n > 150 else [_TREE_BUDGET + 1]):
+        z = rng.uniform(-8.0, 8.0, nz)
+        z[:2] = (q0, -q0)[:nz]  # m = 0 exactly in the first cell
+        mixed = np.append(z, 0.5 + 0.05j)  # one non-real z: the complex path
+        for a, b in zip(_prepared_cells(pot, 0.0, t, z), _prepared_cells(pot, 0.0, t, mixed)):
+            np.testing.assert_array_equal(a, b)  # same cells: only the arithmetic differs
+        jet, det = _propagated(pot, z, t, order)
+        ref_jet, ref_det = _propagated(pot, mixed, t, order)
+        _assert_jets_close(jet, ref_jet[..., :-1])
+        assert np.max(np.abs(det - ref_det[:-1])) < 1e-12
+
+
+@pytest.mark.parametrize("z", [0.0, 0.4, -0.9, 3.7, -12.0])
+def test_real_axis_transfer_matches_rk4_oracle(z):
+    rng = np.random.default_rng(14)
+    cells = rng.uniform(-1.5, 1.5, 12)
+    cells[5] = 0.9  # z = +-0.9 meets m = 0 in this cell
+    pot = SampledPotential(h=0.05, cells=tuple(cells))
+    got = transfer(pot, z).matrix()
+    ref = oracle_transfer(pot, z, pot.T, steps_per_cell=int(256 * (1 + abs(z))))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_public_results_stay_complex():
+    rng = np.random.default_rng(15)
+    pot = SampledPotential(h=0.05, cells=tuple(rng.uniform(-1.5, 1.5, 30)))
+    z = np.array([0.3, -2.0, 1.0])
+    m = transfer(pot, 0.3)
+    aug = transfer_derivative(pot, 0.3, order=2)
+    scalars = [m.A, m.B, m.C, m.D, m.det_tracked, aug.dA, aug.dD, aug.d2B, aug.d2C]
+    assert all(type(v) is complex for v in scalars)
+    state = transfer_derivative_batch(pot, z, order=2)
+    sd = nlft_forward(pot, grid=z)
+    arrays = [state.z, state.jet, state.det, sd.a, sd.b, sd.r]
+    for b in [transfer_batch(pot, z)] + transfer_checkpoints(pot, z, [0.5, 2.0]):
+        arrays += [b.z, b.A, b.B, b.C, b.D, b.det_tracked]
+    assert all(a.dtype == np.complex128 for a in arrays)
 
 
 # ---------------------------------------------------------------------------
