@@ -16,14 +16,19 @@ alongside the entries, because the direct ``A D - B C`` of the accumulated
 product loses all precision once ``exp(2 |Im z| t)`` overtakes ``1/eps``.
 
 Evaluation order.  The product is associative, so cells go in blocks of
-``max(1, _TREE_BUDGET // nz)`` for ``nz`` frequencies: a block's propagators
-are built at once as ``(cells, nz)`` arrays, reduced in a balanced pairwise
-tree (later cells on the left) and multiplied onto the running product.
-Each cell keeps its closed form; only the order of the products differs from
-a cell-by-cell loop (~1e-12 relative).  ``nz > _TREE_BUDGET // 2`` gives
-one-cell blocks, i.e. that loop.  z-derivatives up to order 2 ride along as
-a z-jet (``jet[j] = d^j M / dz^j``) by the product rule
-``(L R)^(j) = sum_i binom(j, i) L^(i) R^(j-i)``.
+at most ``max(1, _TREE_BUDGET // nz)`` for ``nz`` frequencies: a block's
+propagators are built at once as ``(cells, nz)`` arrays, reduced in a
+balanced pairwise tree (later cells on the left) and multiplied onto the
+running product.  Where a tree's partial products grow they can cancel
+against their neighbours, losing precision a loop keeps (wide cells: 2e-11
+of the largest entry against 3e-14).  ``|q| w`` bounds a cell's growth
+beyond that which ``Im z`` gives all cells alike, so a cell with
+``|q| w > _TREE_CELL`` (a coalesced or chunked stretch) takes a block of its
+own.  Each cell keeps its closed form; only the order of the products
+differs from a cell-by-cell loop (~1e-12 relative).
+``nz > _TREE_BUDGET // 2`` gives one-cell blocks, i.e. that loop.
+z-derivatives up to order 2 ride along as a z-jet (``jet[j] = d^j M / dz^j``)
+by the product rule ``(L R)^(j) = sum_i binom(j, i) L^(i) R^(j-i)``.
 
 Number field.  The potential is real, so for a batch of real frequencies
 every cell jet, every product and the tracked determinant are real: such a
@@ -88,6 +93,8 @@ _SERIES_DERIV = 1e-3
 _CHUNK_CAP = 2.5
 # Cells x frequencies per block of the tree product (see the module docstring).
 _TREE_BUDGET = 4096
+# Max |q| * width of a cell inside a multi-cell tree block (module docstring).
+_TREE_CELL = 0.25
 # Elements per matrix entry (times product-rule terms) from which jet products
 # run entry by entry instead of broadcast: keeps temporaries <= 64 KiB.
 _ENTRYWISE_MIN = 1024
@@ -426,6 +433,15 @@ def _tree(jet: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return jet[..., 0, :]
 
 
+def _blocks(wide: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """``(start, length)`` of the tree blocks: at most ``cap`` cells each, and
+    every cell flagged in ``wide`` in a block of its own."""
+    ends = [0, len(wide)]
+    if cap > 1 and wide.any():
+        ends = [0, *(np.flatnonzero(wide[1:] | wide[:-1]) + 1).tolist(), len(wide)]
+    return [(i, min(cap, e - i)) for s, e in zip(ends, ends[1:]) for i in range(s, e, cap)]
+
+
 def _advance(state: PropagationState, qs, ws) -> PropagationState:
     """Multiply the ordered cell propagators onto ``state`` (in place).
 
@@ -441,12 +457,11 @@ def _advance(state: PropagationState, qs, ws) -> PropagationState:
     cells = np.empty((order + 1, 2, 2, min(block, len(qs))) + z.shape, dtype=z.dtype)
     scratch = np.empty_like(cells)
     running = (np.empty_like(jet), np.empty_like(jet))
-    for n, i in enumerate(range(0, len(qs), block)):
-        if block == 1:  # wide batch: one cell at scalar width, no tree
+    for n, (i, k) in enumerate(_blocks(np.abs(qs) * ws > _TREE_CELL, block)):
+        if k == 1:  # one cell at scalar width, no tree
             prod = cells[..., 0, :]
             cell_det = _cell_jets(qs[i], float(ws[i]), z, zz, order, prod, eps)
         else:
-            k = min(block, len(qs) - i)
             prod = cells[..., :k, :]
             cell_det = _cell_jets(qs[i:i + k, None], ws[i:i + k, None], z, zz, order, prod, eps)
             prod, cell_det = _tree(prod, scratch[..., :k, :]), np.prod(cell_det, axis=0)
