@@ -102,16 +102,19 @@ def kernel_sinc(t: float, lam: complex, z: complex):
     """
     if t <= 0:
         raise ValidationError(f"kernel_sinc needs t > 0, got {t}")
-    d = np.asarray(z, dtype=complex) - np.conj(np.asarray(lam, dtype=complex))
+    d = np.atleast_1d(np.asarray(z, dtype=complex) - np.conj(np.asarray(lam, dtype=complex)))
     u = t * d
-    small = np.abs(u) < _SINC_SERIES
-    u_safe = np.where(small, 1.0, u)
-    out = np.sin(u_safe) / (np.pi * np.where(small, 1.0, d))
-    u2 = u * u
-    series = (t / np.pi) * (1.0 - u2 / 6.0 * (1.0 - u2 / 20.0))
-    out = np.where(small, series, out)
+    out = np.empty_like(u)  # sin(a + ib) = sin a cosh b + i cos a sinh b
+    np.multiply(np.sin(u.real), np.cosh(u.imag), out=out.real)
+    np.multiply(np.cos(u.real), np.sinh(u.imag), out=out.imag)
+    small = np.nonzero(np.abs(u) < _SINC_SERIES)
+    d[small] = 1.0
+    d *= np.pi
+    out /= d
+    u2 = u[small] ** 2
+    out[small] = (t / np.pi) * (1.0 - u2 / 6.0 * (1.0 - u2 / 20.0))
     if np.ndim(z) == 0 and np.ndim(lam) == 0:
-        return complex(out)
+        return complex(out[0])
     return out
 
 
@@ -119,26 +122,23 @@ def _kernel_matrix(pot, t, pts):
     """K(t, lam_i, z_j) over one point set (rows index lam, cols index z).
 
     Uses A(conj p) = conj A(p) (real potential) so a single derivative
-    batch at ``pts`` supplies values and the confluent diagonal branch.
+    batch at ``pts`` supplies values and the confluent branch; the numerator
+    is ``P - P^H`` for ``P = A(z_j) C(conj lam_i)``, so K is exactly Hermitian.
     """
-    raw = transfer_derivative_batch(pot, np.asarray(pts, dtype=complex), t, order=2)
-    A, C = raw.A, raw.C
-    dA, dC = raw.dA, raw.dC
-    d2A, d2C = raw.d2A, raw.d2C
-    lam_bar = np.conj(pts)[:, None]  # rows: conj(lam_i)
-    Az, Cz = A[None, :], C[None, :]  # cols: values at z_j
-    Al, Cl = np.conj(A)[:, None], np.conj(C)[:, None]  # A(conj lam), C(conj lam)
-    denom = lam_bar - pts[None, :]
-    near = np.abs(denom) < _DIAG_SWITCH * (1.0 + np.abs(pts)[None, :])
-    denom_safe = np.where(near, 1.0, denom)
-    K = (Az * Cl - Cz * Al) / (np.pi * denom_safe)
+    (A, C), (dA, dC), (d2A, d2C) = transfer_derivative_batch(pot, pts, t, order=2).jet[:, :, 0]
+    K = A * np.conj(C)[:, None]  # A(z_j) C(conj lam_i)
+    K -= np.conj(K.T)
+    denom = np.conj(pts)[:, None] - pts
+    i, j = np.nonzero(np.abs(denom) < _DIAG_SWITCH * (1.0 + np.abs(pts)))
+    d, denom[i, j] = denom[i, j], 1.0
+    denom *= np.pi
+    K /= denom
     # confluent branch: numerator N(conj lam) = A(z) C(.) - C(z) A(.) vanishes
     # at conj lam = z, so K -> (N' + N'' (conj lam - z)/2) / pi with all
     # derivatives taken at z.
-    n1 = Az * dC[None, :] - Cz * dA[None, :]
-    n2 = Az * d2C[None, :] - Cz * d2A[None, :]
-    K_diag = (n1 + 0.5 * n2 * denom) / np.pi
-    return np.where(near, K_diag, K)
+    A, C = A[j], C[j]
+    K[i, j] = (A * dC[j] - C * dA[j] + 0.5 * (A * d2C[j] - C * d2A[j]) * d) / np.pi
+    return K
 
 
 def kernel_K(pot: SampledPotential, t: float, lam: complex, z: complex) -> complex:
@@ -155,15 +155,7 @@ def kernel_K(pot: SampledPotential, t: float, lam: complex, z: complex) -> compl
             f"kernel time t={t} exceeds the represented horizon T={pot.T}; "
             "extend the potential with explicit cells"
         )
-    lam = complex(lam)
-    z = complex(z)
-    if abs(np.conj(lam) - z) < _DIAG_SWITCH * (1.0 + abs(z)):
-        K = _kernel_matrix(pot, t, np.array([lam, z], dtype=complex))
-        return complex(K[0, 1])
-    B = transfer_batch(pot, np.array([np.conj(lam), z]), t)
-    Al, Cl = B.A[0], B.C[0]
-    Az, Cz = B.A[1], B.C[1]
-    return complex((Az * Cl - Cz * Al) / (np.pi * (np.conj(lam) - z)))
+    return complex(_kernel_matrix(pot, t, np.array([lam, z], dtype=complex))[0, 1])
 
 
 def kernel_probe(

@@ -35,8 +35,13 @@ every cell jet, every product and the tracked determinant are real: such a
 batch runs the same code on float64 arrays, taking ``cosh``/``sinh`` of
 ``sqrt(m)`` where ``m > 0`` and ``cos``/``sin`` of ``sqrt(-m)`` where
 ``m < 0``, and is cast back to complex at the end.  It differs from the
-complex arithmetic by rounding only (<= 2e-14 relative).  A batch holding
-any non-real z runs in complex arithmetic throughout.
+complex arithmetic by rounding only (<= 2e-14 relative).  Other batches
+run in complex arithmetic, ``cosh``/``sinh`` of ``a + ib`` taken from real
+ufuncs of ``a`` and ``b`` (~4x faster than complex ones, within 6e-16).
+
+Reflection.  ``M(conj z) = conj M(z)`` (real potential), so a batch with
+points below the real axis propagates their distinct upper-half partners
+(same ``max |Im z|``, same cells) once and conjugates them back, exactly.
 """
 
 from __future__ import annotations
@@ -86,8 +91,9 @@ POLE_FLOOR = 1e-14
 
 # Taylor switch for the raw coefficients (4 terms in m w^2 below this).
 _SERIES_EVAL = 1e-6
-# Taylor switch for the m-derivative recurrences, which cancel more strongly.
-_SERIES_DERIV = 1e-3
+# Taylor switch for the m-derivative recurrences (5 terms below this), which
+# cancel more strongly (closed d2s/dm2 off by 2e-8 at 1e-3, 1e-11 at 5e-2).
+_SERIES_DERIV = 5e-2
 # Max |l| * width per propagated chunk; keeps the per-cell determinant
 # conditioned (error ~ eps * exp(2 * cap)) while coalesced cells stay exact.
 _CHUNK_CAP = 2.5
@@ -246,11 +252,18 @@ def _coeffs(m: np.ndarray, w, order: int):
     they cancel.
     """
     x = m * (w * w)
+    ax = np.abs(x)
+    small = ax < _SERIES_DERIV if order else None
+    closed = order and not small.all()  # else fine cells: the series alone
     with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 takes the series
-        if m.dtype.kind == "c":
+        if m.dtype.kind == "c":  # cosh and sinh of a + ib from real ufuncs of a and b
             lam = np.sqrt(m)
             lw = lam * w
-            c, s = np.cosh(lw), np.sinh(lw)
+            ch, sh, co, si = np.cosh(lw.real), np.sinh(lw.real), np.cos(lw.imag), np.sin(lw.imag)
+            c, s = np.empty_like(lw), np.empty_like(lw)
+            for out, (re, im) in ((c, (ch, sh)), (s, (sh, ch))):
+                np.multiply(re, co, out=out.real)
+                np.multiply(im, si, out=out.imag)
         else:
             lam = np.sqrt(np.abs(m))
             lw, pos = lam * w, m > 0
@@ -259,26 +272,32 @@ def _coeffs(m: np.ndarray, w, order: int):
                 fc(lw, out=c, where=sel)
                 fs(lw, out=s, where=sel)
         s /= lam
-        sm = (w * c - s) / (2.0 * m) if order >= 1 else None
-        smm = (w * (0.5 * w * s) - 3.0 * sm) / (2.0 * m) if order >= 2 else None
-    small = np.abs(x) < _SERIES_EVAL
-    if small.any():
-        xs, ws = x[small], np.broadcast_to(w, m.shape)[small]
-        c[small] = 1.0 + xs * (0.5 + xs * (1.0 / 24.0 + xs * (1.0 / 720.0)))
-        s[small] = ws * (1.0 + xs * (1.0 / 6.0 + xs * (1.0 / 120.0 + xs * (1.0 / 5040.0))))
+        if closed:
+            sm = (w * c - s) / (2.0 * m)
+            smm = (w * (0.5 * w * s) - 3.0 * sm) / (2.0 * m) if order >= 2 else None
+    tiny = ax < _SERIES_EVAL
+    if tiny.any():
+        xs, ws = x[tiny], np.broadcast_to(w, m.shape)[tiny]
+        c[tiny] = 1.0 + xs * (0.5 + xs * (1.0 / 24.0 + xs * (1.0 / 720.0)))
+        s[tiny] = ws * (1.0 + xs * (1.0 / 6.0 + xs * (1.0 / 120.0 + xs * (1.0 / 5040.0))))
     if order == 0:
         return c, s, None, None
-    small = np.abs(x) < _SERIES_DERIV
+    if not closed:
+        return (c, s, *_deriv_series(x, w, order))
     if small.any():
-        xs, ws = x[small], np.broadcast_to(w, m.shape)[small]
-        sm[small] = (ws**3 / 2.0) * (
-            1.0 / 3.0 + xs * (1.0 / 30.0 + xs * (1.0 / 840.0 + xs * (1.0 / 45360.0)))
-        )
-        if order >= 2:
-            smm[small] = (ws**5 / 2.0) * (
-                1.0 / 30.0 + xs * (1.0 / 420.0 + xs * (1.0 / 15120.0 + xs * (1.0 / 997920.0)))
-            )
+        series = _deriv_series(x[small], np.broadcast_to(w, m.shape)[small], order)
+        for out, val in zip((sm, smm)[:order], series):
+            out[small] = val
     return c, s, sm, smm
+
+
+def _deriv_series(x, w, order: int):
+    """Five-term series of ``ds/dm`` and (order 2) ``d2s/dm2`` in ``x = m w^2``."""
+    sm = (w**3 / 2.0) * (1.0 / 3.0 + x * (1.0 / 30.0 + x * (
+        1.0 / 840.0 + x * (1.0 / 45360.0 + x * (1.0 / 3991680.0)))))
+    smm = (w**5 / 2.0) * (1.0 / 30.0 + x * (1.0 / 420.0 + x * (
+        1.0 / 15120.0 + x * (1.0 / 997920.0 + x * (1.0 / 103783680.0))))) if order >= 2 else None
+    return sm, smm
 
 
 def cell_propagator(q: float, width: float, z: complex) -> np.ndarray:
@@ -498,13 +517,20 @@ def _resolve_t(pot: SampledPotential, t: float | None) -> float:
 
 
 def _propagate(pot, z, t, order, t1=0.0):
-    """Propagate ``z`` (made a 1-d batch) over ``[t1, t]``; returns (state, t)."""
+    """Propagate ``z`` (1-d batch, folded by reflection) over ``[t1, t]``; returns (state, t)."""
     t = _resolve_t(pot, t)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_range(z, t - t1)
-    qs, ws = _prepared_cells(pot, t1, t, z)
-    state = _advance(PropagationState(z, order=order), qs, ws)
+    lower = z.imag < 0
+    fold, inv = (np.unique(np.where(lower, z.conj(), z), return_inverse=True)
+                 if lower.any() else (z, None))
+    qs, ws = _prepared_cells(pot, t1, t, fold)
+    state = _advance(PropagationState(fold, order=order), qs, ws)
     _check_drift(state)
+    if inv is not None:
+        state.z, state.jet, state.det = z, state.jet[..., inv], state.det[inv]
+        np.conjugate(state.jet, out=state.jet, where=lower)
+        np.conjugate(state.det, out=state.det, where=lower)
     return state, t
 
 

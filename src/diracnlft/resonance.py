@@ -105,12 +105,14 @@ class Box:
     def tensor_grid(self, full: bool = True) -> np.ndarray:
         """grid_n x grid_n complex tensor grid over the square.
 
-        ``full=True`` spans Im in [-half_width, half_width] (kernel probes
-        use the whole square); ``full=False`` only the upper half.
+        ``full=True`` spans Im in [-half_width, half_width] in exactly
+        conjugate rows (kernel probes); ``full=False`` only the upper half.
         """
         re = np.linspace(self.re_lo, self.re_hi, self.grid_n)
         lo = -self.half_width if full else 0.0
         im = np.linspace(lo, self.half_width, self.grid_n)
+        if full:
+            im = 0.5 * (im - im[::-1])
         return (re[None, :] + 1j * im[:, None]).ravel()
 
 

@@ -3,10 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from diracnlft.potential import PotentialSpec, SampledPotential, sample
+
+# CI runs select this with --hypothesis-profile=ci: the same examples on every
+# run, no per-example deadline on shared runners, and a reproduction blob for
+# any failure.  Local runs keep the randomized default profile.
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ Nothing here shares code with the package's cell algebra: transfer matrices
 come from fixed-step RK4 integration of the defining ODE, theta from a
 SciPy adaptive integration of its own evolution law, and windings from a
 dense fixed-grid contour sum.  Test modules compute expectations through
-these, then assert the package agrees.
+these, then assert the package agrees.  The last section keeps plain
+complex-ufunc, full-matrix formulations of the cell coefficients and the
+kernels as references for the package's leaner evaluation of them.
 """
 
 from __future__ import annotations
@@ -198,3 +200,68 @@ def sigma_intervals_by_hand(cells, h, sigma, min_mass):
         else:
             i += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# cell coefficients and kernels by straightforward complex arithmetic
+# ---------------------------------------------------------------------------
+
+
+def coeffs_by_complex_ufuncs(m: np.ndarray, w) -> tuple:
+    """``c = cosh(l w)`` and ``s = sinh(l w) / l`` with ``l = sqrt(m)``, by
+    numpy's complex ``cosh``/``sinh`` (closed forms only: needs ``m != 0``)."""
+    lam = np.sqrt(np.asarray(m, dtype=complex))
+    return np.cosh(lam * w), np.sinh(lam * w) / lam
+
+
+def s_derivatives_by_series(m: np.ndarray, w: float, terms: int = 40) -> tuple:
+    """``ds/dm`` and ``d2s/dm2`` of ``s = sum_k m^k w^(2k+1) / (2k+1)!`` from
+    their Taylor series in extended precision, rounded to double at the end.
+
+    ``ds/dm = w^3 sum_j (j+1) x^j / (2j+3)!`` and ``d2s/dm2 = w^5 sum_j
+    (j+1)(j+2) x^j / (2j+5)!`` with ``x = m w^2``; 40 terms reach the
+    extended-precision floor for ``|x| <= 10``.
+    """
+    cplx = np.iscomplexobj(m)
+    ld = np.clongdouble if cplx else np.longdouble
+    w = np.longdouble(w)
+    x = np.asarray(m).astype(ld) * (w * w)
+    sm, smm, xj = np.zeros_like(x), np.zeros_like(x), np.ones_like(x)
+    inv3, inv5 = np.longdouble(1) / 6, np.longdouble(1) / 120  # 1/(2j+3)!, 1/(2j+5)!
+    for j in range(terms):
+        sm += (j + 1) * inv3 * xj
+        smm += (j + 1) * (j + 2) * inv5 * xj
+        xj = xj * x
+        inv3 = inv3 / ((2 * j + 4) * (2 * j + 5))
+        inv5 = inv5 / ((2 * j + 6) * (2 * j + 7))
+    out = complex if cplx else float
+    return (w**3 * sm).astype(out), (w**5 * smm).astype(out)
+
+
+def kernel_sinc_by_where(t: float, lam, z):
+    """sin(t(z - conj lam)) / (pi (z - conj lam)) by complex ``sin`` over the
+    full broadcast arrays, the series (|t d| < 1e-4) merged by ``np.where``."""
+    d = np.asarray(z, dtype=complex) - np.conj(np.asarray(lam, dtype=complex))
+    u = t * d
+    small = np.abs(u) < 1e-4
+    out = np.sin(np.where(small, 1.0, u)) / (np.pi * np.where(small, 1.0, d))
+    u2 = u * u
+    return np.where(small, (t / np.pi) * (1.0 - u2 / 6.0 * (1.0 - u2 / 20.0)), out)
+
+
+def kernel_matrix_by_where(pts, A, C, dA, dC, d2A, d2C) -> np.ndarray:
+    """K(t, lam_i, z_j) over a point set from the entries (and their first two
+    z-derivatives) at the points, both branches over full matrices.
+
+    Direct: ``(A(z) C(conj lam) - C(z) A(conj lam)) / (pi (conj lam - z))``
+    with ``A(conj p) = conj A(p)``; where ``|conj lam - z|`` is under 1e-6
+    relative the confluent Taylor form in ``conj lam - z`` replaces it.
+    """
+    Az, Cz = A[None, :], C[None, :]
+    Al, Cl = np.conj(A)[:, None], np.conj(C)[:, None]
+    denom = np.conj(pts)[:, None] - pts[None, :]
+    near = np.abs(denom) < 1e-6 * (1.0 + np.abs(pts)[None, :])
+    K = (Az * Cl - Cz * Al) / (np.pi * np.where(near, 1.0, denom))
+    n1 = Az * dC[None, :] - Cz * dA[None, :]
+    n2 = Az * d2C[None, :] - Cz * d2A[None, :]
+    return np.where(near, (n1 + 0.5 * n2 * denom) / np.pi, K)

@@ -13,6 +13,10 @@ from diracnlft.debranges import (
 )
 from diracnlft.errors import PreconditionError, RangeError, ValidationError
 from diracnlft.potential import SampledPotential
+from diracnlft.propagator import transfer_derivative_batch
+from diracnlft.resonance import Box
+
+from oracles import kernel_matrix_by_where, kernel_sinc_by_where
 
 TALL_ZERO = 2.4517263992197713 + 0.8301314959136796j
 
@@ -44,6 +48,18 @@ def test_sinc_hermitian():
     assert kernel_sinc(2.0, lam, z) == pytest.approx(
         np.conj(kernel_sinc(2.0, z, lam)), abs=1e-15
     )
+
+
+@pytest.mark.parametrize("grid_n", [8, 9, 24])
+def test_sinc_matches_full_matrix_reference(grid_n):
+    pts = Box(0.7, 0.5, grid_n=grid_n).tensor_grid(full=True)
+    # near-conjugate partners: series entries, and entries on either side of the switch
+    pts = np.concatenate([pts, pts[:5] + 1e-9, np.conj(pts[5:9]) + 3e-5])
+    for t in (0.5, 8.0, 60.0):
+        got = kernel_sinc(t, pts[:, None], pts[None, :])
+        ref = kernel_sinc_by_where(t, pts[:, None], pts[None, :])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert type(kernel_sinc(2.0, 0.3 + 0.1j, 0.3 - 0.1j)) is complex
 
 
 def test_sinc_validation():
@@ -91,6 +107,42 @@ def test_kernel_confluent_switch_continuity(const_pot):
         near = kernel_K(const_pot, 2.0, lam, lam)
         # both routes agree to the digits the direct quotient has left
         assert abs(val - near) < 1e-5 * abs(near)
+
+
+@pytest.mark.parametrize("grid_n", [8, 9, 16, 17])
+def test_kernel_matrix_matches_full_matrix_reference(grid_n):
+    # odd grid_n: the real row puts confluent entries on the diagonal
+    from diracnlft.debranges import _kernel_matrix
+
+    rng = np.random.default_rng(30 + grid_n)
+    pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, 300)))
+    t = pot.T
+    pts = Box(0.7, 4.0 / t, grid_n=grid_n).tensor_grid(full=True)
+    pts = np.concatenate([pts, pts[:3]])  # duplicates: more confluent entries
+    K = _kernel_matrix(pot, t, pts)
+    state = transfer_derivative_batch(pot, pts, t, order=2)
+    ref = kernel_matrix_by_where(pts, state.A, state.C, state.dA, state.dC, state.d2A, state.d2C)
+    near = np.abs(np.conj(pts)[:, None] - pts) < 1e-6 * (1.0 + np.abs(pts))
+    assert np.count_nonzero(near) >= len(pts)  # every point meets its conjugate partner
+    assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(K, np.conj(K.T))  # exactly Hermitian
+
+
+@pytest.mark.parametrize("grid_n", [8, 9])
+def test_probe_propagates_each_conjugate_pair_once(free_pot, monkeypatch, grid_n):
+    import diracnlft.propagator as prop
+
+    seen, advance = [], prop._advance
+
+    def recording(state, *cells):
+        seen.append(state.z)
+        return advance(state, *cells)
+
+    monkeypatch.setattr(prop, "_advance", recording)
+    probe = kernel_probe(free_pot, 0.0, 4.0, 2.0, w_hat=1.0, grid_n=grid_n)
+    (z,) = seen
+    assert z.size == (grid_n * grid_n + grid_n % 2 * grid_n) // 2 and not np.any(z.imag < 0)
+    assert probe.gap < 1e-12
 
 
 def test_kernel_time_guard(const_pot):

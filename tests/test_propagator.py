@@ -38,7 +38,14 @@ from diracnlft.propagator import (
     transfer_derivative_batch,
 )
 
-from oracles import fd1, fd2_of_derivative, free_rotation, oracle_transfer
+from oracles import (
+    coeffs_by_complex_ufuncs,
+    fd1,
+    fd2_of_derivative,
+    free_rotation,
+    oracle_transfer,
+    s_derivatives_by_series,
+)
 
 
 def _mat(m):
@@ -73,6 +80,40 @@ def test_cell_series_branch_is_continuous():
         expected = scipy.linalg.expm(G)
         got = cell_propagator(float(q), 1.0, z)
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-14)
+
+
+def test_complex_coeffs_match_complex_ufuncs():
+    # cosh/sinh of a + ib are assembled from real ufuncs of a and b
+    rng = np.random.default_rng(16)
+    worst = 0.0
+    for w in (0.002, 0.02, 0.05, 1.0, 2.5):
+        q = rng.uniform(-2.0, 2.0, 4000)
+        re = rng.uniform(-60.0, 60.0, 4000) * 10 ** rng.uniform(-3, 0, 4000)
+        z = re + 1j * rng.uniform(-0.5, 0.5, 4000)  # Im(l w) up to ~150
+        m = q * q - z * z
+        m = m[np.abs(m * w * w) >= _SERIES_EVAL]  # closed forms only
+        c, s, _, _ = _coeffs(m, w, 0)
+        ref_c, ref_s = coeffs_by_complex_ufuncs(m, w)
+        worst = max(worst, np.max(np.abs(c - ref_c) / np.abs(ref_c)),
+                    np.max(np.abs(s - ref_s) / np.abs(ref_s)))
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_derivative_coeffs_match_extended_precision_series(kind):
+    # m w^2 log-uniform across the series switch, plus points just either side
+    rng = np.random.default_rng(17)
+    x = np.concatenate([10 ** rng.uniform(-4, 0, 4000), _SERIES_DERIV * np.array([0.999, 1.001])])
+    if kind == "real":
+        x = x * rng.choice([-1.0, 1.0], x.size)
+    else:
+        x = x * np.exp(1j * rng.uniform(-np.pi, np.pi, x.size))
+    for w in (0.002, 0.02, 0.5, 2.5):
+        m = x / (w * w)
+        _, _, sm, smm = _coeffs(m, w, 2)
+        ref_sm, ref_smm = s_derivatives_by_series(m, w)
+        assert np.max(np.abs(sm - ref_sm) / np.abs(ref_sm)) <= 1e-13
+        assert np.max(np.abs(smm - ref_smm) / np.abs(ref_smm)) <= 2e-11
 
 
 def test_large_cell_is_chunked_correctly():
@@ -363,6 +404,51 @@ def test_scalar_z_matches_wide_batch(nz, order):
     if order:
         aug = transfer_derivative(pot, z0, order=order)
         assert abs(aug.dA - wide[1, 0, 0, -1]) <= 1e-12 * np.max(np.abs(wide[1, ..., -1]))
+
+
+# ---------------------------------------------------------------------------
+# reflection: lower-half points fold onto their upper-half partners
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_lower_half_points_fold_onto_their_partners(order):
+    rng = np.random.default_rng(18 + order)
+    pot = SampledPotential(h=0.05, cells=tuple(rng.uniform(-1.5, 1.5, 80)))
+    up = rng.uniform(-6.0, 6.0, 40) + 1j * rng.uniform(0.01, 0.4, 40)
+    lone = rng.uniform(-6.0, 6.0, 5) - 1j * rng.uniform(0.01, 0.4, 5)  # no partner in the batch
+    real = rng.uniform(-6.0, 6.0, 5)
+    dup = np.concatenate([up[:3], np.conj(up[30:33]), np.conj(up[30:32]), real[:2]])
+    z = rng.permutation(np.concatenate([up, np.conj(up[:25]), lone, real, dup]))
+    lower = z.imag < 0
+    jet, det = _propagated(pot, z, pot.T, order)
+    # the folded batch alone has no lower-half point, so it runs unfolded
+    fold = np.unique(np.where(lower, np.conj(z), z))
+    assert not np.any(fold.imag < 0)
+    fold_jet, fold_det = _propagated(pot, fold, pot.T, order)
+    k = np.searchsorted(fold, np.where(lower, np.conj(z), z))
+    np.testing.assert_array_equal(jet[..., ~lower], fold_jet[..., k[~lower]])
+    np.testing.assert_array_equal(jet[..., lower], np.conj(fold_jet[..., k[lower]]))
+    np.testing.assert_array_equal(det[~lower], fold_det[k[~lower]])
+    np.testing.assert_array_equal(det[lower], np.conj(fold_det[k[lower]]))
+    # and against the same cells multiplied one at a time, without folding
+    ref_jet, ref_det = _sequential(pot, z, pot.T, order)
+    _assert_jets_close(jet, ref_jet)
+    assert np.max(np.abs(det - ref_det)) < 1e-12
+
+
+def test_folded_batch_keeps_its_guards():
+    pot = SampledPotential(h=0.1, cells=tuple(np.linspace(-1, 1, 10)))
+    z = np.array([0.5 - 3.0j, -1.0 - 1.0j, 0.5 - 3.0j])  # all below the axis
+    with pytest.raises(OverflowRangeError):  # |Im z| t = 60 > 50
+        transfer_batch(pot, z, t=20.0)
+    with corrupted_propagator(1e-4):
+        with pytest.raises(InvariantViolation):
+            transfer_batch(pot, z)
+    with corrupted_propagator(1e-12):
+        drift = transfer_batch(pot, z).det_drift
+    assert np.all((1e-13 < drift) & (drift < 1e-8))
+    assert drift[0] == drift[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracnlft.errors import (
     BoundaryNearZeroError,
@@ -53,6 +55,20 @@ def test_box_tensor_grid():
     assert full.shape == (64,) and upper.shape == (64,)
     assert np.min(full.imag) == -1.0 and np.min(upper.imag) == 0.0
     assert np.max(np.abs(full.real)) == 1.0
+
+
+@given(n=st.integers(8, 40), half_width=st.floats(1e-3, 10.0), s=st.floats(-10.0, 10.0))
+@settings(max_examples=80, deadline=None)
+def test_full_tensor_grid_is_conjugate_symmetric(n, half_width, s):
+    box = Box(s, half_width, grid_n=n)
+    full = box.tensor_grid(full=True).reshape(n, n)
+    np.testing.assert_array_equal(full[::-1], np.conj(full))  # row i mirrors row n-1-i
+    # symmetrizing moved the rows of the plain linspace by a rounding at most
+    im = np.linspace(-half_width, half_width, n)
+    assert np.all(np.abs(full[:, 0].imag - im) <= 2 * np.spacing(half_width))
+    re = np.linspace(box.re_lo, box.re_hi, n)
+    upper = re[None, :] + 1j * np.linspace(0.0, half_width, n)[:, None]
+    np.testing.assert_array_equal(box.tensor_grid(full=False), upper.ravel())
 
 
 # ---------------------------------------------------------------------------
