@@ -20,7 +20,7 @@ from diracnlft.potential import PotentialSpec, sample
 from diracnlft.reporting import write_csv
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--family", default="powerlaw",
                     choices=("powerlaw", "damped_cosine", "box", "constant"))
@@ -38,9 +38,8 @@ def main() -> int:
                     help="box constant; boxes are Q(s, C/T)")
     ap.add_argument("--box-samples", type=int, default=16)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="converge.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     params = {"q": args.q}
     if args.family in ("powerlaw", "damped_cosine"):
@@ -53,7 +52,7 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     s_list = sorted(rng.uniform(-args.smax, args.smax, args.n_freq))
     table = run_convergence(pot, s_list, args.horizons, args.C,
-                            box_samples=args.box_samples, workers=args.threads)
+                            box_samples=args.box_samples)
 
     rows = [
         (s, Tj, table.err[i, j])

@@ -14,10 +14,10 @@ import argparse
 
 from diracnlft.potential import PotentialSpec, sample
 from diracnlft.reporting import write_csv
-from diracnlft.resonance import Box, classify_track, find_zeros, track_resonance
+from diracnlft.resonance import Box, classify_track, find_zeros, track_resonance, track_rows
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--q", type=float, default=1.0, help="constant amplitude")
     ap.add_argument("--h", type=float, default=0.01)
@@ -28,7 +28,7 @@ def main() -> int:
     ap.add_argument("--box-half", type=float, default=2.0)
     ap.add_argument("--grid-n", type=int, default=24)
     ap.add_argument("--out", default="resonance.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     pot = sample(PotentialSpec(family="constant", params={"q": args.q}),
                  h=args.h, T=args.t1)
@@ -42,22 +42,14 @@ def main() -> int:
     rows = []
     for z0, _ in zeros:
         track = track_resonance(pot, z0, args.t0, args.t1, args.dt)
-        labels = {}
         if len(track.samples) >= 3:
-            segments = classify_track(track)
             desc = ", ".join(f"{seg.label}[{seg.t1:.2f},{seg.t2:.2f}]"
-                             for seg in segments) or "unclassified"
-            for seg in segments:
-                for ti, _, _ in track.samples:
-                    if seg.t1 <= ti <= seg.t2:
-                        labels[ti] = seg.label
+                             for seg in classify_track(track)) or "unclassified"
         else:
             desc = "too short to classify"
         print(f"  z(t0) = {z0:.6f}  ->  z(t_end) = {track.samples[-1][1]:.6f}"
               f"  [{track.status}]  segments: {desc}")
-        for (ti, zi, tzi), res in zip(track.samples, track.residuals):
-            rows.append((ti, zi.real, zi.imag, tzi.real, tzi.imag, res,
-                         labels.get(ti, "")))
+        rows += track_rows(track)
 
     write_csv(args.out, cols, rows, {"t0": args.t0, "t1": args.t1})
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -20,7 +20,7 @@ from diracnlft.potential import PotentialSpec, SampledPotential, sample
 from diracnlft.reporting import write_csv
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--q", type=float, default=0.3, help="bump height")
     ap.add_argument("--support", type=float, default=1.0,
@@ -32,7 +32,7 @@ def main() -> int:
     ap.add_argument("--C", type=float, default=4.0)
     ap.add_argument("--grid-n", type=int, default=16)
     ap.add_argument("--out", default="kernels.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     T = max(args.times)
     base = sample(PotentialSpec(family="box",

@@ -39,17 +39,13 @@ from .potential import (
     sigma_intervals,
 )
 from .propagator import (
-    AugmentedTransfer,
-    BatchTransfer,
     HermiteBiehlerPair,
-    TransferMatrix,
-    cell_propagator,
+    Transfer,
     hermite_biehler,
     theta,
     theta_derivs,
     transfer,
     transfer_batch,
-    transfer_checkpoints,
     transfer_derivative,
     transfer_derivative_batch,
 )
@@ -75,6 +71,7 @@ from .resonance import (
     find_zeros,
     track_eigenvalue,
     track_resonance,
+    track_rows,
     zero_free_horizon,
 )
 from .debranges import (

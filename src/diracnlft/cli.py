@@ -28,12 +28,12 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .experiments import limit_identities, run_convergence
+from .experiments import run_convergence
 from .nlft import nlft_forward, parseval_check
 from .potential import PotentialSpec, SampledPotential, load_potential, sample
-from .propagator import corrupted_propagator, hermite_biehler, transfer_batch
+from .propagator import corrupted_propagator, hermite_biehler, theta, transfer
 from .reporting import TOOL_VERSION, config_hash, write_csv, write_json
-from .resonance import Box, classify_track, find_zeros, track_eigenvalue, track_resonance
+from .resonance import Box, find_zeros, track_eigenvalue, track_resonance, track_rows
 from .riccati import riccati_evolve_moebius, riccati_evolve_rk
 
 log = logging.getLogger("diracnlft.cli")
@@ -58,7 +58,7 @@ def _setup_logging() -> None:
 # config plumbing
 # ---------------------------------------------------------------------------
 
-_FLAG_KEYS = ("out", "format", "threads", "seed", "T", "zmin", "zmax", "nz", "s", "C")
+_FLAG_KEYS = ("out", "format", "seed", "T", "zmin", "zmax", "nz", "s", "C")
 
 
 def _load_config(args) -> dict:
@@ -82,11 +82,8 @@ def _load_config(args) -> dict:
             cfg["output" if key == "out" else key] = val
     cfg.setdefault("format", "csv")
     cfg.setdefault("seed", 0)
-    cfg.setdefault("threads", 1)
     if cfg["format"] not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {cfg['format']!r}")
-    if int(cfg["threads"]) < 1:
-        raise UsageError(f"--threads must be >= 1, got {cfg['threads']}")
     for name, tol in dict(cfg.get("tolerances", {})).items():
         if not (float(tol) > 0):
             raise UsageError(f"tolerance {name!r} must be > 0, got {tol}")
@@ -193,7 +190,7 @@ def _verify_suite(cfg: dict) -> list:
         n = int(rng.integers(40, 120))
         pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-1.5, 1.5, n)))
         zs = np.concatenate([real_grid.astype(complex), cplx])
-        B = transfer_batch(pot, zs, pot.T)
+        B = transfer(pot, zs, pot.T)
         det_max = max(det_max, float(np.max(B.det_drift)))
         hb = hermite_biehler(B)
         det2i_max = max(det2i_max, float(np.max(np.abs(hb.det2i() - 2j * B.det))))
@@ -266,20 +263,9 @@ def cmd_resonances(cfg: dict) -> int:
         dt = float(cfg.get("dt", 1e-2))
         t1 = float(cfg["t1"])
         for z0, _ in zeros:
-            track = track_resonance(pot, z0, t, t1, dt)
-            labels = {}
-            if len(track.samples) >= 3:
-                for seg in classify_track(track):
-                    for ti, _, _ in track.samples:
-                        if seg.t1 <= ti <= seg.t2:
-                            labels[ti] = seg.label
-            for (ti, zi, tzi), res in zip(track.samples, track.residuals):
-                rows.append((ti, zi.real, zi.imag, tzi.real, tzi.imag, res,
-                             labels.get(ti, "")))
+            rows += track_rows(track_resonance(pot, z0, t, t1, dt))
     else:
-        from .resonance import _theta_many
-
-        th = _theta_many(pot, t, np.array([z for z, _ in zeros])) if zeros else []
+        th = theta(transfer(pot, np.array([z for z, _ in zeros]), t)) if zeros else []
         for (z, tz), thv in zip(zeros, th):
             rows.append((t, z.real, z.imag, tz.real, tz.imag, abs(thv), ""))
     path = _out_path(cfg, "resonance." + cfg["format"])
@@ -362,7 +348,6 @@ def cmd_converge(cfg: dict) -> int:
     table = run_convergence(
         pot, s_list, T_list, C,
         box_samples=int(cfg.get("box_samples", 16)),
-        workers=int(cfg.get("threads", 1)),
     )
     path = _out_path(cfg, "converge." + cfg["format"])
     if cfg["format"] == "csv":
@@ -425,7 +410,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help="output file path")
     common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--threads", type=int)
     common.add_argument("--seed", type=int)
     common.add_argument("--T", type=float, help="horizon override")
     common.add_argument("--zmin", type=float)

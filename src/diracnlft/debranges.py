@@ -24,12 +24,7 @@ import numpy as np
 
 from .errors import FitError, PreconditionError, RangeError, ValidationError
 from .potential import SampledPotential
-from .propagator import (
-    transfer,
-    transfer_batch,
-    transfer_checkpoints,
-    transfer_derivative_batch,
-)
+from .propagator import transfer
 from .resonance import Box, find_zeros
 
 __all__ = [
@@ -121,23 +116,25 @@ def kernel_sinc(t: float, lam: complex, z: complex):
 def _kernel_matrix(pot, t, pts):
     """K(t, lam_i, z_j) over one point set (rows index lam, cols index z).
 
-    Uses A(conj p) = conj A(p) (real potential) so a single derivative
-    batch at ``pts`` supplies values and the confluent branch; the numerator
-    is ``P - P^H`` for ``P = A(z_j) C(conj lam_i)``, so K is exactly Hermitian.
+    Uses A(conj p) = conj A(p) (real potential) so a single batch at
+    ``pts`` supplies values and, carrying derivatives only when some entry
+    is confluent, the confluent branch; the numerator is ``P - P^H`` for
+    ``P = A(z_j) C(conj lam_i)``, so K is exactly Hermitian.
     """
-    (A, C), (dA, dC), (d2A, d2C) = transfer_derivative_batch(pot, pts, t, order=2).jet[:, :, 0]
-    K = A * np.conj(C)[:, None]  # A(z_j) C(conj lam_i)
-    K -= np.conj(K.T)
     denom = np.conj(pts)[:, None] - pts
     i, j = np.nonzero(np.abs(denom) < _DIAG_SWITCH * (1.0 + np.abs(pts)))
+    m = transfer(pot, pts, t, order=2 if len(i) else 0)
+    K = m.A * np.conj(m.C)[:, None]  # A(z_j) C(conj lam_i)
+    K -= np.conj(K.T)
     d, denom[i, j] = denom[i, j], 1.0
     denom *= np.pi
     K /= denom
-    # confluent branch: numerator N(conj lam) = A(z) C(.) - C(z) A(.) vanishes
-    # at conj lam = z, so K -> (N' + N'' (conj lam - z)/2) / pi with all
-    # derivatives taken at z.
-    A, C = A[j], C[j]
-    K[i, j] = (A * dC[j] - C * dA[j] + 0.5 * (A * d2C[j] - C * d2A[j]) * d) / np.pi
+    if len(i):
+        # confluent branch: numerator N(conj lam) = A(z) C(.) - C(z) A(.)
+        # vanishes at conj lam = z, so K -> (N' + N'' (conj lam - z)/2) / pi
+        # with all derivatives taken at z.
+        A, C = m.A[j], m.C[j]
+        K[i, j] = (A * m.dC[j] - C * m.dA[j] + 0.5 * (A * m.d2C[j] - C * m.d2A[j]) * d) / np.pi
     return K
 
 
@@ -229,9 +226,8 @@ def estimate_w(
     if component not in ("E", "Etilde"):
         raise ValidationError(f"component must be 'E' or 'Etilde', got {component!r}")
     ts = np.linspace(t_a, t_b, n)
-    checks = transfer_checkpoints(pot, np.array([s], dtype=complex), list(ts))
     vals = np.empty(n)
-    for i, B in enumerate(checks):
+    for i, B in enumerate(transfer(pot, np.array([s], dtype=complex), ts)):
         if component == "E":
             mod2 = abs(B.A[0] - 1j * B.C[0]) ** 2
         else:
@@ -248,7 +244,7 @@ def estimate_w(
 
 
 def _E_on(pot, t, pts):
-    B = transfer_batch(pot, np.asarray(pts, dtype=complex), t)
+    B = transfer(pot, np.asarray(pts, dtype=complex), t)
     return B.A - 1j * B.C
 
 

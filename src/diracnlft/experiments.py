@@ -24,7 +24,7 @@ from .debranges import estimate_w
 from .errors import DiracNLFTError, NumericalError, RangeError, ValidationError
 from .nlft import nlft_forward
 from .potential import SampledPotential
-from .propagator import transfer_batch
+from .propagator import transfer
 
 __all__ = [
     "ConvergenceTable",
@@ -113,15 +113,13 @@ def run_convergence(
     T_list,
     C: float,
     box_samples: int = 16,
-    workers: int = 1,
 ) -> ConvergenceTable:
     """Tabulate e(s, T) = sup over the box sample of |r_T(z) - r_ref(s)|.
 
     The reference is the largest horizon in ``T_list``; numerical failures
     mark their (s, T) cell NaN and are reported in ``failures`` instead of
     aborting the rest of the table.  The sampling pattern is fixed per box,
-    so the table is bitwise reproducible; ``workers > 1`` spreads the
-    independent horizons over a thread pool with the assembly order fixed.
+    so the table is bitwise reproducible.
     """
     s_arr = [float(s) for s in s_list]
     T_arr = sorted(float(T) for T in T_list)
@@ -150,33 +148,12 @@ def run_convergence(
         for j, T in enumerate(T_arr)
         for i, s in enumerate(s_arr)
     ]
-    def _forward_at(j: int):
-        grid = np.concatenate([boxes[j * ns + i] for i in range(ns)])
-        return nlft_forward(pot, T=T_arr[j], grid=grid)
-
-    results: dict = {}
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {j: pool.submit(_forward_at, j) for j in range(nT)}
-        for j, fut in futs.items():
-            try:
-                results[j] = fut.result()
-            except DiracNLFTError as exc:
-                results[j] = exc
-    else:
-        for j in range(nT):
-            try:
-                results[j] = _forward_at(j)
-            except DiracNLFTError as exc:
-                results[j] = exc
-
     for j, T in enumerate(T_arr):
-        sd = results[j]
-        if isinstance(sd, DiracNLFTError):
-            for i, s in enumerate(s_arr):
-                failures.append((s, T, str(sd)))
+        try:
+            sd = nlft_forward(pot, T=T, grid=np.concatenate(boxes[j * ns:(j + 1) * ns]))
+        except DiracNLFTError as exc:
+            for s in s_arr:
+                failures.append((s, T, str(exc)))
             continue
         for i, s in enumerate(s_arr):
             r_box = sd.r[i * box_samples:(i + 1) * box_samples]
@@ -213,9 +190,9 @@ def limit_identities(
     abs_b_pred = 0.5 * np.sqrt(max(inner - 2.0, 0.0))
     T_end = float(t_window[1])
     sd = nlft_forward(pot, T=T_end, grid=np.array([s], dtype=complex))
-    B = transfer_batch(pot, np.array([s], dtype=complex), T_end)
-    abs_E = abs(B.A[0] - 1j * B.C[0])
-    abs_Et = abs(B.B[0] - 1j * B.D[0])
+    B = transfer(pot, float(s), T_end)
+    abs_E = abs(B.A - 1j * B.C)
+    abs_Et = abs(B.B - 1j * B.D)
     status = "ok" if max(w_spread, wt_spread) < spread_tol else "inconclusive"
     return LimitReport(
         s=float(s),

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .potential import SampledPotential, l2_norm_sq
-from .propagator import PropagationState, _propagate, hermite_biehler
+from .propagator import Transfer, hermite_biehler, transfer
 
 __all__ = [
     "ScatteringData",
@@ -101,23 +101,22 @@ class ParsevalReport:
 # ---------------------------------------------------------------------------
 
 
-def _scattering_from_state(state: PropagationState, width: float, grid: np.ndarray,
-                           t_label: float) -> ScatteringData:
-    hb = hermite_biehler(state)
-    phase = np.exp(1j * width * state.z)
+def _scattering(m: Transfer, width: float) -> ScatteringData:
+    hb = hermite_biehler(m)
+    phase = np.exp(1j * width * m.z)
     a = phase * (hb.E + 1j * hb.Etilde) / 2.0
     b = phase * (hb.E - 1j * hb.Etilde) / 2.0
     mod_a = np.abs(a)
     if np.any(mod_a < _A_FLOOR):
         raise NumericalError("|a| underflowed; r = b/a is meaningless here")
     return ScatteringData(
-        T=t_label,
-        grid=grid,
+        T=width,
+        grid=m.z,
         a=a,
         b=b,
         r=b / a,
         log_abs_a=np.log(mod_a),
-        det_drift=np.abs(state.det - 1.0),
+        det_drift=m.det_drift,
     )
 
 
@@ -136,8 +135,7 @@ def nlft_forward(pot: SampledPotential, T: float | None = None, grid=None) -> Sc
     T = min(float(T), pot.T)
     if grid is None:
         raise ValidationError("nlft_forward needs a frequency grid")
-    state, _ = _propagate(pot, grid, T, order=0)
-    return _scattering_from_state(state, T, state.z, T)
+    return _scattering(transfer(pot, np.atleast_1d(grid), T), T)
 
 
 def interval_scattering_grid(
@@ -151,9 +149,7 @@ def interval_scattering_grid(
     if not (0.0 <= t1 < t2 <= pot.T * (1.0 + 1e-9)):
         raise RangeError(f"need 0 <= t1 < t2 <= pot.T = {pot.T}, got [{t1}, {t2}]")
     t2 = min(float(t2), pot.T)
-    width = t2 - t1
-    state, _ = _propagate(pot, grid, t2, order=0, t1=float(t1))
-    return _scattering_from_state(state, width, state.z, width)
+    return _scattering(transfer(pot, np.atleast_1d(grid), t2, t1=float(t1)), t2 - t1)
 
 
 def interval_scattering(pot: SampledPotential, t1: float, t2: float, z: complex) -> complex:

@@ -1,5 +1,12 @@
 """Transfer matrices of the half-line Dirac system.
 
+:func:`transfer` is the one propagation of the package.  It returns a
+:class:`Transfer`: the fundamental solution ``M(t, z) = [[A, B], [C, D]]``
+with its z-derivatives up to order 2, for one frequency or a batch, at one
+time or at each of a sorted list of times (one sweep).  Every consumer reads
+M through the named entries of that result; how M is stored, chunked and
+multiplied stays in this module.
+
 For a piecewise-constant potential the fundamental solution is an ordered
 product of exact cell propagators
 
@@ -8,10 +15,10 @@ product of exact cell propagators
 with ``l^2 = q^2 - z^2``.  Everything is evaluated through even functions of
 ``l`` (functions of ``m = l^2``), so no square-root branch ever matters.
 
-The running matrix ``M = [[A, B], [C, D]]`` starts at the identity; its
-columns are the frequency-domain solutions with Neumann-type (A, C) and
-Dirichlet-type (B, D) initial data.  ``det M = 1`` identically; a stably
-tracked determinant (product of per-cell closed-form determinants) is carried
+The running matrix starts at the identity; its columns are the
+frequency-domain solutions with Neumann-type (A, C) and Dirichlet-type
+(B, D) initial data.  ``det M = 1`` identically; a stably tracked
+determinant (product of per-cell closed-form determinants) is carried
 alongside the entries, because the direct ``A D - B C`` of the accumulated
 product loses all precision once ``exp(2 |Im z| t)`` overtakes ``1/eps``.
 
@@ -42,6 +49,10 @@ ufuncs of ``a`` and ``b`` (~4x faster than complex ones, within 6e-16).
 Reflection.  ``M(conj z) = conj M(z)`` (real potential), so a batch with
 points below the real axis propagates their distinct upper-half partners
 (same ``max |Im z|``, same cells) once and conjugates them back, exactly.
+
+Sweeps.  For a list of times one running product goes from each time to
+the next (each stretch is covered and chunked on its own), and the drift
+check runs once, on the determinant at the last time.
 """
 
 from __future__ import annotations
@@ -64,16 +75,12 @@ from .potential import SampledPotential, cell_cover
 __all__ = [
     "WORK_RANGE_LIMIT",
     "DET_DRIFT_ABORT",
-    "TransferMatrix",
-    "BatchTransfer",
-    "AugmentedTransfer",
+    "Transfer",
     "HermiteBiehlerPair",
-    "cell_propagator",
     "transfer",
     "transfer_batch",
     "transfer_derivative",
     "transfer_derivative_batch",
-    "transfer_checkpoints",
     "hermite_biehler",
     "theta",
     "theta_derivs",
@@ -126,93 +133,57 @@ def corrupted_propagator(eps: float):
 
 
 # ---------------------------------------------------------------------------
-# result containers
+# result types
 # ---------------------------------------------------------------------------
 
 
+def _entry(j: int, r: int, c: int):
+    def get(self):
+        if j > self.order:
+            return None
+        v = self.jet[j, r, c]
+        return v if v.ndim else complex(v)
+    return property(get)
+
+
 @dataclass(frozen=True)
-class TransferMatrix:
-    """Fundamental solution M(t, z) = [[A, B], [C, D]] at a single point."""
+class Transfer:
+    """Fundamental solution M(t, z) = [[A, B], [C, D]] with its z-derivatives.
+
+    ``jet[j]`` is ``d^j M / dz^j`` for ``j <= order``, of shape
+    ``(order + 1, 2, 2)`` for a scalar ``z`` and ``(order + 1, 2, 2, nz)``
+    for a batch.  The entries are named ``A``..``D``, ``dA``..``dD`` and
+    ``d2A``..``d2D`` (None above ``order``): Python complex for a scalar
+    ``z``, complex128 arrays for a batch.  ``det_tracked`` is the product of
+    the cells' closed-form determinants, accurate where ``A D - B C`` is not.
+    """
 
     t: float
-    z: complex
-    A: complex
-    B: complex
-    C: complex
-    D: complex
-    det_tracked: complex = 1.0 + 0.0j
+    z: complex | np.ndarray
+    jet: np.ndarray
+    det_tracked: complex | np.ndarray
+
+    A, B, C, D, dA, dB, dC, dD, d2A, d2B, d2C, d2D = (
+        _entry(j, r, c) for j in range(3) for r in range(2) for c in range(2)
+    )
 
     @property
-    def det(self) -> complex:
+    def order(self) -> int:
+        return len(self.jet) - 1
+
+    @property
+    def det(self):
         """Direct determinant A D - B C (ill-conditioned for large |Im z| t)."""
         return self.A * self.D - self.B * self.C
 
     @property
-    def det_drift(self) -> float:
+    def det_drift(self):
         """|tracked det - 1|: the conditioning-safe determinant residual."""
         return abs(self.det_tracked - 1.0)
 
     def matrix(self) -> np.ndarray:
-        return np.array([[self.A, self.B], [self.C, self.D]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class BatchTransfer:
-    """Vectorized transfer matrix: entries are arrays over the z batch."""
-
-    t: float
-    z: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    det_tracked: np.ndarray
-
-    def at(self, i: int) -> TransferMatrix:
-        return TransferMatrix(
-            t=self.t,
-            z=complex(self.z[i]),
-            A=complex(self.A[i]),
-            B=complex(self.B[i]),
-            C=complex(self.C[i]),
-            D=complex(self.D[i]),
-            det_tracked=complex(self.det_tracked[i]),
-        )
-
-    @property
-    def det(self) -> np.ndarray:
-        return self.A * self.D - self.B * self.C
-
-    @property
-    def det_drift(self) -> np.ndarray:
-        return np.abs(self.det_tracked - 1.0)
-
-
-@dataclass(frozen=True)
-class AugmentedTransfer:
-    """Transfer matrix together with d/dz (and optionally d^2/dz^2) entries."""
-
-    m: TransferMatrix
-    dA: complex
-    dB: complex
-    dC: complex
-    dD: complex
-    d2A: complex | None = None
-    d2B: complex | None = None
-    d2C: complex | None = None
-    d2D: complex | None = None
-
-    @property
-    def order(self) -> int:
-        return 1 if self.d2A is None else 2
-
-    def dM(self) -> np.ndarray:
-        return np.array([[self.dA, self.dB], [self.dC, self.dD]], dtype=complex)
-
-    def trace_inv_d(self) -> complex:
-        """trace(M^-1 dM); identically zero since det M == 1."""
-        m = self.m
-        return m.D * self.dA - m.B * self.dC - m.C * self.dB + m.A * self.dD
+        """M as a complex array of shape ``(2, 2)`` (``(2, 2, nz)`` for a batch)."""
+        return self.jet[0].copy()
 
 
 @dataclass(frozen=True)
@@ -300,53 +271,9 @@ def _deriv_series(x, w, order: int):
     return sm, smm
 
 
-def cell_propagator(q: float, width: float, z: complex) -> np.ndarray:
-    """Exact propagator of a single constant cell, as a 2x2 complex array.
-
-    ``P = cosh(l w) I + sinh(l w)/l * [[q, -z], [z, -q]]`` with
-    ``l^2 = q^2 - z^2``; even in ``l``, exact for any width.
-    """
-    if width < 0:
-        raise RangeError(f"cell width must be >= 0, got {width}")
-    m = np.asarray([q * q - z * z], dtype=complex)
-    c, s, _, _ = _coeffs(m, float(width), 0)
-    c0 = complex(c[0]) + _CORRUPTION.get()
-    s0 = complex(s[0])
-    return np.array(
-        [[c0 + s0 * q, -s0 * z], [s0 * z, c0 - s0 * q]],
-        dtype=complex,
-    )
-
-
 # ---------------------------------------------------------------------------
 # batch propagation
 # ---------------------------------------------------------------------------
-
-
-def _entry(j: int, r: int, c: int):
-    return property(lambda self: self.jet[j, r, c] if j <= self.order else None)
-
-
-class PropagationState:
-    """Running product of one batch propagation (internal).
-
-    ``jet[j]`` is ``d^j M / dz^j`` with shape ``(2, 2, nz)``; the entries
-    are exposed as ``A``..``D``, ``dA``..``dD`` and ``d2A``..``d2D`` (None
-    above ``order``).  ``det`` is the tracked determinant.
-    """
-
-    __slots__ = ("z", "order", "jet", "det")
-
-    def __init__(self, z: np.ndarray, order: int = 0):
-        self.z = np.asarray(z, dtype=complex)
-        self.order = order
-        self.jet = np.zeros((order + 1, 2, 2) + self.z.shape, dtype=complex)
-        self.jet[0, 0, 0] = self.jet[0, 1, 1] = 1.0
-        self.det = np.ones(self.z.shape, dtype=complex)
-
-    A, B, C, D, dA, dB, dC, dD, d2A, d2B, d2C, d2D = (
-        _entry(j, r, c) for j in range(3) for r in range(2) for c in range(2)
-    )
 
 
 def _prepared_cells(pot: SampledPotential, t1: float, t2: float, z: np.ndarray):
@@ -461,17 +388,17 @@ def _blocks(wide: np.ndarray, cap: int) -> list[tuple[int, int]]:
     return [(i, min(cap, e - i)) for s, e in zip(ends, ends[1:]) for i in range(s, e, cap)]
 
 
-def _advance(state: PropagationState, qs, ws) -> PropagationState:
-    """Multiply the ordered cell propagators onto ``state`` (in place).
+def _advance(z: np.ndarray, jet: np.ndarray, det: np.ndarray, qs, ws):
+    """Multiply the ordered cell propagators onto the jet and the tracked det.
 
-    Blocks reuse their buffers (fresh wide arrays would page-fault on every
-    use); the running jet alternates between two, never the array ``state``
-    held on entry.  A real batch runs in float64 (see the module docstring).
+    Returns the new ``(jet, det)``.  Blocks reuse their buffers (fresh wide
+    arrays would page-fault on every use); the running jet alternates
+    between two, never the array held on entry.  A real batch runs in
+    float64 (see the module docstring).
     """
-    z, jet, det = state.z, state.jet, state.det
     if not z.imag.any():  # real batch: propagate in float64
         z, jet, det = z.real.copy(), jet.real, det.real
-    zz, order, eps = z * z, state.order, _CORRUPTION.get()
+    zz, order, eps = z * z, len(jet) - 1, _CORRUPTION.get()
     block = max(1, _TREE_BUDGET // max(1, z.size))
     cells = np.empty((order + 1, 2, 2, min(block, len(qs))) + z.shape, dtype=z.dtype)
     scratch = np.empty_like(cells)
@@ -486,12 +413,11 @@ def _advance(state: PropagationState, qs, ws) -> PropagationState:
             prod, cell_det = _tree(prod, scratch[..., :k, :]), np.prod(cell_det, axis=0)
         jet = _jet_mul(prod, jet, running[n % 2])
         det = det * cell_det
-    state.jet, state.det = jet.astype(complex, copy=False), det.astype(complex, copy=False)
-    return state
+    return jet.astype(complex, copy=False), det.astype(complex, copy=False)
 
 
 def _check_range(z: np.ndarray, t: float) -> None:
-    im_max = float(np.max(np.abs(np.imag(np.asarray(z, dtype=complex))))) if np.size(z) else 0.0
+    im_max = float(np.max(np.abs(z.imag))) if z.size else 0.0
     if im_max * t > WORK_RANGE_LIMIT:
         raise OverflowRangeError(
             f"|Im z| * t = {im_max * t:.3g} exceeds the supported working range "
@@ -499,8 +425,8 @@ def _check_range(z: np.ndarray, t: float) -> None:
         )
 
 
-def _check_drift(state: PropagationState) -> None:
-    drift = float(np.max(np.abs(state.det - 1.0))) if np.size(state.det) else 0.0
+def _check_drift(det: np.ndarray) -> None:
+    drift = float(np.max(np.abs(det - 1.0))) if det.size else 0.0
     if drift > DET_DRIFT_ABORT:
         raise InvariantViolation(
             f"tracked determinant drifted by {drift:.3g} (> {DET_DRIFT_ABORT}); "
@@ -508,100 +434,76 @@ def _check_drift(state: PropagationState) -> None:
         )
 
 
-def _resolve_t(pot: SampledPotential, t: float | None) -> float:
-    if t is None:
-        return pot.T
-    if t < 0:
-        raise RangeError(f"propagation time must be >= 0, got {t}")
-    return float(t)
-
-
-def _propagate(pot, z, t, order, t1=0.0):
-    """Propagate ``z`` (1-d batch, folded by reflection) over ``[t1, t]``; returns (state, t)."""
-    t = _resolve_t(pot, t)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_range(z, t - t1)
-    lower = z.imag < 0
-    fold, inv = (np.unique(np.where(lower, z.conj(), z), return_inverse=True)
-                 if lower.any() else (z, None))
-    qs, ws = _prepared_cells(pot, t1, t, fold)
-    state = _advance(PropagationState(fold, order=order), qs, ws)
-    _check_drift(state)
-    if inv is not None:
-        state.z, state.jet, state.det = z, state.jet[..., inv], state.det[inv]
-        np.conjugate(state.jet, out=state.jet, where=lower)
-        np.conjugate(state.det, out=state.det, where=lower)
-    return state, t
-
-
-def _batch(state: PropagationState, t: float) -> BatchTransfer:
-    return BatchTransfer(t=t, z=state.z, A=state.A, B=state.B, C=state.C, D=state.D,
-                         det_tracked=state.det)
-
-
-def transfer(pot: SampledPotential, z: complex, t: float | None = None) -> TransferMatrix:
-    """Transfer matrix M(t, z) for one frequency.
+def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
+    """Transfer matrix M(t, z) of the potential on ``[t1, t]``, with z-derivatives.
 
     Args:
         pot: piecewise-constant potential.
-        z: complex frequency; ``|Im z| * t`` must stay within the working range.
+        z: complex frequency, or a 1-d array of them; ``|Im z| (t - t1)``
+            must stay within the working range.
         t: evaluation time (defaults to ``pot.T``); may exceed the support,
-            in which case the potential is extended by zero.
+            in which case the potential is extended by zero.  A sorted
+            sequence of times gives one result per time from one sweep.
+        order: highest z-derivative carried (0, 1 or 2).  Derivatives are
+            exact (product rule over exact cell derivatives), not finite
+            differences.
+        t1: start time: the result belongs to the potential restricted to
+            ``[t1, t]`` and shifted to start at 0.
+
+    Returns:
+        A :class:`Transfer`, or a list of them (one per time) for a
+        sequence ``t``.
+
+    Raises:
+        RangeError: ``order`` outside 0..2, or times below ``t1`` or unsorted.
+        OverflowRangeError: ``|Im z| (t - t1)`` exceeds ``WORK_RANGE_LIMIT``.
+        InvariantViolation: the tracked determinant drifted beyond
+            ``DET_DRIFT_ABORT`` over the sweep.
     """
-    return _batch(*_propagate(pot, z, t, order=0)).at(0)
+    if order not in (0, 1, 2):
+        raise RangeError(f"derivative order must be 0, 1 or 2, got {order}")
+    sweep = np.ndim(t) == 1
+    ts = [float(u) for u in t] if sweep else [pot.T if t is None else float(t)]
+    if any(b < a for a, b in zip([t1] + ts, ts)):
+        raise RangeError(f"propagation times must be sorted and >= {t1}, got {t}")
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    _check_range(zs, max(ts, default=t1) - t1)
+    lower = zs.imag < 0
+    fold, inv = (np.unique(np.where(lower, zs.conj(), zs), return_inverse=True)
+                 if lower.any() else (zs, None))
+    jet = np.zeros((order + 1, 2, 2) + fold.shape, dtype=complex)
+    jet[0, 0, 0] = jet[0, 1, 1] = 1.0
+    det, steps = np.ones(fold.shape, dtype=complex), []
+    for a, b in zip([t1] + ts, ts):
+        jet, det = _advance(fold, jet, det, *_prepared_cells(pot, a, b, fold))
+        steps.append((b, jet, det))
+    _check_drift(det)
+    out = []
+    for b, jet, det in steps:
+        if inv is not None:  # expand the folded batch: M(conj z) = conj M(z)
+            jet, det = jet[..., inv], det[inv]
+            np.conjugate(jet, out=jet, where=lower)
+            np.conjugate(det, out=det, where=lower)
+        out.append(Transfer(b, zs, jet, det) if np.ndim(z) else
+                   Transfer(b, complex(zs[0]), jet[..., 0], complex(det[0])))
+    return out if sweep else out[0]
 
 
-def transfer_batch(pot: SampledPotential, z, t: float | None = None) -> BatchTransfer:
-    """Vectorized :func:`transfer` over an array of frequencies."""
-    return _batch(*_propagate(pot, z, t, order=0))
+def transfer_batch(pot: SampledPotential, z, t: float | None = None) -> Transfer:
+    """:func:`transfer` over an array of frequencies."""
+    return transfer(pot, np.atleast_1d(z), t)
 
 
-def transfer_derivative(
-    pot: SampledPotential, z: complex, t: float | None = None, order: int = 1
-) -> AugmentedTransfer:
-    """Transfer matrix with its z-derivatives (order 1 or 2).
-
-    Derivatives are exact (product rule over exact cell derivatives), not
-    finite differences.  ``dM`` vanishes at ``t = 0`` and satisfies
-    ``trace(M^-1 dM) = 0`` up to rounding.
-    """
-    if order not in (1, 2):
-        raise RangeError(f"derivative order must be 1 or 2, got {order}")
-    state, t = _propagate(pot, z, t, order=order)
-    names = ("dA", "dB", "dC", "dD", "d2A", "d2B", "d2C", "d2D")
-    derivs = map(complex, state.jet[1:, :, :, 0].ravel())
-    return AugmentedTransfer(m=_batch(state, t).at(0), **dict(zip(names, derivs)))
+def transfer_derivative(pot: SampledPotential, z: complex, t: float | None = None,
+                        order: int = 1) -> Transfer:
+    """:func:`transfer` at one frequency with its z-derivatives (order 1 or 2)."""
+    return transfer(pot, z, t, order)
 
 
-def transfer_derivative_batch(
-    pot: SampledPotential, z, t: float | None = None, order: int = 1
-) -> PropagationState:
-    """Batch propagation carrying derivative entries; returns the raw state."""
-    if order not in (1, 2):
-        raise RangeError(f"derivative order must be 1 or 2, got {order}")
-    state, _ = _propagate(pot, z, t, order=order)
-    return state
-
-
-def transfer_checkpoints(pot: SampledPotential, z, t_list) -> list[BatchTransfer]:
-    """Transfer matrices at several increasing times, in one sweep.
-
-    Equivalent to calling :func:`transfer_batch` at each ``t`` but the
-    propagation is shared; returned in the order of ``sorted(t_list)``.
-    """
-    ts = sorted(float(t) for t in t_list)
-    if ts and ts[0] < 0:
-        raise RangeError("checkpoint times must be >= 0")
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if ts:
-        _check_range(z, ts[-1])
-    state, out, prev = PropagationState(z, order=0), [], 0.0
-    for t in ts:
-        qs, ws = _prepared_cells(pot, prev, t, z)
-        out.append(_batch(_advance(state, qs, ws), t))
-        prev = t
-    _check_drift(state)
-    return out
+def transfer_derivative_batch(pot: SampledPotential, z, t: float | None = None,
+                              order: int = 1) -> Transfer:
+    """:func:`transfer` over an array of frequencies with z-derivatives."""
+    return transfer(pot, np.atleast_1d(z), t, order)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +511,7 @@ def transfer_checkpoints(pot: SampledPotential, z, t_list) -> list[BatchTransfer
 # ---------------------------------------------------------------------------
 
 
-def hermite_biehler(m: TransferMatrix | BatchTransfer) -> HermiteBiehlerPair:
+def hermite_biehler(m: Transfer) -> HermiteBiehlerPair:
     """First-kind entire functions of a transfer matrix (E = A - iC, ...)."""
     return HermiteBiehlerPair(
         E=m.A - 1j * m.C,
@@ -619,50 +521,42 @@ def hermite_biehler(m: TransferMatrix | BatchTransfer) -> HermiteBiehlerPair:
     )
 
 
-def _theta_from_entries(A, C):
-    E = A - 1j * C
-    Esharp = A + 1j * C
-    floor = POLE_FLOOR * (np.abs(A) + np.abs(C) + 1.0)
-    bad = np.abs(E) <= floor
-    if np.any(bad):
-        raise PoleProximityError(
-            "theta evaluated too close to a pole (|A - iC| under its floor); "
-            "the point sits at a conjugate zero of the first-kind function"
-        )
-    return Esharp / E
-
-
-def theta(m: TransferMatrix | BatchTransfer):
+def theta(m: Transfer):
     """Inner-function value theta = (A + iC)/(A - iC).
 
     Unimodular on the real axis, strictly contractive in the open upper
     half-plane.  Raises :class:`PoleProximityError` at (numerical) poles.
     """
-    val = _theta_from_entries(np.asarray(m.A, dtype=complex), np.asarray(m.C, dtype=complex))
-    if isinstance(m, TransferMatrix):
-        return complex(val)
-    return val
+    A, C = np.asarray(m.A, dtype=complex), np.asarray(m.C, dtype=complex)
+    E = A - 1j * C
+    if np.any(np.abs(E) <= POLE_FLOOR * (np.abs(A) + np.abs(C) + 1.0)):
+        raise PoleProximityError(
+            "theta evaluated too close to a pole (|A - iC| under its floor); "
+            "the point sits at a conjugate zero of the first-kind function"
+        )
+    val = (A + 1j * C) / E
+    return val if val.ndim else complex(val)
 
 
-def theta_derivs(aug: AugmentedTransfer):
-    """theta with its z-derivatives from an augmented transfer matrix.
+def theta_derivs(m: Transfer):
+    """theta with its z-derivatives from a scalar transfer of order 1 or 2.
 
     Returns ``(theta, theta_z)`` for order 1 and ``(theta, theta_z,
     theta_zz)`` for order 2.  Uses the exact reduction
     ``theta_z = 2i (A C' - A' C) / E^2``.
     """
-    m = aug.m
-    E = m.A - 1j * m.C
-    floor = POLE_FLOOR * (abs(m.A) + abs(m.C) + 1.0)
+    A, C, dA, dC = m.A, m.C, m.dA, m.dC
+    E = A - 1j * C
+    floor = POLE_FLOOR * (abs(A) + abs(C) + 1.0)
     if abs(E) <= floor:
         raise PoleProximityError("theta derivative requested at a pole of theta")
-    th = (m.A + 1j * m.C) / E
-    wronsk = m.A * aug.dC - aug.dA * m.C
+    th = (A + 1j * C) / E
+    wronsk = A * dC - dA * C
     th_z = 2j * wronsk / (E * E)
-    if aug.order < 2:
+    if m.order < 2:
         return th, th_z
-    dE = aug.dA - 1j * aug.dC
-    d2N = aug.d2A + 1j * aug.d2C
-    d2E = aug.d2A - 1j * aug.d2C
+    dE = dA - 1j * dC
+    d2N = m.d2A + 1j * m.d2C
+    d2E = m.d2A - 1j * m.d2C
     th_zz = (d2N - 2.0 * th_z * dE - th * d2E) / E
     return th, th_z, th_zz

@@ -31,12 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .potential import SampledPotential, integral
-from .propagator import (
-    theta_derivs,
-    transfer_batch,
-    transfer_derivative,
-    _theta_from_entries,
-)
+from .propagator import theta, theta_derivs, transfer
 
 __all__ = [
     "ZERO_RESIDUAL_TOL",
@@ -51,6 +46,7 @@ __all__ = [
     "track_resonance",
     "track_eigenvalue",
     "classify_track",
+    "track_rows",
     "zero_free_horizon",
 ]
 
@@ -182,11 +178,6 @@ class HorizonSample:
 # ---------------------------------------------------------------------------
 
 
-def _theta_many(pot, t, pts) -> np.ndarray:
-    B = transfer_batch(pot, np.asarray(pts, dtype=complex), t)
-    return _theta_from_entries(B.A, B.C)
-
-
 def _theta_z_floor(t: float) -> float:
     return THETA_Z_FLOOR_SCALE * max(t, 1e-6)
 
@@ -214,8 +205,7 @@ def _newton_zero(pot, t, z0, max_iter=_NEWTON_MAX_ITER, bounds=None):
             re_lo <= z.real <= re_hi and im_lo <= z.imag <= im_hi
         ):
             break  # left the basin: no zero here for this start
-        aug = transfer_derivative(pot, z, t, order=1)
-        th, th_z = theta_derivs(aug)
+        th, th_z = theta_derivs(transfer(pot, z, t, order=1))
         res = abs(th)
         if best is None or res < best[2]:
             best = (z, th_z, res)
@@ -288,7 +278,7 @@ def _winding(pot, t, rect: _Rect, n0: int) -> int:
     """
     L = rect.L
     params = np.linspace(0.0, L, 4 * n0, endpoint=False)
-    vals = _theta_many(pot, t, rect.point(params))
+    vals = theta(transfer(pot, rect.point(params), t))
     for _ in range(_MAX_CONTOUR_REFINES):
         nxt = np.roll(vals, -1)
         steps = np.angle(nxt / vals)
@@ -310,7 +300,7 @@ def _winding(pot, t, rect: _Rect, n0: int) -> int:
                 "shift or shrink the box"
             )
         mids = (params[bad] + 0.5 * gaps[bad]) % L
-        mid_vals = _theta_many(pot, t, rect.point(mids))
+        mid_vals = theta(transfer(pot, rect.point(mids), t))
         params = np.concatenate([params, mids])
         vals = np.concatenate([vals, mid_vals])
         order = np.argsort(params, kind="stable")
@@ -430,7 +420,7 @@ def track_resonance(
     """
     if dt <= 0 or t1 <= t0:
         raise ValidationError(f"need t1 > t0 and dt > 0, got [{t0}, {t1}], dt={dt}")
-    th0 = _theta_many(pot, t0, [z0])[0]
+    th0 = theta(transfer(pot, z0, t0))
     if abs(th0) > pre_tol:
         raise PreconditionError(
             f"theta(t0, z0) = {abs(th0):.3g} is not a zero (tolerance {pre_tol:g}); "
@@ -493,8 +483,7 @@ def _newton_level(pot, t, x0, target, max_iter=_NEWTON_MAX_ITER):
     floor = _theta_z_floor(t)
     best = None
     for _ in range(max_iter):
-        aug = transfer_derivative(pot, x, t, order=1)
-        th, th_z = theta_derivs(aug)
+        th, th_z = theta_derivs(transfer(pot, x, t, order=1))
         res = abs(th - target)
         if best is None or res < best[2]:
             best = (x, th_z, res)
@@ -538,7 +527,7 @@ def track_eigenvalue(
     if dt <= 0 or t1 <= t0:
         raise ValidationError(f"need t1 > t0 and dt > 0, got [{t0}, {t1}], dt={dt}")
     target = _EIGEN_TARGET[kind]
-    th0 = _theta_many(pot, t0, [x0])[0]
+    th0 = theta(transfer(pot, x0, t0))
     if abs(th0 - target) > pre_tol:
         raise PreconditionError(
             f"theta(t0, x0) is {abs(th0 - target):.3g} away from the {kind} target "
@@ -626,6 +615,21 @@ def classify_track(track: ResonanceTrack, tau_V: float = 0.1, tau_H: float = 0.2
             )
         i = j + 1
     return segments
+
+
+def track_rows(track: ResonanceTrack) -> list:
+    """Rows ``(t, re_z, im_z, re_theta_z, im_theta_z, residual, label)``, one
+    per sample; ``label`` is the V/H label of the :func:`classify_track`
+    segment holding the sample ("" outside every segment, and for tracks
+    too short to classify)."""
+    labels = {}
+    if len(track.samples) >= 3:
+        for seg in classify_track(track):
+            for ti, _, _ in track.samples:
+                if seg.t1 <= ti <= seg.t2:
+                    labels[ti] = seg.label
+    return [(ti, zi.real, zi.imag, tzi.real, tzi.imag, res, labels.get(ti, ""))
+            for (ti, zi, tzi), res in zip(track.samples, track.residuals)]
 
 
 # ---------------------------------------------------------------------------

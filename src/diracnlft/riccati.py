@@ -2,7 +2,8 @@
 
 Two independent routes to theta(t, z):
 
-* :func:`riccati_evolve_moebius` — cell-exact Moebius updates (production
+* :func:`riccati_evolve_moebius` — the Moebius action of the product
+  M(t, z) of the exact cell propagators on the starting value (production
   path, exact for piecewise-constant potentials up to rounding);
 * :func:`riccati_evolve_rk` — classical RK4 on the Riccati equation
   ``d theta/dt = 2 i z theta + f (1 - theta^2)``, used as a cross-check.
@@ -19,11 +20,15 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import InstabilityError, PoleProximityError, RangeError, ValidationError
+from .errors import (
+    InstabilityError,
+    OverflowRangeError,
+    PoleProximityError,
+    RangeError,
+    ValidationError,
+)
 from .potential import SampledPotential, cell_cover
-from .propagator import _coeffs, _check_range  # shared cell algebra
+from .propagator import POLE_FLOOR, WORK_RANGE_LIMIT, transfer
 
 __all__ = [
     "riccati_evolve_moebius",
@@ -61,12 +66,12 @@ def _check_horizon(pot: SampledPotential, t: float) -> None:
 def riccati_evolve_moebius(
     pot: SampledPotential, z: complex, t: float, boundary="neumann"
 ) -> complex:
-    """theta(t, z) by cell-exact Moebius evolution of a renormalized column.
+    """theta(t, z) as the Moebius action of the transfer matrix M(t, z).
 
-    The solution pair (u, v) with ``theta = (u + iv)/(u - iv)`` is pushed
-    through each exact cell propagator and rescaled to ``u - iv = 1`` after
-    every cell, so nothing grows; the map on theta is a true Moebius
-    transformation per cell.
+    The solution pair (u, v) with ``theta = (u + iv)/(u - iv)`` starts at
+    ``((1 + theta0)/2, i (1 - theta0)/2)`` and is carried by one product of
+    exact cell propagators, ``(u, v) = M(t, z) (u0, v0)``; theta at time t
+    is the same ratio of the carried column.
 
     Args:
         pot: piecewise-constant potential.
@@ -76,29 +81,14 @@ def riccati_evolve_moebius(
             explicit unimodular starting value.
     """
     _check_horizon(pot, t)
-    zc = complex(z)
-    _check_range(np.asarray([zc]), float(t))
     th = _boundary_value(boundary)
-    # u - iv normalized to 1:  u = (1 + theta)/2, v = i(1 - theta)/2
-    u = (1.0 + th) / 2.0
-    v = 1j * (1.0 - th) / 2.0
-    qs, ws = cell_cover(pot, 0.0, float(t), coalesce=True)
-    m_arr = np.empty(1, dtype=complex)
-    for q, w in zip(qs, ws):
-        m_arr[0] = q * q - zc * zc
-        c, s, _, _ = _coeffs(m_arr, float(w), 0)
-        c0 = complex(c[0])
-        s0 = complex(s[0])
-        un = (c0 + s0 * q) * u - s0 * zc * v
-        vn = s0 * zc * u + (c0 - s0 * q) * v
-        denom = un - 1j * vn
-        if abs(denom) <= 1e-280:
-            raise PoleProximityError(
-                f"theta hit a pole during Moebius evolution at z={zc}"
-            )
-        u = un / denom
-        v = vn / denom
-    return (u + 1j * v) / (u - 1j * v)
+    u0, v0 = (1.0 + th) / 2.0, 1j * (1.0 - th) / 2.0  # u0 - i v0 = 1
+    m = transfer(pot, complex(z), float(t))
+    u, v = m.A * u0 + m.B * v0, m.C * u0 + m.D * v0
+    denom = u - 1j * v
+    if abs(denom) <= POLE_FLOOR * (abs(u) + abs(v) + 1.0):
+        raise PoleProximityError(f"theta hit a pole during Moebius evolution at z={z}")
+    return (u + 1j * v) / denom
 
 
 def riccati_evolve_rk(
@@ -122,7 +112,11 @@ def riccati_evolve_rk(
     if dt_max <= 0:
         raise ValidationError(f"dt_max must be > 0, got {dt_max}")
     zc = complex(z)
-    _check_range(np.asarray([zc]), float(t))
+    if abs(zc.imag) * t > WORK_RANGE_LIMIT:
+        raise OverflowRangeError(
+            f"|Im z| * t = {abs(zc.imag) * t:.3g} exceeds the supported working range "
+            f"{WORK_RANGE_LIMIT}"
+        )
     th = _boundary_value(boundary)
     two_iz = 2j * zc
     guard = zc.imag >= 0.0

@@ -55,9 +55,11 @@ def test_bad_tolerance_is_usage_error(tmp_path):
     assert main(["transform", "--config", cfg]) == 1
 
 
-def test_bad_threads_is_usage_error(tmp_path):
+def test_bad_threads_is_usage_error(tmp_path, capsys):
+    # --threads was retired with the run_convergence thread pool
     cfg = _write_cfg(tmp_path, "c.json", BOX_CFG)
-    assert main(["transform", "--config", cfg, "--threads", "0"]) == 1
+    assert main(["transform", "--config", cfg, "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +282,6 @@ def test_converge_json_schema(tmp_path):
     assert set(doc) == {"meta", "s", "T", "C", "err", "reference_T"}
     assert doc["err"] == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     assert doc["reference_T"] == 8.0
-
-
-def test_converge_threads_do_not_change_bytes(tmp_path):
-    base = {"potential": {"family": "box", "params": {"q": 0.3, "t0": 1.0}},
-            "h": 0.01, "T": 20.0, "s_list": [0.5], "T_list": [2.0, 20.0],
-            "C": 3.0, "box_samples": 8}
-    cfg = _write_cfg(tmp_path, "c.json", base)
-    out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
-    assert main(["converge", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["converge", "--config", cfg, "--out", str(out2),
-                 "--threads", "3"]) == 0
-    d1 = [l for l in out1.read_text().splitlines() if not l.startswith("#")]
-    d2 = [l for l in out2.read_text().splitlines() if not l.startswith("#")]
-    # data rows agree exactly; meta differs only in the thread count echo
-    assert d1 == d2
 
 
 def test_converge_requires_t_list(tmp_path, capsys):

@@ -92,6 +92,30 @@ def test_kernel_hermitian_symmetry_is_exact(const_pot):
         assert kernel_K(const_pot, t, lam, z) == np.conj(kernel_K(const_pot, t, z, lam))
 
 
+def test_non_confluent_kernel_is_its_closed_formula(monkeypatch):
+    # no confluent entry: kernel_K propagates at order 0 and is the quotient
+    # (A(z) C(conj lam) - C(z) A(conj lam)) / (pi (conj lam - z))
+    import diracnlft.debranges as db
+    from diracnlft.propagator import transfer
+
+    rng = np.random.default_rng(31)
+    pot = SampledPotential(h=0.01, cells=tuple(rng.uniform(-1.0, 1.0, 300)))
+    orders, propagate = [], db.transfer
+
+    def recording(*args, order=0, **kwargs):
+        orders.append(order)
+        return propagate(*args, order=order, **kwargs)
+
+    monkeypatch.setattr(db, "transfer", recording)
+    pairs = [(0.5 + 0.2j, 1.0 - 0.3j), (-1.0 + 0.4j, 2.0 + 0.1j), (0.3 - 0.5j, -0.7 + 0.1j)]
+    for lam, z in pairs:
+        got = kernel_K(pot, pot.T, lam, z)
+        m = transfer(pot, np.array([z, np.conj(lam)]), pot.T)
+        want = (m.A[0] * m.C[1] - m.C[0] * m.A[1]) / (np.pi * (np.conj(lam) - z))
+        assert abs(got - want) <= 1e-13 * abs(want)
+    assert orders == [0] * len(pairs)
+
+
 def test_kernel_diagonal_real_positive(const_pot):
     for lam in (0.0, 1.0, 2.5, 0.5 + 0.4j):
         val = kernel_K(const_pot, 2.0, lam, lam)
@@ -134,9 +158,9 @@ def test_probe_propagates_each_conjugate_pair_once(free_pot, monkeypatch, grid_n
 
     seen, advance = [], prop._advance
 
-    def recording(state, *cells):
-        seen.append(state.z)
-        return advance(state, *cells)
+    def recording(z, *args):
+        seen.append(z)
+        return advance(z, *args)
 
     monkeypatch.setattr(prop, "_advance", recording)
     probe = kernel_probe(free_pot, 0.0, 4.0, 2.0, w_hat=1.0, grid_n=grid_n)

@@ -71,14 +71,6 @@ def test_compact_support_table_shows_only_box_variation(bump_pot):
     assert np.all(tiny.err < 1e-12)
 
 
-def test_thread_pool_matches_serial(bump_pot):
-    kw = dict(box_samples=8)
-    serial = run_convergence(bump_pot, [0.5, 1.5], [2.0, 6.0, 12.0], 3.0, **kw)
-    threaded = run_convergence(bump_pot, [0.5, 1.5], [2.0, 6.0, 12.0], 3.0,
-                               workers=3, **kw)
-    assert np.array_equal(serial.err, threaded.err)
-
-
 def test_failures_annotate_instead_of_aborting(bump_pot):
     # C = 100 drives box samples past the working range at T = 2; the cell
     # must go NaN with a recorded reason, not raise

@@ -21,19 +21,17 @@ from diracnlft.propagator import (
     _SERIES_DERIV,
     _SERIES_EVAL,
     _TREE_BUDGET,
-    TransferMatrix,
+    Transfer,
     _blocks,
     _cell_jets,
     _coeffs,
     _prepared_cells,
-    cell_propagator,
     corrupted_propagator,
     hermite_biehler,
     theta,
     theta_derivs,
     transfer,
     transfer_batch,
-    transfer_checkpoints,
     transfer_derivative,
     transfer_derivative_batch,
 )
@@ -67,7 +65,7 @@ def test_cell_matches_matrix_exponential():
     ]:
         G = np.array([[q, -z], [z, -q]], dtype=complex)
         expected = scipy.linalg.expm(w * G)
-        got = cell_propagator(q, w, z)
+        got = transfer(SampledPotential(h=w, cells=(q,)), z).matrix()
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-13), (q, w, z)
 
 
@@ -78,7 +76,7 @@ def test_cell_series_branch_is_continuous():
         q = np.sqrt(z * z + scale * 1e-6)  # x = scale * 1e-6 * w^2 with w=1
         G = np.array([[q, -z], [z, -q]], dtype=complex)
         expected = scipy.linalg.expm(G)
-        got = cell_propagator(float(q), 1.0, z)
+        got = transfer(SampledPotential(h=1.0, cells=(float(q),)), z).matrix()
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-14)
 
 
@@ -279,8 +277,9 @@ def test_second_derivative_matches_fd_of_first():
 def test_derivative_invariants():
     rng = np.random.default_rng(5)
     pot = SampledPotential(h=0.05, cells=tuple(rng.uniform(-1.5, 1.5, 40)))
-    aug = transfer_derivative(pot, 2.0 + 0.5j)
-    assert abs(aug.trace_inv_d()) < 1e-12  # d/dz log det M = 0
+    m = transfer_derivative(pot, 2.0 + 0.5j)
+    trace_inv_d = m.D * m.dA - m.B * m.dC - m.C * m.dB + m.A * m.dD  # trace(M^-1 dM)
+    assert abs(trace_inv_d) < 1e-12  # d/dz log det M = 0
     aug0 = transfer_derivative(pot, 2.0 + 0.5j, t=0.0)
     assert aug0.dA == aug0.dB == aug0.dC == aug0.dD == 0
 
@@ -296,10 +295,10 @@ def test_derivative_order_validation():
 # ---------------------------------------------------------------------------
 
 
-def _sequential(pot, z, t, order, eps=0.0):
-    """Jet and tracked det of M(t, z) multiplying the same cells one at a time
-    (``eps``: the corruption hook's skew)."""
-    qs, ws = _prepared_cells(pot, 0.0, t, z)
+def _sequential(pot, z, t, order, eps=0.0, t1=0.0):
+    """Jet and tracked det of M(t, z) on [t1, t] multiplying the same cells one
+    at a time (``eps``: the corruption hook's skew)."""
+    qs, ws = _prepared_cells(pot, t1, t, z)
     jet = np.zeros((order + 1, 2, 2, z.size), dtype=complex)
     jet[0, 0, 0] = jet[0, 1, 1] = 1.0
     det = np.ones(z.size, dtype=complex)
@@ -314,12 +313,9 @@ def _sequential(pot, z, t, order, eps=0.0):
     return jet, det
 
 
-def _propagated(pot, z, t, order):
-    if order == 0:
-        m = transfer_batch(pot, z, t)
-        return np.array([[[m.A, m.B], [m.C, m.D]]]), m.det_tracked
-    state = transfer_derivative_batch(pot, z, t, order=order)
-    return state.jet, state.det
+def _propagated(pot, z, t, order, t1=0.0):
+    m = transfer(pot, z, t, order=order, t1=t1)
+    return m.jet, m.det_tracked
 
 
 def _assert_jets_close(got, ref, rtol=1e-12):
@@ -349,23 +345,25 @@ def _n_cells(kind):
         lambda kind: st.tuples(st.just(kind), st.sampled_from(_n_cells(kind)))),
     nz=st.sampled_from([1, 5, 64, 300]),
     order=st.sampled_from([0, 1, 2]),
+    start=st.sampled_from([0.0, 0.37]),  # t1 as a share of t, cutting a cell
 )
 @settings(max_examples=60, deadline=None)
 # wide cells whose partial products cancel: a tree over them missed by 2e-11
-@example(seed=979, kind_n=("chunked", 33), nz=300, order=0)
-def test_tree_matches_per_cell_loop(seed, kind_n, nz, order):
+@example(seed=979, kind_n=("chunked", 33), nz=300, order=0, start=0.0)
+def test_tree_matches_per_cell_loop(seed, kind_n, nz, order, start):
     kind, n = kind_n
     rng = np.random.default_rng(seed)
     h, amp = _TREE_CASES[kind]
     pot = SampledPotential(h=h, cells=tuple(rng.uniform(-amp, amp, max(n, 1))))
     t = pot.T if n else 0.0
+    t1 = start * t
     im_max = min(0.4, 40.0 / pot.T)  # stay inside the working range |Im z| t <= 50
     z = rng.uniform(-6.0, 6.0, nz) + 1j * rng.choice([0.0, im_max], nz) * rng.uniform(0, 1, nz)
     # a skew of 1e-11 per cell makes every cell's det factor count at 1e-12
     eps = 0.0 if kind == "chunked" else 1e-11
-    ref_jet, ref_det = _sequential(pot, z, t, order, eps)
+    ref_jet, ref_det = _sequential(pot, z, t, order, eps, t1)
     with corrupted_propagator(eps):
-        jet, det = _propagated(pot, z, t, order)
+        jet, det = _propagated(pot, z, t, order, t1)
     _assert_jets_close(jet, ref_jet)
     assert np.max(np.abs(det - ref_det)) < 1e-12
 
@@ -518,7 +516,7 @@ def test_public_results_stay_complex():
     state = transfer_derivative_batch(pot, z, order=2)
     sd = nlft_forward(pot, grid=z)
     arrays = [state.z, state.jet, state.det, sd.a, sd.b, sd.r]
-    for b in [transfer_batch(pot, z)] + transfer_checkpoints(pot, z, [0.5, 2.0]):
+    for b in [transfer_batch(pot, z)] + transfer(pot, z, [0.5, 2.0]):
         arrays += [b.z, b.A, b.B, b.C, b.D, b.det_tracked]
     assert all(a.dtype == np.complex128 for a in arrays)
 
@@ -531,22 +529,30 @@ def test_public_results_stay_complex():
 def test_checkpoints_match_separate_calls():
     rng = np.random.default_rng(6)
     pot = SampledPotential(h=0.05, cells=tuple(rng.uniform(-1.5, 1.5, 60)))
-    zs = np.array([0.5, -2.0, 1.0 + 0.5j])
+    # real, upper- and lower-half points (one conjugate pair): fold and sweep at once
+    zs = np.array([0.5, -2.0, 1.0 + 0.5j, 1.0 - 0.5j, -0.3 - 0.2j])
     t_list = [0.33, 1.0, 1.77, 2.9, 5.5]  # off-boundary cuts and beyond support
-    chk = transfer_checkpoints(pot, zs, t_list)
-    assert [b.t for b in chk] == sorted(t_list)
-    for b in chk:
-        ref = transfer_batch(pot, zs, t=b.t)
-        for name in "ABCD":
-            assert np.allclose(
-                getattr(b, name), getattr(ref, name), rtol=1e-12, atol=1e-13
-            )
+    for order in (0, 1, 2):
+        chk = transfer(pot, zs, t_list, order=order)
+        assert [b.t for b in chk] == t_list
+        names = [p + name for p in ("", "d", "d2")[:order + 1] for name in "ABCD"]
+        for b in chk:
+            assert b.order == order
+            ref = transfer(pot, zs, t=b.t, order=order)
+            for name in names:
+                assert np.allclose(
+                    getattr(b, name), getattr(ref, name), rtol=1e-12, atol=1e-13
+                ), (order, b.t, name)
+        for b, s in zip(chk, transfer(pot, zs[3], t_list, order=order)):  # scalar z
+            np.testing.assert_array_equal(s.jet, b.jet[..., 3])
 
 
 def test_checkpoints_reject_negative_times():
     pot = SampledPotential(h=0.1, cells=(1.0,))
     with pytest.raises(RangeError):
-        transfer_checkpoints(pot, 1.0, [-1.0, 0.5])
+        transfer(pot, 1.0, [-1.0, 0.5])
+    with pytest.raises(RangeError):
+        transfer(pot, 1.0, [0.5, 0.2])
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +595,7 @@ def test_theta_contractive_in_upper_half_plane():
 
 
 def test_theta_pole_guard():
-    m = TransferMatrix(t=1.0, z=0.0, A=1.0, B=0.0, C=-1.0j, D=0.0)
+    m = Transfer(t=1.0, z=0j, jet=np.array([[[1.0, 0.0], [-1.0j, 0.0]]]), det_tracked=1 + 0j)
     with pytest.raises(PoleProximityError):
         theta(m)
 
