@@ -142,8 +142,25 @@ def _meta(cfg: dict) -> dict:
     return {"config_sha256": config_hash(hashed), "seed": cfg.get("seed", 0)}
 
 
-def _out_path(cfg: dict, default: str) -> str:
-    return str(cfg.get("output", default))
+def _write(cfg: dict, stem: str, cols, rows, meta=None, fields=None, body=None) -> str:
+    """Write a subcommand's output to ``cfg["output"]`` (default
+    ``stem.<format>``) and return the path.
+
+    CSV gets ``cols`` and ``rows`` under a ``meta`` header (default: the
+    config meta).  JSON gets ``body`` if given, else ``fields`` plus one
+    object per row under ``"rows"``; a key of ``fields`` is left out of the
+    JSON meta, since the body carries it.
+    """
+    meta = _meta(cfg) if meta is None else meta
+    path = str(cfg.get("output", f"{stem}.{cfg['format']}"))
+    if cfg["format"] == "csv":
+        write_csv(path, cols, rows, meta)
+    else:
+        fields = fields or {}
+        if body is None:
+            body = {**fields, "rows": [dict(zip(cols, r)) for r in rows]}
+        write_json(path, body, {k: v for k, v in meta.items() if k not in fields})
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +187,7 @@ def cmd_transform(cfg: dict) -> int:
         for z, a, b, r, la in zip(sd.grid, sd.a, sd.b, sd.r, sd.log_abs_a)
     ]
     cols = ("T", "re_z", "im_z", "re_a", "im_a", "re_b", "im_b", "re_r", "im_r", "log_abs_a")
-    path = _out_path(cfg, "scattering." + cfg["format"])
-    if cfg["format"] == "csv":
-        write_csv(path, cols, rows, _meta(cfg))
-    else:
-        write_json(path, {"T": T, "rows": [dict(zip(cols, r)) for r in rows]}, _meta(cfg))
+    path = _write(cfg, "scattering", cols, rows, fields={"T": T})
     log.info("wrote %d scattering rows to %s", len(rows), path)
     return 0
 
@@ -234,8 +247,7 @@ def cmd_verify(cfg: dict) -> int:
         "all_pass": bool(all_pass),
         "seed": cfg.get("seed", 0),
     }
-    path = _out_path(cfg, "verify.json")
-    write_json(path, payload, _meta(cfg))
+    write_json(str(cfg.get("output", "verify.json")), payload, _meta(cfg))
     for name, defect, tol in checks:
         status = "PASS" if defect <= tol else "FAIL"
         print(f"{status} {name}: max defect {defect:.3e} (tolerance {tol:g})")
@@ -245,11 +257,10 @@ def cmd_verify(cfg: dict) -> int:
 def _box_from(cfg: dict, t: float) -> Box:
     box_cfg = dict(cfg.get("box", {}))
     s = float(cfg.get("s", box_cfg.get("s", 0.0)))
+    grid_n = int(box_cfg.get("grid_n", 16))
     if "C" in cfg or "C" in box_cfg:
-        half = float(cfg.get("C", box_cfg.get("C"))) / t
-    else:
-        half = float(box_cfg.get("half_width", 2.0))
-    return Box(s=s, half_width=half, grid_n=int(box_cfg.get("grid_n", 16)))
+        return Box.scaled(s, float(cfg.get("C", box_cfg.get("C"))), t, grid_n)
+    return Box(s=s, half_width=float(box_cfg.get("half_width", 2.0)), grid_n=grid_n)
 
 
 def cmd_resonances(cfg: dict) -> int:
@@ -268,11 +279,7 @@ def cmd_resonances(cfg: dict) -> int:
         th = theta(transfer(pot, np.array([z for z, _ in zeros]), t)) if zeros else []
         for (z, tz), thv in zip(zeros, th):
             rows.append((t, z.real, z.imag, tz.real, tz.imag, abs(thv), ""))
-    path = _out_path(cfg, "resonance." + cfg["format"])
-    if cfg["format"] == "csv":
-        write_csv(path, cols, rows, _meta(cfg))
-    else:
-        write_json(path, {"rows": [dict(zip(cols, r)) for r in rows]}, _meta(cfg))
+    path = _write(cfg, "resonance", cols, rows)
     print(f"{len(zeros)} zero(s) in box; {len(rows)} row(s) written to {path}")
     return 0
 
@@ -288,15 +295,8 @@ def cmd_eigenvalues(cfg: dict) -> int:
                              pre_tol=float(cfg.get("pre_tol", 1e-6)))
     cols = ("t", "x", "residual")
     rows = [(ti, xi, res) for (ti, xi), res in zip(track.samples, track.residuals)]
-    meta = _meta(cfg)
-    meta.update({"kind": track.kind, "monotone": track.monotone, "status": track.status})
-    path = _out_path(cfg, "eigen." + cfg["format"])
-    if cfg["format"] == "csv":
-        write_csv(path, cols, rows, meta)
-    else:
-        write_json(path, {"kind": track.kind, "monotone": track.monotone,
-                          "status": track.status,
-                          "rows": [dict(zip(cols, r)) for r in rows]}, _meta(cfg))
+    fields = {"kind": track.kind, "monotone": track.monotone, "status": track.status}
+    _write(cfg, "eigen", cols, rows, meta={**_meta(cfg), **fields}, fields=fields)
     print(f"{kind} track: {len(rows)} samples, monotone={track.monotone}, "
           f"status={track.status}")
     return 0
@@ -324,13 +324,7 @@ def cmd_kernels(cfg: dict) -> int:
     cols = ("t", "s", "C", "w_hat", "gap", "fit_kind", "re_alpha", "im_alpha",
             "x", "y", "residual")
     row = (t, s, C, w_hat, probe.gap, fit_kind, alpha.real, alpha.imag, x, y, residual)
-    meta = _meta(cfg)
-    meta["w_spread"] = spread
-    path = _out_path(cfg, "kernels." + cfg["format"])
-    if cfg["format"] == "csv":
-        write_csv(path, cols, [row], meta)
-    else:
-        write_json(path, {"rows": [dict(zip(cols, row))]}, meta)
+    _write(cfg, "kernels", cols, [row], meta={**_meta(cfg), "w_spread": spread})
     print(f"gap = {probe.gap:.6e}, w_hat = {w_hat:.6f} (spread {spread:.2e}), "
           f"fit = {fit_kind}")
     return 0
@@ -349,16 +343,12 @@ def cmd_converge(cfg: dict) -> int:
         pot, s_list, T_list, C,
         box_samples=int(cfg.get("box_samples", 16)),
     )
-    path = _out_path(cfg, "converge." + cfg["format"])
-    if cfg["format"] == "csv":
-        rows = [
-            (s, T, table.err[i, j])
-            for i, s in enumerate(table.s_list)
-            for j, T in enumerate(table.T_list)
-        ]
-        write_csv(path, ("s", "T", "err"), rows, _meta(cfg))
-    else:
-        write_json(path, table.to_dict(), _meta(cfg))
+    rows = [
+        (s, T, table.err[i, j])
+        for i, s in enumerate(table.s_list)
+        for j, T in enumerate(table.T_list)
+    ]
+    _write(cfg, "converge", ("s", "T", "err"), rows, body=table.to_dict())
     meds = table.median_err()
     print("median e(s, T) per horizon:",
           ", ".join(f"{T:g}: {m:.3e}" for T, m in zip(table.T_list, meds)))
@@ -380,11 +370,7 @@ def cmd_parseval(cfg: dict) -> int:
         "refinement_levels": rep.refinement_levels,
         "raw_integral": rep.raw_integral,
     }
-    path = _out_path(cfg, "parseval." + cfg["format"])
-    if cfg["format"] == "csv":
-        write_csv(path, tuple(payload), [tuple(payload.values())], _meta(cfg))
-    else:
-        write_json(path, payload, _meta(cfg))
+    _write(cfg, "parseval", tuple(payload), [tuple(payload.values())], body=payload)
     print(f"lhs = {rep.lhs:.8f}, rhs = {rep.rhs:.8f}, rel_err = {rep.rel_err:.3e}")
     return 0
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FitError, PreconditionError, RangeError, ValidationError
 from .potential import SampledPotential
-from .propagator import transfer
+from .propagator import hermite_biehler, transfer
 from .resonance import Box, find_zeros
 
 __all__ = [
@@ -172,7 +172,7 @@ def kernel_probe(
         w_hat, _ = estimate_w(pot, s, (0.9 * t, t), 8)
     if w_hat <= 0:
         raise ValidationError(f"need w_hat > 0, got {w_hat}")
-    box = Box(s=s, half_width=C / t, grid_n=grid_n)
+    box = Box.scaled(s, C, t, grid_n)
     pts = box.tensor_grid(full=True)
     K = _kernel_matrix(pot, t, pts)
     S = kernel_sinc(t, pts[:, None], pts[None, :])
@@ -228,11 +228,8 @@ def estimate_w(
     ts = np.linspace(t_a, t_b, n)
     vals = np.empty(n)
     for i, B in enumerate(transfer(pot, np.array([s], dtype=complex), ts)):
-        if component == "E":
-            mod2 = abs(B.A[0] - 1j * B.C[0]) ** 2
-        else:
-            mod2 = abs(B.B[0] - 1j * B.D[0]) ** 2
-        vals[i] = 1.0 / mod2
+        hb = hermite_biehler(B)
+        vals[i] = 1.0 / abs((hb.E if component == "E" else hb.Etilde)[0]) ** 2
     w_hat = float(np.mean(vals))
     spread = float(np.max(vals) / np.min(vals) - 1.0)
     return w_hat, spread
@@ -244,8 +241,7 @@ def estimate_w(
 
 
 def _E_on(pot, t, pts):
-    B = transfer(pot, np.asarray(pts, dtype=complex), t)
-    return B.A - 1j * B.C
+    return hermite_biehler(transfer(pot, np.asarray(pts, dtype=complex), t)).E
 
 
 def _w_for_fit(pot, s, t):
@@ -276,7 +272,7 @@ def hb_sine_fit(
         FitError: the minimal shift pushed the model zero out of the lower
             half-plane.
     """
-    box = Box(s=s, half_width=C / t, grid_n=max(8, grid_n))
+    box = Box.scaled(s, C, t, max(8, grid_n))
     zeros = find_zeros(pot, t, box)
     if not zeros:
         raise PreconditionError(
@@ -345,7 +341,7 @@ def hb_exp_fit(
     Raises:
         PreconditionError: the box contains a theta-zero (use hb_sine_fit).
     """
-    box = Box(s=s, half_width=D / t, grid_n=max(8, grid_n))
+    box = Box.scaled(s, D, t, max(8, grid_n))
     zeros = find_zeros(pot, t, box)
     if zeros:
         raise PreconditionError(

@@ -24,7 +24,7 @@ from .debranges import estimate_w
 from .errors import DiracNLFTError, NumericalError, RangeError, ValidationError
 from .nlft import nlft_forward
 from .potential import SampledPotential
-from .propagator import transfer
+from .propagator import hermite_biehler, transfer
 
 __all__ = [
     "ConvergenceTable",
@@ -127,6 +127,8 @@ def run_convergence(
         raise ValidationError("s_list and T_list must be non-empty")
     if C <= 0:
         raise ValidationError(f"need C > 0, got {C}")
+    if T_arr[0] <= 0:
+        raise ValidationError(f"horizons must be > 0, got {T_arr[0]}")
     T_ref = T_arr[-1]
     if T_ref > pot.T * (1.0 + 1e-9):
         raise RangeError(
@@ -190,9 +192,7 @@ def limit_identities(
     abs_b_pred = 0.5 * np.sqrt(max(inner - 2.0, 0.0))
     T_end = float(t_window[1])
     sd = nlft_forward(pot, T=T_end, grid=np.array([s], dtype=complex))
-    B = transfer(pot, float(s), T_end)
-    abs_E = abs(B.A - 1j * B.C)
-    abs_Et = abs(B.B - 1j * B.D)
+    hb = hermite_biehler(transfer(pot, float(s), T_end))
     status = "ok" if max(w_spread, wt_spread) < spread_tol else "inconclusive"
     return LimitReport(
         s=float(s),
@@ -202,8 +202,8 @@ def limit_identities(
         abs_b_pred=float(abs_b_pred),
         abs_a_obs=float(np.abs(sd.a[0])),
         abs_b_obs=float(np.abs(sd.b[0])),
-        abs_E_obs=float(abs_E),
-        abs_Etilde_obs=float(abs_Et),
+        abs_E_obs=float(abs(hb.E)),
+        abs_Etilde_obs=float(abs(hb.Etilde)),
         status=status,
         w_spread=float(w_spread),
         w_tilde_spread=float(wt_spread),

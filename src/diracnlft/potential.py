@@ -37,7 +37,7 @@ __all__ = [
     "save_potential",
 ]
 
-FAMILIES = ("zero", "constant", "box", "powerlaw", "damped_cosine", "custom_samples")
+FAMILIES = ("zero", "constant", "box", "powerlaw", "damped_cosine")
 
 #: Families whose tail decays like (1+t)^(-p); they require p > 1/2 so the
 #: potential is square integrable on the half-line.
@@ -55,14 +55,13 @@ class PotentialSpec:
         params: real parameters; recognised keys are ``q`` (amplitude),
             ``t0`` (support end for ``box``), ``p`` (decay exponent) and
             ``omega`` (oscillation frequency).
-        description: free-form note, carried through to serialized form.
-        samples: explicit cell values, only for ``family="custom_samples"``.
+
+    Explicit cells are not a family: build a :class:`SampledPotential`
+    from them (and :func:`restrict` it to a shorter horizon).
     """
 
     family: str
     params: dict = field(default_factory=dict)
-    description: str = ""
-    samples: tuple = ()
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -81,14 +80,6 @@ class PotentialSpec:
                 )
         if self.family == "box" and self.params.get("t0", 0.0) < 0.0:
             raise ValidationError("box support end t0 must be >= 0")
-        if self.family == "custom_samples":
-            if len(self.samples) == 0:
-                raise ValidationError("custom_samples requires a non-empty samples tuple")
-            object.__setattr__(self, "samples", tuple(float(v) for v in self.samples))
-            if not all(math.isfinite(v) for v in self.samples):
-                raise ValidationError("custom samples must be finite")
-        elif len(self.samples) > 0:
-            raise ValidationError(f"family {self.family!r} does not take explicit samples")
 
     def value(self, t):
         """Evaluate the analytic family pointwise (vectorized over ``t``)."""
@@ -104,11 +95,9 @@ class PotentialSpec:
         if self.family == "powerlaw":
             p = float(self.params["p"])
             return q * (1.0 + t) ** (-p)
-        if self.family == "damped_cosine":
-            p = float(self.params["p"])
-            omega = float(self.params.get("omega", 1.0))
-            return q * (1.0 + t) ** (-p) * np.cos(omega * t)
-        raise ValidationError(f"family {self.family!r} has no pointwise form")
+        p = float(self.params["p"])  # damped_cosine
+        omega = float(self.params.get("omega", 1.0))
+        return q * (1.0 + t) ** (-p) * np.cos(omega * t)
 
 
 @dataclass(frozen=True)
@@ -191,8 +180,7 @@ def sample(spec: PotentialSpec, h: float, T: float) -> SampledPotential:
     """Sample an analytic family onto a uniform cell grid (midpoint rule).
 
     Cell ``j`` holds the family's value at the midpoint of its (possibly
-    truncated) interval.  ``custom_samples`` passes its stored cells through
-    unchanged, truncated to ``T``.
+    truncated) interval.
 
     Args:
         spec: family description.
@@ -207,12 +195,6 @@ def sample(spec: PotentialSpec, h: float, T: float) -> SampledPotential:
     if T < h:
         raise ValidationError(f"need T >= h, got T={T}, h={h}")
     n = int(math.ceil(T / h - _BOUNDARY_RTOL))
-    if spec.family == "custom_samples":
-        if n > len(spec.samples):
-            raise ValidationError(
-                f"custom_samples holds {len(spec.samples)} cells but T={T}, h={h} needs {n}"
-            )
-        return SampledPotential(h=h, cells=spec.samples[:n], T=T)
     starts = h * np.arange(n)
     ends = np.minimum(starts + h, T)
     cells = spec.value((starts + ends) / 2.0)
@@ -393,12 +375,7 @@ def potential_from_dict(data: dict) -> SampledPotential:
         for key in ("h", "T"):
             if key not in data:
                 raise ValidationError(f'family potential needs "{key}"')
-        spec = PotentialSpec(
-            family=data["family"],
-            params=dict(data.get("params", {})),
-            description=data.get("description", ""),
-            samples=tuple(data.get("samples", ())),
-        )
+        spec = PotentialSpec(family=data["family"], params=dict(data.get("params", {})))
         return sample(spec, h=float(data["h"]), T=float(data["T"]))
     raise ValidationError('potential JSON needs either "cells" or "family"')
 

@@ -4,22 +4,19 @@ Resonances are the conjugates of the zeros of E(t, .); they are located as
 zeros of ``theta = E#/E`` in the closed upper half-plane, which keeps every
 evaluation on the bounded side.  Zero counting is by the argument principle
 on box boundaries with adaptive sampling (phase steps must stay under pi/2),
-recursive quadrisection isolates single zeros, and Newton on theta polishes
-them.
+and recursive quadrisection isolates single zeros.
 
-Tracking uses the zero dynamics
+Zeros and the NN/ND eigenvalues (real x with theta = +1 or -1) are both
+points where theta(t, .) takes a given value: one Newton solves for either,
+and one predictor-corrector march follows either in t along its flow,
 
-    z'(t) = -f(t) / theta_z(t, z(t)),
-
-with a Newton corrector after every predictor step, and the NN/ND eigenvalue
-flows ``x' = -2 i x theta / theta_z`` restricted to the real line (theta is
-pinned to +1 or -1 there).
+    z' = -f(t) / theta_z(t, z)    or    x' = -2 i x theta / theta_z.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +80,13 @@ class Box:
         if self.grid_n < 8:
             raise ValidationError(f"grid_n must be >= 8, got {self.grid_n}")
 
+    @classmethod
+    def scaled(cls, s: float, C: float, t: float, grid_n: int = 16) -> "Box":
+        """The box Q(s, C/t) of the scaling regime; needs t > 0 and C > 0."""
+        if not (t > 0 and C > 0):
+            raise ValidationError(f"Q(s, C/t) needs t > 0 and C > 0, got t={t}, C={C}")
+        return cls(s=s, half_width=C / t, grid_n=grid_n)
+
     @property
     def re_lo(self) -> float:
         return self.s - self.half_width
@@ -118,7 +122,7 @@ class ResonanceTrack:
 
     samples: tuple  # of (t, z, theta_z)
     residuals: tuple
-    status: str  # completed | exited_real_axis | newton_diverged
+    status: str  # completed | exited_real_axis | newton_diverged | derivative_degenerate
     dt: float
 
     @property
@@ -142,7 +146,7 @@ class EigenTrack:
     samples: tuple  # of (t, x)
     residuals: tuple
     monotone: bool
-    status: str
+    status: str  # completed | newton_diverged | derivative_degenerate
 
     @property
     def times(self) -> np.ndarray:
@@ -174,39 +178,43 @@ class HorizonSample:
 
 
 # ---------------------------------------------------------------------------
-# theta evaluation helpers
+# Newton on theta(t, .) = level
 # ---------------------------------------------------------------------------
 
 
-def _theta_z_floor(t: float) -> float:
-    return THETA_Z_FLOOR_SCALE * max(t, 1e-6)
+def _newton(pot, t, z0, level=None, bounds=None):
+    """Solve theta(t, z) = 0, or theta(t, x) = level on the real axis.
 
+    Returns ``(z, theta_z, residual)`` with residual ``|theta - level|``,
+    or None.  For a zero the step is ``-theta / theta_z``, and ``bounds``
+    is an optional (re_lo, re_hi, im_lo, im_hi) basin whose doubled extent
+    the iterates must not leave (rather than wander into the overflow
+    range).  For a level point (``level = +1`` or ``-1``, real ``z``) the
+    step is Newton on ``arg(theta / level)``, whose slope is
+    ``Im(theta_z / theta)``.
 
-def _newton_zero(pot, t, z0, max_iter=_NEWTON_MAX_ITER, bounds=None):
-    """Polish a zero of theta(t, .) from z0; returns (z, theta_z, residual).
+    The run stops at a residual of 1e-13, ends on a non-finite step or one
+    longer than ``1 + |z|``, and then returns its best iterate if that is
+    within :data:`ZERO_RESIDUAL_TOL` (None otherwise).
 
-    ``bounds`` is an optional (re_lo, re_hi, im_lo, im_hi) basin; iterates
-    escaping its doubled extent count as divergence rather than wandering
-    into the overflow range.
-
-    Raises DerivativeDegenerateError when theta_z drops under its floor.
-    Returns None when Newton fails to reach the residual tolerance.
+    Raises DerivativeDegenerateError when theta_z (or the level-set slope)
+    drops under its floor.
     """
-    z = complex(z0)
-    floor = _theta_z_floor(t)
+    z = complex(z0) if level is None else float(z0)
+    floor = THETA_Z_FLOOR_SCALE * max(t, 1e-6)
     if bounds is not None:
         re_lo, re_hi, im_lo, im_hi = bounds
         pad = max(re_hi - re_lo, im_hi - im_lo, 1e-9)
         re_lo, re_hi = re_lo - pad, re_hi + pad
         im_lo, im_hi = max(im_lo - pad, -0.5 * pad), im_hi + pad
     best = None
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if bounds is not None and not (
             re_lo <= z.real <= re_hi and im_lo <= z.imag <= im_hi
         ):
             break  # left the basin: no zero here for this start
         th, th_z = theta_derivs(transfer(pot, z, t, order=1))
-        res = abs(th)
+        res = abs(th) if level is None else abs(th - level)
         if best is None or res < best[2]:
             best = (z, th_z, res)
         if res <= 1e-13:
@@ -216,10 +224,15 @@ def _newton_zero(pot, t, z0, max_iter=_NEWTON_MAX_ITER, bounds=None):
                 f"|theta_z| = {abs(th_z):.3g} under floor {floor:.3g} at z={z}: "
                 "multiple/degenerate zero suspected"
             )
-        step = -th / th_z
-        if not np.isfinite(step.real) or not np.isfinite(step.imag):
-            break
-        if abs(step) > 1.0 + abs(z):
+        if level is None:
+            step = -th / th_z
+        else:
+            rot = th * np.conj(level)
+            slope = (th_z / th).imag
+            if abs(slope) < floor:
+                raise DerivativeDegenerateError("level-set slope Im(theta_z/theta) degenerate")
+            step = -math.atan2(rot.imag, rot.real) / slope
+        if not np.isfinite(step) or abs(step) > 1.0 + abs(z):
             break  # wild step: Newton left its basin
         z = z + step
     if best is not None and best[2] <= ZERO_RESIDUAL_TOL:
@@ -323,15 +336,15 @@ def _collect_zeros(pot, t, rect: _Rect, n0: int, depth: int, out: list) -> None:
     size = max(rect.w, rect.h)
     scale = 1.0 + abs(rect.center())
     if wind == 1:
-        polished = _newton_zero(
+        polished = _newton(
             pot, t, rect.center(),
             bounds=(rect.re_lo, rect.re_hi, rect.im_lo, rect.im_hi),
         )
         if polished is not None:
-            z, th_z, res = polished
+            z, th_z, _ = polished
             if (rect.re_lo - 1e-9 * scale <= z.real <= rect.re_hi + 1e-9 * scale
                     and rect.im_lo - 1e-9 * scale <= z.imag <= rect.im_hi + 1e-9 * scale):
-                out.append((z, th_z, res))
+                out.append((z, th_z))
                 return
         # Newton missed (zero near a corner, say): fall through to splitting.
     if depth >= _MAX_QUAD_DEPTH or size < 1e-9 * scale:
@@ -374,8 +387,8 @@ def find_zeros(pot: SampledPotential, t: float, box: Box):
     _collect_zeros(pot, t, rect, box.grid_n, 0, raw)
     # dedupe (quadrisection borders can hand the same zero to two children)
     uniq: list = []
-    for z, th_z, res in raw:
-        if res > ZERO_RESIDUAL_TOL or z.imag <= IM_FLOOR:
+    for z, th_z in raw:
+        if z.imag <= IM_FLOOR:
             continue
         if not box.contains(z, slack=1e-9 * (1.0 + abs(z))):
             continue
@@ -397,6 +410,60 @@ def _mean_f(pot, t_a, t_b) -> float:
     return integral(pot, t_a, t_b) / (t_b - t_a)
 
 
+def _march(pot, z0, t0, t1, dt, pre_tol, level, build):
+    """Predictor-corrector march of a zero (``level=None``) or of a real
+    level point from (t0, z0) to t1 with steps of dt.
+
+    The predictor follows the exact flow (``z' = -f / theta_z`` with f
+    averaged over the step, or ``x' = Re(-2i x level / theta_z)``) and
+    :func:`_newton` corrects it at the new time.  ``build(samples,
+    residuals, status)`` makes the track from samples ``(t, z, theta_z)``;
+    a :class:`DerivativeDegenerateError` leaves with the partial track as
+    ``.track`` (status ``derivative_degenerate``).
+    """
+    if dt <= 0 or t1 <= t0:
+        raise ValidationError(f"need t1 > t0 and dt > 0, got [{t0}, {t1}], dt={dt}")
+    th0 = theta(transfer(pot, z0, t0))
+    off = abs(th0) if level is None else abs(th0 - level)
+    if off > pre_tol:
+        raise PreconditionError(
+            f"|theta(t0, z0) - {0 if level is None else level.real:g}| = {off:.3g} "
+            f"exceeds pre_tol {pre_tol:g}: not a starting point of this track"
+        )
+    samples: list = []
+    residuals: list = []
+    status = "completed"
+    try:
+        polished = _newton(pot, t0, z0, level)
+        if polished is None:
+            raise PreconditionError("Newton could not refine the starting point")
+        z, th_z, res = polished
+        samples.append((t0, z, th_z))
+        residuals.append(res)
+        t = t0
+        while t < t1 - 1e-12:
+            step = min(dt, t1 - t)
+            if level is None:
+                z_pred = z - step * (_mean_f(pot, t, t + step) / th_z)
+            else:
+                z_pred = z + step * (-2j * z * level / th_z).real
+            polished = _newton(pot, t + step, z_pred, level)
+            if polished is None:
+                status = "newton_diverged"
+                break
+            if level is None and polished[0].imag <= IM_FLOOR:
+                status = "exited_real_axis"
+                break
+            t += step
+            z, th_z, res = polished
+            samples.append((t, z, th_z))
+            residuals.append(res)
+    except DerivativeDegenerateError as exc:
+        exc.track = build(samples, residuals, "derivative_degenerate")
+        raise
+    return build(samples, residuals, status)
+
+
 def track_resonance(
     pot: SampledPotential,
     z0: complex,
@@ -416,94 +483,17 @@ def track_resonance(
     ``.track``) signals a degenerate ``theta_z``.
 
     Raises:
-        PreconditionError: theta(t0, z0) is not a zero within 1e-6.
+        PreconditionError: theta(t0, z0) is not a zero within ``pre_tol``.
     """
-    if dt <= 0 or t1 <= t0:
-        raise ValidationError(f"need t1 > t0 and dt > 0, got [{t0}, {t1}], dt={dt}")
-    th0 = theta(transfer(pot, z0, t0))
-    if abs(th0) > pre_tol:
-        raise PreconditionError(
-            f"theta(t0, z0) = {abs(th0):.3g} is not a zero (tolerance {pre_tol:g}); "
-            "run find_zeros first"
+    def build(samples, residuals, status):
+        return ResonanceTrack(
+            samples=tuple(samples), residuals=tuple(residuals), status=status, dt=dt
         )
-    samples: list = []
-    residuals: list = []
-    status = "completed"
 
-    def _fail(exc: DerivativeDegenerateError):
-        exc.track = ResonanceTrack(
-            samples=tuple(samples), residuals=tuple(residuals),
-            status="derivative_degenerate", dt=dt,
-        )
-        return exc
-
-    try:
-        polished = _newton_zero(pot, t0, z0)
-    except DerivativeDegenerateError as exc:
-        raise _fail(exc) from None
-    if polished is None:
-        raise PreconditionError("Newton could not refine the starting zero")
-    z, th_z, res = polished
-    samples.append((t0, z, th_z))
-    residuals.append(res)
-    t = t0
-    while t < t1 - 1e-12:
-        step = min(dt, t1 - t)
-        f_avg = _mean_f(pot, t, t + step)
-        z_pred = z - step * (f_avg / th_z)
-        try:
-            polished = _newton_zero(pot, t + step, z_pred)
-        except DerivativeDegenerateError as exc:
-            raise _fail(exc) from None
-        if polished is None:
-            status = "newton_diverged"
-            break
-        z_new, th_z_new, res = polished
-        if z_new.imag <= IM_FLOOR:
-            status = "exited_real_axis"
-            break
-        t += step
-        z, th_z = z_new, th_z_new
-        samples.append((t, z, th_z))
-        residuals.append(res)
-    return ResonanceTrack(
-        samples=tuple(samples), residuals=tuple(residuals), status=status, dt=dt
-    )
+    return _march(pot, z0, t0, t1, dt, pre_tol, None, build)
 
 
 _EIGEN_TARGET = {"NN": 1.0 + 0.0j, "ND": -1.0 + 0.0j}
-
-
-def _newton_level(pot, t, x0, target, max_iter=_NEWTON_MAX_ITER):
-    """Solve theta(t, x) = target on the real axis near x0.
-
-    Returns (x, theta_z, |theta - target|) or None.
-    """
-    x = float(x0)
-    floor = _theta_z_floor(t)
-    best = None
-    for _ in range(max_iter):
-        th, th_z = theta_derivs(transfer(pot, x, t, order=1))
-        res = abs(th - target)
-        if best is None or res < best[2]:
-            best = (x, th_z, res)
-        if res <= 1e-13:
-            return x, th_z, res
-        if abs(th_z) < floor:
-            raise DerivativeDegenerateError(
-                f"|theta_z| = {abs(th_z):.3g} under floor {floor:.3g} at x={x}"
-            )
-        g = math.atan2((th * np.conj(target)).imag, (th * np.conj(target)).real)
-        gp = (th_z / th).imag
-        if abs(gp) < floor:
-            raise DerivativeDegenerateError("level-set slope Im(theta_z/theta) degenerate")
-        step = -g / gp
-        if not math.isfinite(step) or abs(step) > 1.0 + abs(x):
-            break
-        x = x + step
-    if best is not None and best[2] <= ZERO_RESIDUAL_TOL:
-        return best
-    return None
 
 
 def track_eigenvalue(
@@ -520,51 +510,28 @@ def track_eigenvalue(
     The exact flow is ``x' = -2 i x theta / theta_z`` (theta pinned at the
     target), which is real and drives x monotonically toward 0; a Newton
     corrector on ``arg(theta / target)`` re-solves the level set after each
-    step.
+    step.  Stops and failures are those of :func:`track_resonance`, less
+    ``exited_real_axis``.
     """
     if kind not in _EIGEN_TARGET:
         raise ValidationError(f"kind must be 'NN' or 'ND', got {kind!r}")
-    if dt <= 0 or t1 <= t0:
-        raise ValidationError(f"need t1 > t0 and dt > 0, got [{t0}, {t1}], dt={dt}")
-    target = _EIGEN_TARGET[kind]
-    th0 = theta(transfer(pot, x0, t0))
-    if abs(th0 - target) > pre_tol:
-        raise PreconditionError(
-            f"theta(t0, x0) is {abs(th0 - target):.3g} away from the {kind} target "
-            f"(tolerance {pre_tol:g})"
+
+    def build(samples, residuals, status):
+        xs = np.array([s[1] for s in samples])
+        dx = np.diff(xs)
+        x_first = xs[0] if xs.size else 0.0
+        if x_first > 0:
+            monotone = bool(np.all(dx < 0))
+        elif x_first < 0:
+            monotone = bool(np.all(dx > 0))
+        else:
+            monotone = bool(np.all(dx == 0))
+        return EigenTrack(
+            kind=kind, samples=tuple((ti, xi) for ti, xi, _ in samples),
+            residuals=tuple(residuals), monotone=monotone, status=status,
         )
-    polished = _newton_level(pot, t0, x0, target)
-    if polished is None:
-        raise PreconditionError("Newton could not refine the starting level point")
-    x, th_z, res = polished
-    samples = [(t0, x)]
-    residuals = [res]
-    status = "completed"
-    t = t0
-    while t < t1 - 1e-12:
-        step = min(dt, t1 - t)
-        vel = (-2j * x * target / th_z).real
-        x_pred = x + step * vel
-        polished = _newton_level(pot, t + step, x_pred, target)
-        if polished is None:
-            status = "newton_diverged"
-            break
-        x, th_z, res = polished
-        t += step
-        samples.append((t, x))
-        residuals.append(res)
-    xs = np.array([s[1] for s in samples])
-    dx = np.diff(xs)
-    if xs[0] > 0:
-        monotone = bool(np.all(dx < 0))
-    elif xs[0] < 0:
-        monotone = bool(np.all(dx > 0))
-    else:
-        monotone = bool(np.all(dx == 0))
-    return EigenTrack(
-        kind=kind, samples=tuple(samples), residuals=tuple(residuals),
-        monotone=monotone, status=status,
-    )
+
+    return _march(pot, x0, t0, t1, dt, pre_tol, _EIGEN_TARGET[kind], build)
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +539,9 @@ def track_eigenvalue(
 # ---------------------------------------------------------------------------
 
 
-def classify_track(track: ResonanceTrack, tau_V: float = 0.1, tau_H: float = 0.25):
-    """Split a track into maximal vertical / horizontal motion segments.
-
-    A sample is V when ``|Re z'| <= tau_V |z'|`` and H when
-    ``|Re z'| >= tau_H |z'|`` (velocities by central differences); runs of
-    equal labels become :class:`MotionSegment`s, the in-between hysteresis
-    band stays unlabeled.  Since the per-sample inequalities are summed, the
-    segment-averaged criterion holds automatically on every segment.
-    """
+def _motion(track: ResonanceTrack, tau_V: float = 0.1, tau_H: float = 0.25):
+    """Times, velocities (central differences), speeds and V/H labels of
+    the samples of a track ("" in the hysteresis band)."""
     if not (0.0 < tau_V < tau_H < 1.0):
         raise ValidationError(f"need 0 < tau_V < tau_H < 1, got {tau_V}, {tau_H}")
     n = len(track.samples)
@@ -595,6 +556,20 @@ def classify_track(track: ResonanceTrack, tau_V: float = 0.1, tau_H: float = 0.2
     speed = np.abs(vel)
     ratio = np.where(speed > 0, np.abs(vel.real) / np.where(speed > 0, speed, 1.0), 0.0)
     labels = np.where(ratio <= tau_V, "V", np.where(ratio >= tau_H, "H", ""))
+    return ts, vel, speed, labels
+
+
+def classify_track(track: ResonanceTrack, tau_V: float = 0.1, tau_H: float = 0.25):
+    """Split a track into maximal vertical / horizontal motion segments.
+
+    A sample is V when ``|Re z'| <= tau_V |z'|`` and H when
+    ``|Re z'| >= tau_H |z'|`` (velocities by central differences); runs of
+    equal labels become :class:`MotionSegment`s, the in-between hysteresis
+    band stays unlabeled.  Since the per-sample inequalities are summed, the
+    segment-averaged criterion holds automatically on every segment.
+    """
+    ts, vel, speed, labels = _motion(track, tau_V, tau_H)
+    n = len(labels)
     segments: list[MotionSegment] = []
     i = 0
     while i < n:
@@ -619,17 +594,13 @@ def classify_track(track: ResonanceTrack, tau_V: float = 0.1, tau_H: float = 0.2
 
 def track_rows(track: ResonanceTrack) -> list:
     """Rows ``(t, re_z, im_z, re_theta_z, im_theta_z, residual, label)``, one
-    per sample; ``label`` is the V/H label of the :func:`classify_track`
-    segment holding the sample ("" outside every segment, and for tracks
-    too short to classify)."""
-    labels = {}
-    if len(track.samples) >= 3:
-        for seg in classify_track(track):
-            for ti, _, _ in track.samples:
-                if seg.t1 <= ti <= seg.t2:
-                    labels[ti] = seg.label
-    return [(ti, zi.real, zi.imag, tzi.real, tzi.imag, res, labels.get(ti, ""))
-            for (ti, zi, tzi), res in zip(track.samples, track.residuals)]
+    per sample; ``label`` is the V/H label :func:`classify_track` gives the
+    sample ("" in the hysteresis band, and for tracks too short to
+    classify)."""
+    n = len(track.samples)
+    labels = _motion(track)[3] if n >= 3 else [""] * n
+    return [(ti, zi.real, zi.imag, tzi.real, tzi.imag, res, str(lab))
+            for (ti, zi, tzi), res, lab in zip(track.samples, track.residuals, labels)]
 
 
 # ---------------------------------------------------------------------------
@@ -647,11 +618,10 @@ def zero_free_horizon(pot: SampledPotential, s: float, C: float, t_grid, grid_n:
     ts = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t_grid must be strictly increasing")
-    if C <= 0:
-        raise ValidationError(f"need C > 0, got {C}")
+    boxes = [Box.scaled(s, C, t, grid_n) for t in ts]
     out = []
-    for t in ts:
-        zeros = find_zeros(pot, t, Box(s=s, half_width=C / t, grid_n=grid_n))
+    for t, box in zip(ts, boxes):
+        zeros = find_zeros(pot, t, box)
         if zeros:
             nearest = min(abs(z - s) for z, _ in zeros)
         else:

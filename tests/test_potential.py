@@ -39,6 +39,10 @@ def test_spec_families_and_validation():
     with pytest.raises(ValidationError):
         PotentialSpec(family="nosuch", params={})
     with pytest.raises(ValidationError):
+        # explicit cells are a SampledPotential (plain-cells JSON), not a family
+        potential_from_dict({"family": "custom_samples", "samples": [0.1, 0.2],
+                             "h": 0.1, "T": 0.2})
+    with pytest.raises(ValidationError):
         # decay exponent at or below 1/2 is outside the decaying class
         PotentialSpec(family="powerlaw", params={"q": 1.0, "p": 0.5})
 

@@ -1,14 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracnlft import resonance
+from diracnlft.cli import main
+from diracnlft.debranges import hb_exp_fit, hb_sine_fit, kernel_probe, universality_gap
 from diracnlft.errors import (
     BoundaryNearZeroError,
     DerivativeDegenerateError,
     PreconditionError,
     ValidationError,
 )
+from diracnlft.experiments import run_convergence
 from diracnlft.potential import SampledPotential
 from diracnlft.propagator import theta, transfer
 from diracnlft.resonance import (
@@ -46,6 +52,30 @@ def test_box_validation_and_membership():
     assert not box.contains(1.2 + 0.6j)
     assert not box.contains(1.6 + 0.1j)
     assert box.contains(1.55 + 0.1j, slack=0.1)
+    assert Box.scaled(1.0, 2.0, 4.0, grid_n=8) == Box(1.0, 0.5, grid_n=8)
+
+
+# every Q(s, C/t) site, at t = 0: a ValidationError, not a ZeroDivisionError
+@pytest.mark.parametrize("call", [
+    lambda pot: kernel_probe(pot, 0.5, 0.0, 4.0, w_hat=1.0),
+    lambda pot: universality_gap(pot, 0.5, 0.0, 4.0, 1.0),
+    lambda pot: hb_sine_fit(pot, 0.5, 0.0, 4.0),
+    lambda pot: hb_exp_fit(pot, 0.5, 0.0, 4.0),
+    lambda pot: zero_free_horizon(pot, 0.5, 2.0, [0.0, 1.0]),
+    lambda pot: run_convergence(pot, [0.5], [0.0, 1.0], 4.0),
+    "cli",
+], ids=["kernel_probe", "universality_gap", "hb_sine_fit", "hb_exp_fit",
+        "zero_free_horizon", "run_convergence", "cli_resonances"])
+def test_zero_time_box_is_a_validation_error(call, free_pot, tmp_path, capsys):
+    if call == "cli":
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"potential": {"family": "zero", "params": {}},
+                                   "h": 0.05, "T": 2.0, "t": 0, "C": 6}))
+        assert main(["resonances", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        return
+    with pytest.raises(ValidationError):
+        call(free_pot)
 
 
 def test_box_tensor_grid():
@@ -177,6 +207,22 @@ def test_track_is_stationary_past_support(tall_bump_pot):
     track = track_resonance(tall_bump_pot, TALL_ZERO, 1.5, 2.5, dt=0.05)
     assert track.status == "completed"
     assert np.max(np.abs(track.zs - track.zs[0])) < 1e-10
+
+
+# the resonance start is not polished to 1e-13, so its first Newton step
+# trips the floor; the free NN start is exact, so the first march step does
+@pytest.mark.parametrize("pot_name, follow, n_samples", [
+    ("const_pot", lambda pot: track_resonance(pot, CONST_ZERO, 3.0, 3.1, dt=0.01), 0),
+    ("free_pot", lambda pot: track_eigenvalue(pot, "NN", np.pi, 2.0, 3.0, dt=0.05), 1),
+], ids=["resonance", "eigenvalue"])
+def test_degenerate_theta_z_carries_the_partial_track(pot_name, follow, n_samples,
+                                                       request, monkeypatch):
+    monkeypatch.setattr(resonance, "THETA_Z_FLOOR_SCALE", 1e6)
+    with pytest.raises(DerivativeDegenerateError) as info:
+        follow(request.getfixturevalue(pot_name))
+    track = info.value.track
+    assert track.status == "derivative_degenerate"
+    assert len(track.samples) == len(track.residuals) == n_samples
 
 
 # ---------------------------------------------------------------------------
