@@ -56,7 +56,6 @@ from .nlft import (
     arg_a_branch,
     hilbert_consistency,
     hilbert_transform,
-    interval_scattering,
     interval_scattering_grid,
     nlft_forward,
     parseval_check,
@@ -84,7 +83,6 @@ from .debranges import (
     kernel_K,
     kernel_probe,
     kernel_sinc,
-    universality_gap,
 )
 from .experiments import (
     ConvergenceTable,

@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import logging
 import os
@@ -26,13 +28,14 @@ from .errors import (
     NumericalError,
     PreconditionError,
     UsageError,
-    ValidationError,
 )
 from .experiments import run_convergence
 from .nlft import nlft_forward, parseval_check
-from .potential import PotentialSpec, SampledPotential, load_potential, sample
+from .potential import (
+    PotentialSpec, SampledPotential, load_potential, potential_from_dict, sample,
+)
 from .propagator import corrupted_propagator, hermite_biehler, theta, transfer
-from .reporting import TOOL_VERSION, config_hash, write_csv, write_json
+from .reporting import config_hash, write_csv, write_json
 from .resonance import Box, find_zeros, track_eigenvalue, track_resonance, track_rows
 from .riccati import riccati_evolve_moebius, riccati_evolve_rk
 
@@ -58,27 +61,29 @@ def _setup_logging() -> None:
 # config plumbing
 # ---------------------------------------------------------------------------
 
-_FLAG_KEYS = ("out", "format", "seed", "T", "zmin", "zmax", "nz", "s", "C")
+
+@contextlib.contextmanager
+def _reading(what: str, path):
+    """An unreadable or malformed JSON file becomes a UsageError."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(
+            f"malformed JSON in {path}: {exc.msg} (line {exc.lineno} column {exc.colno})"
+        ) from exc
 
 
 def _load_config(args) -> dict:
     cfg: dict = {}
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(
-                f"malformed JSON in {args.config}: {exc.msg} "
-                f"(line {exc.lineno} column {exc.colno})"
-            ) from exc
+        with _reading("config", args.config), open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise UsageError("config root must be a JSON object")
-    for key in _FLAG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
+    for key, val in vars(args).items():  # the common flags, less --config
+        if key not in ("command", "config") and val is not None:
             cfg["output" if key == "out" else key] = val
     cfg.setdefault("format", "csv")
     cfg.setdefault("seed", 0)
@@ -104,7 +109,8 @@ def _build_potential(cfg: dict):
         raise UsageError("config must supply 'potential' (spec object or file path)")
     pspec = cfg["potential"]
     if isinstance(pspec, str):
-        pot = load_potential(pspec)
+        with _reading("potential", pspec):
+            pot = load_potential(pspec)
         if "T" in cfg and float(cfg["T"]) > pot.T * (1 + 1e-9):
             raise UsageError(
                 f"T={cfg['T']} exceeds the horizon {pot.T} of {pspec}"
@@ -112,17 +118,9 @@ def _build_potential(cfg: dict):
         return pot
     if not isinstance(pspec, dict):
         raise UsageError("'potential' must be an object or a file path")
-    h = _require(cfg, "h")
-    if not (h > 0):
-        raise UsageError(f"h must be > 0, got {h}")
-    T = _require(cfg, "T")
-    try:
-        spec = PotentialSpec(
-            family=pspec.get("family", ""), params=dict(pspec.get("params", {}))
-        )
-        return sample(spec, h=h, T=T)
-    except ValidationError as exc:
-        raise UsageError(str(exc)) from exc
+    if set(pspec) - {"family", "params"}:
+        raise UsageError(f"inline potential takes 'family' and 'params' only, got {sorted(pspec)}")
+    return potential_from_dict({**pspec, "h": _require(cfg, "h"), "T": _require(cfg, "T")})
 
 
 def _real_grid(cfg: dict) -> np.ndarray:
@@ -233,9 +231,7 @@ def cmd_verify(cfg: dict) -> int:
     corrupt = os.environ.get("NLFT_TEST_CORRUPT_PROPAGATOR")
     if corrupt:
         log.warning("corruption hook active: eps=%s", corrupt)
-        with corrupted_propagator(float(corrupt)):
-            checks = _verify_suite(cfg)
-    else:
+    with corrupted_propagator(float(corrupt or 0.0)):
         checks = _verify_suite(cfg)
     all_pass = all(defect <= tol for _, defect, tol in checks)
     payload = {
@@ -335,19 +331,13 @@ def cmd_converge(cfg: dict) -> int:
     s_list = cfg.get("s_list")
     if s_list is None:
         s_list = [float(cfg.get("s", 0.0))]
-    T_list = cfg.get("T_list")
-    if T_list is None:
-        raise UsageError("config key 'T_list' is required for converge")
     C = float(cfg.get("C", 4.0))
     table = run_convergence(
-        pot, s_list, T_list, C,
+        pot, s_list, _require(cfg, "T_list", list), C,
         box_samples=int(cfg.get("box_samples", 16)),
     )
-    rows = [
-        (s, T, table.err[i, j])
-        for i, s in enumerate(table.s_list)
-        for j, T in enumerate(table.T_list)
-    ]
+    rows = [(s, T, table.err[i, j]) for i, s in enumerate(table.s_list)
+            for j, T in enumerate(table.T_list)]
     _write(cfg, "converge", ("s", "T", "err"), rows, body=table.to_dict())
     meds = table.median_err()
     print("median e(s, T) per horizon:",
@@ -362,14 +352,7 @@ def cmd_parseval(cfg: dict) -> int:
     T = float(cfg.get("T", pot.T))
     tol = float(cfg.get("tolerances", {}).get("parseval", 1e-2))
     rep = parseval_check(pot, T=T, tol=tol)
-    payload = {
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "rel_err": rep.rel_err,
-        "domain_half_width": rep.domain_half_width,
-        "refinement_levels": rep.refinement_levels,
-        "raw_integral": rep.raw_integral,
-    }
+    payload = dataclasses.asdict(rep)
     _write(cfg, "parseval", tuple(payload), [tuple(payload.values())], body=payload)
     print(f"lhs = {rep.lhs:.8f}, rhs = {rep.rhs:.8f}, rel_err = {rep.rel_err:.3e}")
     return 0

@@ -6,7 +6,7 @@ The space attached to E(t, .) has kernel
 
 which in the free case collapses to the Paley-Wiener sinc kernel
 ``S = sin(t (z - conj lam)) / (pi (z - conj lam))``.  In the universality
-regime K approaches S / w(s) on boxes Q(s, C/t); ``universality_gap``
+regime K approaches S / w(s) on boxes Q(s, C/t); ``kernel_probe(...).gap``
 measures that defect, and the sine/exponential fits realize the two limit
 shapes of E itself (a zero nearby or not).
 
@@ -34,7 +34,6 @@ __all__ = [
     "kernel_sinc",
     "kernel_probe",
     "estimate_w",
-    "universality_gap",
     "hb_sine_fit",
     "hb_exp_fit",
     "gamma_factor",
@@ -173,7 +172,7 @@ def kernel_probe(
     if w_hat <= 0:
         raise ValidationError(f"need w_hat > 0, got {w_hat}")
     box = Box.scaled(s, C, t, grid_n)
-    pts = box.tensor_grid(full=True)
+    pts = box.tensor_grid()
     K = _kernel_matrix(pot, t, pts)
     S = kernel_sinc(t, pts[:, None], pts[None, :])
     gap = float(np.max(np.abs(K - S / w_hat)) / t)
@@ -181,18 +180,6 @@ def kernel_probe(
         t=t, s=s, C=C, lambda_grid=pts, z_grid=pts,
         K_values=K, S_values=S, gap=gap, w_hat=w_hat,
     )
-
-
-def universality_gap(
-    pot: SampledPotential,
-    s: float,
-    t: float,
-    C: float,
-    w_hat: float,
-    grid_n: int = 16,
-) -> float:
-    """sup-norm defect |K - S/w_hat| / t over Q(s, C/t) tensor pairs."""
-    return kernel_probe(pot, s, t, C, w_hat=w_hat, grid_n=grid_n).gap
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +302,7 @@ def hb_sine_fit(
     x, y = float(z_model.real), float(-z_model.imag)
     if y <= 0:
         raise FitError(f"shifted model zero has y = {y:.3g} <= 0")
-    pts = box.tensor_grid(full=True)
+    pts = box.tensor_grid()
     model = (alpha * gam / math.sqrt(w_hat)) * np.sin(t * (pts - (x - 1j * y)))
     residual = float(np.max(np.abs(_E_on(pot, t, pts) - model)))
     return SineFit(
@@ -352,7 +339,7 @@ def hb_exp_fit(
         w_hat = _w_for_fit(pot, s, t)
     E_s = complex(_E_on(pot, t, [s])[0])
     alpha = 1j * math.sqrt(w_hat) * E_s * np.exp(1j * t * s)
-    pts = box.tensor_grid(full=True)
+    pts = box.tensor_grid()
     model = (-1j * alpha / math.sqrt(w_hat)) * np.exp(-1j * t * pts)
     residual = float(np.max(np.abs(_E_on(pot, t, pts) - model)))
     return complex(alpha), residual

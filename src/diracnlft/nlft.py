@@ -20,7 +20,7 @@ and is validated to three digits by the quadrature tests.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "ScatteringData",
     "ParsevalReport",
     "nlft_forward",
-    "interval_scattering",
     "interval_scattering_grid",
     "parseval_check",
     "arg_a_branch",
@@ -121,26 +120,20 @@ def _scattering(m: Transfer, width: float) -> ScatteringData:
 
 
 def nlft_forward(pot: SampledPotential, T: float | None = None, grid=None) -> ScatteringData:
-    """Scattering data (a, b, r, log|a|) of the truncation f_T on a grid.
+    """Scattering data (a, b, r, log|a|) of the truncation f_T on a grid:
+    the interval scattering a_{0->T}.
 
     Args:
         pot: potential; ``T`` defaults to ``pot.T`` and must satisfy
             ``0 < T <= pot.T``.
         grid: real or complex frequencies (1-d array-like).
     """
-    if T is None:
-        T = pot.T
-    if not (0.0 < T <= pot.T * (1.0 + 1e-9)):
-        raise RangeError(f"need 0 < T <= pot.T = {pot.T}, got T = {T}")
-    T = min(float(T), pot.T)
     if grid is None:
         raise ValidationError("nlft_forward needs a frequency grid")
-    return _scattering(transfer(pot, np.atleast_1d(grid), T), T)
+    return interval_scattering_grid(pot, 0.0, pot.T if T is None else T, grid)
 
 
-def interval_scattering_grid(
-    pot: SampledPotential, t1: float, t2: float, grid
-) -> ScatteringData:
+def interval_scattering_grid(pot: SampledPotential, t1: float, t2: float, grid) -> ScatteringData:
     """Scattering data of the potential piece on [t1, t2] (shifted system).
 
     ``a_{t1->t2}`` is the forward transform of ``f(. + t1)`` restricted to
@@ -152,23 +145,12 @@ def interval_scattering_grid(
     return _scattering(transfer(pot, np.atleast_1d(grid), t2, t1=float(t1)), t2 - t1)
 
 
-def interval_scattering(pot: SampledPotential, t1: float, t2: float, z: complex) -> complex:
-    """a_{t1->t2}(z) for a single frequency."""
-    sd = interval_scattering_grid(pot, t1, t2, [z])
-    return complex(sd.a[0])
-
-
 # ---------------------------------------------------------------------------
 # Parseval quadrature
 # ---------------------------------------------------------------------------
 
 _PARSEVAL_MAX_LEVELS = 26
 _PARSEVAL_X0 = 32.0
-
-
-def _log_abs_a_on(pot, t1, t2, xs) -> np.ndarray:
-    sd = interval_scattering_grid(pot, t1, t2, xs) if t1 > 0.0 else nlft_forward(pot, t2, xs)
-    return sd.log_abs_a
 
 
 def parseval_check(
@@ -203,23 +185,19 @@ def parseval_check(
         if n % 2 == 0:
             n += 1
         xs = np.linspace(lo, hi, n)
-        return float(_trapz(_log_abs_a_on(pot, t1, T, xs), xs))
+        return float(_trapz(interval_scattering_grid(pot, t1, T, xs).log_abs_a, xs))
 
-    levels = 0
-    X = _PARSEVAL_X0
+    X, levels = _PARSEVAL_X0, 1
     dx = min(0.05, 0.25 / max(width, 1.0))
     cur = integral(-X, X, dx)
-    levels += 1
     # step refinement on the core domain
     while levels < _PARSEVAL_MAX_LEVELS:
         nxt = integral(-X, X, dx / 2.0)
         levels += 1
-        if abs(nxt - cur) <= tol * scale / 8.0:
-            cur = nxt
-            dx = dx / 2.0
+        stable = abs(nxt - cur) <= tol * scale / 8.0
+        cur, dx = nxt, dx / 2.0
+        if stable:
             break
-        cur = nxt
-        dx = dx / 2.0
     else:
         raise QuadratureError(
             "step refinement did not stabilize the Parseval integral",
@@ -241,18 +219,9 @@ def parseval_check(
 
 def _report(raw: float, rhs: float, X: float, levels: int) -> ParsevalReport:
     lhs = (2.0 / math.pi) * raw
-    if rhs <= 1e-15 and abs(lhs) <= 1e-9:
-        rel = 0.0
-    else:
-        rel = abs(lhs - rhs) / max(rhs, 1e-15)
-    return ParsevalReport(
-        lhs=lhs,
-        rhs=rhs,
-        rel_err=rel,
-        domain_half_width=X,
-        refinement_levels=levels,
-        raw_integral=raw,
-    )
+    rel = 0.0 if rhs <= 1e-15 and abs(lhs) <= 1e-9 else abs(lhs - rhs) / max(rhs, 1e-15)
+    return ParsevalReport(lhs=lhs, rhs=rhs, rel_err=rel, domain_half_width=X,
+                          refinement_levels=levels, raw_integral=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +270,11 @@ def arg_a_branch(pot: SampledPotential, t1: float, t2: float, x_grid) -> np.ndar
     return phases - phases[i0]
 
 
-def hilbert_transform(samples: np.ndarray, pad_factor: int = 4) -> np.ndarray:
+def hilbert_transform(samples: np.ndarray) -> np.ndarray:
     """Discrete Hilbert transform H u (x) = p.v. (1/pi) int u(t)/(x-t) dt.
 
     Spectral method: the signal is centered in a zero-padded buffer
-    (>= pad_factor times the length, rounded to a power of two) and
+    (>= 4 times the length, rounded to a power of two) and
     multiplied by -i sgn(xi) in the frequency domain.  For a boundary-value
     pair F = u + iv analytic in the upper half-plane with decay, v = H u.
     """
@@ -313,9 +282,7 @@ def hilbert_transform(samples: np.ndarray, pad_factor: int = 4) -> np.ndarray:
     n = u.size
     if n < 4:
         raise ValidationError("need at least 4 samples")
-    if pad_factor < 4:
-        raise ValidationError("pad_factor must be >= 4")
-    m = 1 << max(2, int(math.ceil(math.log2(pad_factor * n))))
+    m = 1 << max(2, int(math.ceil(math.log2(4 * n))))
     left = (m - n) // 2
     buf = np.zeros(m)
     buf[left:left + n] = u
@@ -327,7 +294,7 @@ def hilbert_transform(samples: np.ndarray, pad_factor: int = 4) -> np.ndarray:
     return out[left:left + n]
 
 
-def hilbert_consistency(sd: ScatteringData, edge_tol: float = 1e-3) -> float:
+def hilbert_consistency(sd: ScatteringData) -> float:
     """Max |arg a - H(log|a|)| over the central half of a symmetric grid.
 
     ``sd`` must sample the full transform on a uniform symmetric real grid
@@ -336,7 +303,7 @@ def hilbert_consistency(sd: ScatteringData, edge_tol: float = 1e-3) -> float:
 
     Raises:
         DomainTooSmallError: log|a| at the grid ends exceeds
-            ``edge_tol * (1 + max log|a|)``.
+            ``1e-3 * (1 + max log|a|)``.
         AliasingError: grid too coarse for continuous phase tracking.
     """
     xs = np.real(sd.grid)
@@ -355,7 +322,7 @@ def hilbert_consistency(sd: ScatteringData, edge_tol: float = 1e-3) -> float:
     la = sd.log_abs_a
     peak = float(np.max(np.abs(la)))
     edge = max(abs(float(la[0])), abs(float(la[-1])))
-    if edge > edge_tol * (1.0 + peak):
+    if edge > 1e-3 * (1.0 + peak):
         raise DomainTooSmallError(
             f"log|a| = {edge:.3g} at the grid edge; widen the domain before "
             "trusting the Hilbert pair"

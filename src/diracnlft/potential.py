@@ -28,7 +28,6 @@ __all__ = [
     "restrict",
     "l2_norm_sq",
     "integral",
-    "abs_integral",
     "sigma_intervals",
     "cell_cover",
     "potential_from_dict",
@@ -190,9 +189,9 @@ def sample(spec: PotentialSpec, h: float, T: float) -> SampledPotential:
     Returns:
         The sampled potential with ``pot.T == T``.
     """
-    if h <= 0:
+    if not (h > 0):
         raise ValidationError(f"h must be > 0, got {h}")
-    if T < h:
+    if not (T >= h):
         raise ValidationError(f"need T >= h, got T={T}, h={h}")
     n = int(math.ceil(T / h - _BOUNDARY_RTOL))
     starts = h * np.arange(n)
@@ -270,31 +269,26 @@ def cell_cover(pot: SampledPotential, t1: float, t2: float, coalesce: bool = Fal
     return qs_a, ws_a
 
 
+def _cell_sum(pot: SampledPotential, t1: float, t2: float | None, power: int) -> float:
+    """``sum(q_j**power * overlap_j)`` over ``[t1, t2]`` cut to the support
+    ``[0, pot.T]`` (``t2`` defaults to ``pot.T``); the potential vanishes
+    past ``pot.T``."""
+    t2 = pot.T if t2 is None else min(t2, pot.T)
+    qs, ws = cell_cover(pot, min(t1, pot.T), t2)
+    return float(np.dot(qs ** power, ws))
+
+
 def l2_norm_sq(pot: SampledPotential, t1: float = 0.0, t2: float | None = None) -> float:
     """Exact squared L2 norm of the potential over ``[t1, t2]``.
 
     Pure cell arithmetic: ``sum(q_j^2 * overlap_j)``, no quadrature error.
     """
-    if t2 is None:
-        t2 = pot.T
-    qs, ws = cell_cover(pot, t1, min(t2, pot.T))
-    return float(np.dot(qs * qs, ws))
+    return _cell_sum(pot, t1, t2, 2)
 
 
 def integral(pot: SampledPotential, t1: float = 0.0, t2: float | None = None) -> float:
     """Exact signed integral of the potential over ``[t1, t2]``."""
-    if t2 is None:
-        t2 = pot.T
-    qs, ws = cell_cover(pot, t1, min(t2, pot.T))
-    return float(np.dot(qs, ws))
-
-
-def abs_integral(pot: SampledPotential, t1: float = 0.0, t2: float | None = None) -> float:
-    """Exact integral of ``|f|`` over ``[t1, t2]``."""
-    if t2 is None:
-        t2 = pot.T
-    qs, ws = cell_cover(pot, t1, min(t2, pot.T))
-    return float(np.dot(np.abs(qs), ws))
+    return _cell_sum(pot, t1, t2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +357,14 @@ def potential_from_dict(data: dict) -> SampledPotential:
     """Build a potential from either JSON form.
 
     Accepts ``{"h":..., "cells":[...], "T":...}`` (cells verbatim) or
-    ``{"family":..., "params":{...}, "h":..., "T":...}`` (sampled here).
+    ``{"family":..., "params":{...}, "h":..., "T":...}`` (sampled here);
+    any other key is a ValidationError.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"potential description must be an object, got {type(data)}")
+    unknown = set(data) - ({"h", "cells", "T"} if "cells" in data else {"family", "params", "h", "T"})
+    if unknown:
+        raise ValidationError(f"unknown potential key(s) {sorted(unknown)}")
     if "cells" in data:
         if "h" not in data:
             raise ValidationError('plain-cells potential needs "h"')

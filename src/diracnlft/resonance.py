@@ -102,17 +102,12 @@ class Box:
             and -slack <= z.imag <= self.half_width + slack
         )
 
-    def tensor_grid(self, full: bool = True) -> np.ndarray:
-        """grid_n x grid_n complex tensor grid over the square.
-
-        ``full=True`` spans Im in [-half_width, half_width] in exactly
-        conjugate rows (kernel probes); ``full=False`` only the upper half.
-        """
+    def tensor_grid(self) -> np.ndarray:
+        """grid_n x grid_n complex tensor grid over the full square: Im
+        spans [-half_width, half_width] in exactly conjugate rows."""
         re = np.linspace(self.re_lo, self.re_hi, self.grid_n)
-        lo = -self.half_width if full else 0.0
-        im = np.linspace(lo, self.half_width, self.grid_n)
-        if full:
-            im = 0.5 * (im - im[::-1])
+        im = np.linspace(-self.half_width, self.half_width, self.grid_n)
+        im = 0.5 * (im - im[::-1])
         return (re[None, :] + 1j * im[:, None]).ravel()
 
 
@@ -518,14 +513,8 @@ def track_eigenvalue(
 
     def build(samples, residuals, status):
         xs = np.array([s[1] for s in samples])
-        dx = np.diff(xs)
-        x_first = xs[0] if xs.size else 0.0
-        if x_first > 0:
-            monotone = bool(np.all(dx < 0))
-        elif x_first < 0:
-            monotone = bool(np.all(dx > 0))
-        else:
-            monotone = bool(np.all(dx == 0))
+        # monotone toward 0: every step has the sign of -x0 (is 0 if x0 = 0)
+        monotone = bool(np.all(np.sign(np.diff(xs)) == -np.sign(xs[:1])))
         return EigenTrack(
             kind=kind, samples=tuple((ti, xi) for ti, xi, _ in samples),
             residuals=tuple(residuals), monotone=monotone, status=status,
@@ -539,11 +528,9 @@ def track_eigenvalue(
 # ---------------------------------------------------------------------------
 
 
-def _motion(track: ResonanceTrack, tau_V: float = 0.1, tau_H: float = 0.25):
+def _motion(track: ResonanceTrack):
     """Times, velocities (central differences), speeds and V/H labels of
     the samples of a track ("" in the hysteresis band)."""
-    if not (0.0 < tau_V < tau_H < 1.0):
-        raise ValidationError(f"need 0 < tau_V < tau_H < 1, got {tau_V}, {tau_H}")
     n = len(track.samples)
     if n < 3:
         raise PreconditionError("classify_track needs at least 3 samples")
@@ -555,20 +542,20 @@ def _motion(track: ResonanceTrack, tau_V: float = 0.1, tau_H: float = 0.25):
     vel[-1] = (zs[-1] - zs[-2]) / (ts[-1] - ts[-2])
     speed = np.abs(vel)
     ratio = np.where(speed > 0, np.abs(vel.real) / np.where(speed > 0, speed, 1.0), 0.0)
-    labels = np.where(ratio <= tau_V, "V", np.where(ratio >= tau_H, "H", ""))
+    labels = np.where(ratio <= 0.1, "V", np.where(ratio >= 0.25, "H", ""))
     return ts, vel, speed, labels
 
 
-def classify_track(track: ResonanceTrack, tau_V: float = 0.1, tau_H: float = 0.25):
+def classify_track(track: ResonanceTrack):
     """Split a track into maximal vertical / horizontal motion segments.
 
-    A sample is V when ``|Re z'| <= tau_V |z'|`` and H when
-    ``|Re z'| >= tau_H |z'|`` (velocities by central differences); runs of
+    A sample is V when ``|Re z'| <= 0.1 |z'|`` and H when
+    ``|Re z'| >= 0.25 |z'|`` (velocities by central differences); runs of
     equal labels become :class:`MotionSegment`s, the in-between hysteresis
     band stays unlabeled.  Since the per-sample inequalities are summed, the
     segment-averaged criterion holds automatically on every segment.
     """
-    ts, vel, speed, labels = _motion(track, tau_V, tau_H)
+    ts, vel, speed, labels = _motion(track)
     n = len(labels)
     segments: list[MotionSegment] = []
     i = 0

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from diracnlft import cli
 from diracnlft.cli import main
 from diracnlft.potential import SampledPotential, save_potential
 
@@ -60,6 +61,52 @@ def test_bad_threads_is_usage_error(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "c.json", BOX_CFG)
     assert main(["transform", "--config", cfg, "--threads", "2"]) == 1
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pspec,key", [
+    ({"family": "constant", "parms": {"q": 0.5}}, "parms"),
+    ({"family": "constant", "params": {}, "samples": [0.1, 0.2]}, "samples"),
+], ids=["parms_typo", "retired_samples"])
+def test_inline_potential_unknown_key_is_usage_error(tmp_path, capsys, pspec, key):
+    cfg = _write_cfg(tmp_path, "c.json", {"potential": pspec, "h": 0.5, "T": 1.0})
+    assert main(["transform", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("content", [None, '{"h": 0.1, "cells": [1.0,'],
+                         ids=["missing", "malformed"])
+def test_unreadable_potential_file_is_usage_error(tmp_path, capsys, content):
+    ppath = tmp_path / "pot.json"
+    if content is not None:
+        ppath.write_text(content)
+    cfg = _write_cfg(tmp_path, "c.json", {"potential": str(ppath)})
+    assert main(["transform", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ppath) in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,key,cfg_val,flag_val", [
+    ("--out", "output", "a.csv", "b.csv"),
+    ("--format", "format", "csv", "json"),
+    ("--seed", "seed", 1, 7),
+    ("--T", "T", 1.0, 2.5),
+    ("--zmin", "zmin", -3.0, -1.5),
+    ("--zmax", "zmax", 3.0, 1.5),
+    ("--nz", "nz", 11, 33),
+    ("--s", "s", 0.0, 0.75),
+    ("--C", "C", 4.0, 6.0),
+])
+def test_flag_overrides_config_key(tmp_path, flag, key, cfg_val, flag_val):
+    cfg_path = _write_cfg(tmp_path, "c.json", {key: cfg_val})
+    args = cli._build_parser().parse_args(
+        ["transform", "--config", cfg_path, flag, str(flag_val)])
+    cfg = cli._load_config(args)
+    assert cfg[key] == flag_val and type(cfg[key]) is type(flag_val)
+    # only flags that were given reach the config; --config itself does not
+    assert set(cfg) == {key, "format", "seed"}
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +249,20 @@ def test_resonances_tracking_mode(tmp_path):
     rows = [l for l in out.read_text().splitlines()
             if l and not l.startswith("#") and not l.startswith("t,")]
     assert len(rows) == 2 * 5  # two zeros, five samples each
+
+
+def test_resonances_track_past_the_support(tmp_path):
+    # t1 > T: the potential vanishes past T, so the zeros stand still there
+    cfg = _write_cfg(
+        tmp_path, "c.json",
+        {"potential": {"family": "constant", "params": {"q": 1.0}},
+         "h": 0.05, "T": 4.0, "t": 4.0, "t1": 4.2, "dt": 0.05, "C": 6.0},
+    )
+    out = tmp_path / "resonance.csv"
+    assert main(["resonances", "--config", cfg, "--out", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines()
+            if l and not l.startswith("#") and not l.startswith("t,")]
+    assert rows and len(rows) % 5 == 0  # five samples per zero: 4.0 .. 4.2
 
 
 def test_eigenvalues_track(tmp_path, capsys):

@@ -9,7 +9,6 @@ from diracnlft.debranges import (
     kernel_K,
     kernel_probe,
     kernel_sinc,
-    universality_gap,
 )
 from diracnlft.errors import PreconditionError, RangeError, ValidationError
 from diracnlft.potential import SampledPotential
@@ -52,7 +51,7 @@ def test_sinc_hermitian():
 
 @pytest.mark.parametrize("grid_n", [8, 9, 24])
 def test_sinc_matches_full_matrix_reference(grid_n):
-    pts = Box(0.7, 0.5, grid_n=grid_n).tensor_grid(full=True)
+    pts = Box(0.7, 0.5, grid_n=grid_n).tensor_grid()
     # near-conjugate partners: series entries, and entries on either side of the switch
     pts = np.concatenate([pts, pts[:5] + 1e-9, np.conj(pts[5:9]) + 3e-5])
     for t in (0.5, 8.0, 60.0):
@@ -141,7 +140,7 @@ def test_kernel_matrix_matches_full_matrix_reference(grid_n):
     rng = np.random.default_rng(30 + grid_n)
     pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, 300)))
     t = pot.T
-    pts = Box(0.7, 4.0 / t, grid_n=grid_n).tensor_grid(full=True)
+    pts = Box(0.7, 4.0 / t, grid_n=grid_n).tensor_grid()
     pts = np.concatenate([pts, pts[:3]])  # duplicates: more confluent entries
     K = _kernel_matrix(pot, t, pts)
     state = transfer_derivative_batch(pot, pts, t, order=2)
@@ -224,8 +223,8 @@ def test_free_gap_vanishes(free_pot):
 
 def test_gap_decreases_with_time(bump_pot):
     w, _ = estimate_w(bump_pot, 0.5, (40.0, 71.0), 8)
-    g8 = universality_gap(bump_pot, 0.5, 8.0, 4.0, w_hat=w)
-    g32 = universality_gap(bump_pot, 0.5, 32.0, 4.0, w_hat=w)
+    g8 = kernel_probe(bump_pot, 0.5, 8.0, 4.0, w_hat=w).gap
+    g32 = kernel_probe(bump_pot, 0.5, 32.0, 4.0, w_hat=w).gap
     assert g32 < g8
 
 
@@ -281,7 +280,7 @@ def test_sine_fit_improves_with_time(tall_bump_pot):
     ratios = []
     for t in (2.0, 3.0, 4.0):
         fit = hb_sine_fit(tall_bump_pot, TALL_ZERO.real, t, 4.0)
-        pts = Box(TALL_ZERO.real, 4.0 / t).tensor_grid(full=True)
+        pts = Box(TALL_ZERO.real, 4.0 / t).tensor_grid()
         B = transfer_batch(tall_bump_pot, pts, t)
         sup_E = float(np.max(np.abs(B.A - 1j * B.C)))
         ratios.append(fit.residual / sup_E)

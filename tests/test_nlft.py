@@ -15,7 +15,6 @@ from diracnlft.nlft import (
     arg_a_branch,
     hilbert_consistency,
     hilbert_transform,
-    interval_scattering,
     interval_scattering_grid,
     nlft_forward,
     parseval_check,
@@ -113,9 +112,9 @@ def test_interval_matches_shifted_potential():
 
 def test_interval_single_point_matches_grid():
     pot = _random_pot(15, n=20)
-    val = interval_scattering(pot, 0.25, 0.8, 1.3)
-    sd = interval_scattering_grid(pot, 0.25, 0.8, [1.3])
-    assert val == complex(sd.a[0])
+    val = interval_scattering_grid(pot, 0.25, 0.8, [1.3]).a[0]
+    sd = interval_scattering_grid(pot, 0.25, 0.8, [-2.0, 1.3, 4.5])
+    assert abs(val - sd.a[1]) <= 1e-13 * abs(val)
 
 
 def test_interval_validation():
@@ -220,8 +219,6 @@ def test_hilbert_transform_lorentzian_pair():
 def test_hilbert_transform_validation():
     with pytest.raises(ValidationError):
         hilbert_transform(np.ones(3))
-    with pytest.raises(ValidationError):
-        hilbert_transform(np.ones(16), pad_factor=2)
 
 
 def test_hilbert_consistency_smoke(bump_pot):

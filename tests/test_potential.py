@@ -9,7 +9,6 @@ from diracnlft.errors import RangeError, ValidationError
 from diracnlft.potential import (
     PotentialSpec,
     SampledPotential,
-    abs_integral,
     cell_cover,
     integral,
     l2_norm_sq,
@@ -140,7 +139,8 @@ def test_cover_matches_per_cell_walk(case):
 def test_integrals_exact_cell_arithmetic():
     pot = SampledPotential(h=0.5, cells=(2.0, -1.0, 0.5))
     assert integral(pot) == pytest.approx(0.5 * (2 - 1 + 0.5), abs=1e-15)
-    assert abs_integral(pot) == pytest.approx(0.5 * 3.5, abs=1e-15)
+    qs, ws = cell_cover(pot, 0.0, pot.T)  # the integral of |f|
+    assert np.dot(np.abs(qs), ws) == pytest.approx(0.5 * 3.5, abs=1e-15)
     assert l2_norm_sq(pot) == pytest.approx(0.5 * (4 + 1 + 0.25), abs=1e-15)
     # sub-interval cuts cells exactly
     assert integral(pot, 0.25, 0.75) == pytest.approx(0.25 * 2 - 0.25 * 1, abs=1e-15)
@@ -214,6 +214,17 @@ def test_spec_form_json(tmp_path):
 def test_from_dict_rejects_garbage():
     with pytest.raises(ValidationError):
         potential_from_dict({"nonsense": 1})
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"family": "constant", "parms": {"q": 0.5}, "h": 0.5, "T": 1.0}, "parms"),
+    ({"family": "constant", "params": {}, "samples": [0.1], "h": 0.5, "T": 1.0}, "samples"),
+    ({"h": 0.5, "cells": [1.0, 2.0], "T": 1.0, "params": {}}, "params"),
+], ids=["parms_typo", "retired_samples", "family_key_on_cells"])
+def test_from_dict_names_unknown_keys(doc, key):
+    # a misspelt or retired key must not fall back to the family defaults
+    with pytest.raises(ValidationError, match=key):
+        potential_from_dict(doc)
 
 
 def test_value_matches_cells():
