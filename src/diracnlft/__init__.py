@@ -42,6 +42,7 @@ from .propagator import (
     HermiteBiehlerPair,
     Transfer,
     hermite_biehler,
+    symmetric_grid,
     theta,
     theta_derivs,
     transfer,

@@ -34,7 +34,7 @@ from .nlft import nlft_forward, parseval_check
 from .potential import (
     PotentialSpec, SampledPotential, load_potential, potential_from_dict, sample,
 )
-from .propagator import corrupted_propagator, hermite_biehler, theta, transfer
+from .propagator import corrupted_propagator, hermite_biehler, symmetric_grid, theta, transfer
 from .reporting import config_hash, write_csv, write_json
 from .resonance import Box, find_zeros, track_eigenvalue, track_resonance, track_rows
 from .riccati import riccati_evolve_moebius, riccati_evolve_rk
@@ -104,6 +104,12 @@ def _require(cfg: dict, key: str, kind=float):
         raise UsageError(f"config key {key!r}: {exc}") from exc
 
 
+def _numbers(val) -> list:
+    if not isinstance(val, list) or not all(type(v) in (int, float) for v in val):
+        raise ValueError(f"expected a JSON list of numbers, got {val!r}")
+    return val
+
+
 def _build_potential(cfg: dict):
     if "potential" not in cfg:
         raise UsageError("config must supply 'potential' (spec object or file path)")
@@ -132,7 +138,7 @@ def _real_grid(cfg: dict) -> np.ndarray:
         raise UsageError(f"nz must be >= 2, got {nz}")
     if not (zmax > zmin):
         raise UsageError(f"need zmax > zmin, got [{zmin}, {zmax}]")
-    return np.linspace(zmin, zmax, nz)
+    return symmetric_grid(zmax, nz) if zmin == -zmax else np.linspace(zmin, zmax, nz)
 
 
 def _meta(cfg: dict) -> dict:
@@ -194,7 +200,7 @@ def _verify_suite(cfg: dict) -> list:
     seed = int(cfg.get("seed", 0))
     rng = np.random.default_rng(seed)
     checks = []
-    real_grid = np.linspace(-10.0, 10.0, 33)
+    real_grid = symmetric_grid(10.0, 33)
     cplx = rng.uniform(-8, 8, 8) + 1j * rng.uniform(0.05, 1.0, 8)
     det_max = det2i_max = uni_max = 0.0
     for _ in range(6):
@@ -328,12 +334,10 @@ def cmd_kernels(cfg: dict) -> int:
 
 def cmd_converge(cfg: dict) -> int:
     pot = _build_potential(cfg)
-    s_list = cfg.get("s_list")
-    if s_list is None:
-        s_list = [float(cfg.get("s", 0.0))]
+    s_list = _require(cfg, "s_list", _numbers) if "s_list" in cfg else [float(cfg.get("s", 0.0))]
     C = float(cfg.get("C", 4.0))
     table = run_convergence(
-        pot, s_list, _require(cfg, "T_list", list), C,
+        pot, s_list, _require(cfg, "T_list", _numbers), C,
         box_samples=int(cfg.get("box_samples", 16)),
     )
     rows = [(s, T, table.err[i, j]) for i, s in enumerate(table.s_list)

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .potential import SampledPotential, l2_norm_sq
-from .propagator import Transfer, hermite_biehler, transfer
+from .propagator import Transfer, hermite_biehler, symmetric_grid, transfer
 
 __all__ = [
     "ScatteringData",
@@ -180,19 +180,20 @@ def parseval_check(
     width = T - t1
     scale = max(rhs, 1e-12)
 
-    def integral(lo: float, hi: float, dx: float) -> float:
-        n = max(3, int(round((hi - lo) / dx)) + 1)
-        if n % 2 == 0:
-            n += 1
-        xs = np.linspace(lo, hi, n)
+    def nodes(span: float, dx: float) -> int:
+        n = max(3, int(round(span / dx)) + 1)
+        return n + 1 - n % 2  # odd: the core grid holds 0
+
+    def core(dx: float) -> float:
+        xs = symmetric_grid(X, nodes(2.0 * X, dx))
         return float(_trapz(interval_scattering_grid(pot, t1, T, xs).log_abs_a, xs))
 
     X, levels = _PARSEVAL_X0, 1
     dx = min(0.05, 0.25 / max(width, 1.0))
-    cur = integral(-X, X, dx)
+    cur = core(dx)
     # step refinement on the core domain
     while levels < _PARSEVAL_MAX_LEVELS:
-        nxt = integral(-X, X, dx / 2.0)
+        nxt = core(dx / 2.0)
         levels += 1
         stable = abs(nxt - cur) <= tol * scale / 8.0
         cur, dx = nxt, dx / 2.0
@@ -205,7 +206,9 @@ def parseval_check(
         )
     # domain doubling with exact wing addition
     while levels < _PARSEVAL_MAX_LEVELS:
-        tail = integral(-2.0 * X, -X, dx) + integral(X, 2.0 * X, dx)
+        wing = np.linspace(X, 2.0 * X, nodes(X, dx))  # both wings in one batch
+        la = interval_scattering_grid(pot, t1, T, np.concatenate([-wing[::-1], wing])).log_abs_a
+        tail = float(_trapz(la[:wing.size], -wing[::-1])) + float(_trapz(la[wing.size:], wing))
         levels += 1
         cur += tail
         X *= 2.0

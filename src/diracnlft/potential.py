@@ -183,16 +183,16 @@ def sample(spec: PotentialSpec, h: float, T: float) -> SampledPotential:
 
     Args:
         spec: family description.
-        h: cell width, > 0.
-        T: support horizon, >= h.
+        h: cell width, finite and > 0.
+        T: support horizon, finite and >= h.
 
     Returns:
         The sampled potential with ``pot.T == T``.
     """
-    if not (h > 0):
-        raise ValidationError(f"h must be > 0, got {h}")
-    if not (T >= h):
-        raise ValidationError(f"need T >= h, got T={T}, h={h}")
+    if not (0 < h < math.inf):
+        raise ValidationError(f"h must be finite and > 0, got {h}")
+    if not (h <= T < math.inf):
+        raise ValidationError(f"need a finite T >= h, got T={T}, h={h}")
     n = int(math.ceil(T / h - _BOUNDARY_RTOL))
     starts = h * np.arange(n)
     ends = np.minimum(starts + h, T)

@@ -46,9 +46,12 @@ complex arithmetic by rounding only (<= 2e-14 relative).  Other batches
 run in complex arithmetic, ``cosh``/``sinh`` of ``a + ib`` taken from real
 ufuncs of ``a`` and ``b`` (~4x faster than complex ones, within 6e-16).
 
-Reflection.  ``M(conj z) = conj M(z)`` (real potential), so a batch with
-points below the real axis propagates their distinct upper-half partners
-(same ``max |Im z|``, same cells) once and conjugates them back, exactly.
+Symmetries.  The potential is real, so ``M(conj z) = conj M(z)`` and
+``M(-z) = S M(z) S``, ``S = diag(1, -1)`` (jet entry ``[j, r, c]`` times
+``(-1)^(j + [r != c])``; the tracked det is even in z).  A batch with points
+below the real axis, or a real batch of two or more points with a negative
+one, propagates its distinct keys ``|Re z| + i |Im z|`` (same cells) once
+and maps them back, exactly; other complex batches would fold nothing.
 
 Sweeps.  For a list of times one running product goes from each time to
 the next (each stretch is covered and chunked on its own), and the drift
@@ -85,6 +88,7 @@ __all__ = [
     "theta",
     "theta_derivs",
     "corrupted_propagator",
+    "symmetric_grid",
 ]
 
 #: Supported working range: propagation refuses when |Im z| * t exceeds this.
@@ -468,9 +472,10 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
         raise RangeError(f"propagation times must be sorted and >= {t1}, got {t}")
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_range(zs, max(ts, default=t1) - t1)
-    lower = zs.imag < 0
-    fold, inv = (np.unique(np.where(lower, zs.conj(), zs), return_inverse=True)
-                 if lower.any() else (zs, None))
+    lower, neg = zs.imag < 0, zs.real < 0
+    mirror = zs.size > 1 and neg.any() and not zs.imag.any()
+    fold, inv = (np.unique(np.abs(zs.real) + 1j * np.abs(zs.imag), return_inverse=True)
+                 if lower.any() or mirror else (zs, None))
     jet = np.zeros((order + 1, 2, 2) + fold.shape, dtype=complex)
     jet[0, 0, 0] = jet[0, 1, 1] = 1.0
     det, steps = np.ones(fold.shape, dtype=complex), []
@@ -480,13 +485,21 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
     _check_drift(det)
     out = []
     for b, jet, det in steps:
-        if inv is not None:  # expand the folded batch: M(conj z) = conj M(z)
-            jet, det = jet[..., inv], det[inv]
-            np.conjugate(jet, out=jet, where=lower)
-            np.conjugate(det, out=det, where=lower)
+        if inv is not None:  # expand the folded batch (module docstring)
+            jet, det, flip = jet[..., inv], det[inv], lower != neg
+            odd = (np.arange(order + 1)[:, None, None] + 1 - np.eye(2)) % 2 == 1
+            np.negative(jet, out=jet, where=odd[..., None] & neg)
+            np.conjugate(jet, out=jet, where=flip)
+            np.conjugate(det, out=det, where=flip)
         out.append(Transfer(b, zs, jet, det) if np.ndim(z) else
                    Transfer(b, complex(zs[0]), jet[..., 0], complex(det[0])))
     return out if sweep else out[0]
+
+
+def symmetric_grid(X: float, n: int) -> np.ndarray:
+    """``linspace(-X, X, n)`` made exactly symmetric: ``transfer`` folds its ±x pairs."""
+    x = np.linspace(-X, X, n)
+    return 0.5 * (x - x[::-1])
 
 
 def transfer_batch(pot: SampledPotential, z, t: float | None = None) -> Transfer:

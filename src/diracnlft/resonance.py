@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .potential import SampledPotential, integral
-from .propagator import theta, theta_derivs, transfer
+from .propagator import symmetric_grid, theta, theta_derivs, transfer
 
 __all__ = [
     "ZERO_RESIDUAL_TOL",
@@ -106,8 +106,7 @@ class Box:
         """grid_n x grid_n complex tensor grid over the full square: Im
         spans [-half_width, half_width] in exactly conjugate rows."""
         re = np.linspace(self.re_lo, self.re_hi, self.grid_n)
-        im = np.linspace(-self.half_width, self.half_width, self.grid_n)
-        im = 0.5 * (im - im[::-1])
+        im = symmetric_grid(self.half_width, self.grid_n)
         return (re[None, :] + 1j * im[:, None]).ravel()
 
 

@@ -156,6 +156,28 @@ def test_transform_reruns_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_transform_symmetric_grid_writes_mirror_rows(tmp_path):
+    # zmin = -zmax: the grid is exactly symmetric, a(-x) = conj a(x) and
+    # b(-x) = conj b(x) hold to the last bit, and a rerun writes the same bytes
+    rng = np.random.default_rng(5)
+    ppath = tmp_path / "pot.json"
+    save_potential(SampledPotential(h=0.05, cells=tuple(rng.uniform(-1.5, 1.5, 40))), ppath)
+    cfg = _write_cfg(tmp_path, "c.json",
+                     {"potential": str(ppath), "zmin": -6.0, "zmax": 6.0, "nz": 256})
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["transform", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["transform", "--config", cfg, "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    lines = [line for line in out1.read_text().splitlines() if not line.startswith("#")]
+    cols = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+    _, re_z, im_z, re_a, im_a, re_b, im_b, re_r, im_r, log_abs_a = cols
+    assert len(re_z) == 256 and not im_z.any() and re_z[0] == -6.0
+    for even in (re_a, re_b, re_r, log_abs_a):
+        np.testing.assert_array_equal(even, even[::-1])
+    for odd in (re_z, im_a, im_b, im_r):
+        np.testing.assert_array_equal(odd, -odd[::-1])
+
+
 def test_transform_unimodular_tolerance_trips(tmp_path):
     cfg = _write_cfg(
         tmp_path, "c.json", dict(BOX_CFG, nz=9, tolerances={"unimodular": 1e-18})
@@ -352,6 +374,30 @@ def test_converge_requires_t_list(tmp_path, capsys):
     )
     assert main(["converge", "--config", cfg]) == 1
     assert "T_list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_list", ["248", "2,8", [2.0, "8"]])
+def test_converge_t_list_must_be_a_list_of_numbers(tmp_path, capsys, t_list):
+    # a string was iterated character by character: "248" ran horizons 2, 4, 8
+    cfg = _write_cfg(
+        tmp_path, "c.json",
+        {"potential": {"family": "zero", "params": {}}, "h": 0.05, "T": 8.0,
+         "T_list": t_list},
+    )
+    out = tmp_path / "x.csv"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "T_list" in err
+    assert not out.exists()
+
+
+def test_converge_infinite_horizon_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"  # 1e400 parses as an infinite float
+    cfg.write_text('{"potential": {"family": "zero", "params": {}}, "h": 0.05, '
+                   '"T": 1e400, "T_list": [2.0]}')
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_converge_beyond_horizon_is_usage_error(tmp_path, capsys):

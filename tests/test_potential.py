@@ -62,6 +62,13 @@ def test_partial_final_cell_midpoint():
     assert np.isclose(pot.cell_widths().sum(), 1.0)
 
 
+@pytest.mark.parametrize("h,T", [(0.1, float("inf")), (float("inf"), float("inf")),
+                                 (0.1, float("nan")), (float("nan"), 1.0)])
+def test_sample_refuses_non_finite_width_or_horizon(h, T):
+    with pytest.raises(ValidationError):
+        sample(PotentialSpec(family="constant", params={"q": 1.0}), h=h, T=T)
+
+
 def test_horizon_validation():
     with pytest.raises(ValidationError):
         SampledPotential(h=0.1, cells=(1.0, 1.0), T=0.05)  # T <= (n-1) h

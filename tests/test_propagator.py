@@ -405,8 +405,32 @@ def test_scalar_z_matches_wide_batch(nz, order):
 
 
 # ---------------------------------------------------------------------------
-# reflection: lower-half points fold onto their upper-half partners
+# symmetries: M(conj z) = conj M(z) and M(-z) = S M(z) S fold a batch onto the
+# distinct keys |Re z| + i |Im z|
 # ---------------------------------------------------------------------------
+
+_S = np.diag([1.0, -1.0])
+
+
+def _assert_folds_onto_keys(pot, z, order):
+    """``transfer`` over ``z`` equals, bit for bit, the batch of distinct keys
+    propagated alone and mapped back by hand; and the cell-by-cell product."""
+    jet, det = _propagated(pot, z, pot.T, order)
+    key = np.abs(z.real) + 1j * np.abs(z.imag)
+    fold = np.unique(key)
+    fold_jet, fold_det = _propagated(pot, fold, pot.T, order)  # no lower, no negative: unfolded
+    k = np.searchsorted(fold, key)
+    want_jet, want_det = fold_jet[..., k], fold_det[k]
+    neg = z.real < 0  # M^(j)(-z) = (-1)^j S M^(j)(z) S
+    for j in range(order + 1):
+        want_jet[j][..., neg] = (-1) ** j * np.einsum("ab,bcz,cd->adz", _S, want_jet[j][..., neg], _S)
+    flip = (z.imag < 0) != neg  # the image of z is conj(key) or -conj(key)
+    want_jet[..., flip], want_det[flip] = np.conj(want_jet[..., flip]), np.conj(want_det[flip])
+    np.testing.assert_array_equal(jet, want_jet)
+    np.testing.assert_array_equal(det, want_det)
+    ref_jet, ref_det = _sequential(pot, z, pot.T, order)
+    _assert_jets_close(jet, ref_jet)
+    assert np.max(np.abs(det - ref_det)) < 1e-12
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -417,36 +441,39 @@ def test_lower_half_points_fold_onto_their_partners(order):
     lone = rng.uniform(-6.0, 6.0, 5) - 1j * rng.uniform(0.01, 0.4, 5)  # no partner in the batch
     real = rng.uniform(-6.0, 6.0, 5)
     dup = np.concatenate([up[:3], np.conj(up[30:33]), np.conj(up[30:32]), real[:2]])
-    z = rng.permutation(np.concatenate([up, np.conj(up[:25]), lone, real, dup]))
-    lower = z.imag < 0
-    jet, det = _propagated(pot, z, pot.T, order)
-    # the folded batch alone has no lower-half point, so it runs unfolded
-    fold = np.unique(np.where(lower, np.conj(z), z))
-    assert not np.any(fold.imag < 0)
-    fold_jet, fold_det = _propagated(pot, fold, pot.T, order)
-    k = np.searchsorted(fold, np.where(lower, np.conj(z), z))
-    np.testing.assert_array_equal(jet[..., ~lower], fold_jet[..., k[~lower]])
-    np.testing.assert_array_equal(jet[..., lower], np.conj(fold_jet[..., k[lower]]))
-    np.testing.assert_array_equal(det[~lower], fold_det[k[~lower]])
-    np.testing.assert_array_equal(det[lower], np.conj(fold_det[k[lower]]))
-    # and against the same cells multiplied one at a time, without folding
-    ref_jet, ref_det = _sequential(pot, z, pot.T, order)
-    _assert_jets_close(jet, ref_jet)
-    assert np.max(np.abs(det - ref_det)) < 1e-12
+    mirror = np.concatenate([-up[:10], -np.conj(up[10:15]), -real[:3]])  # -z and -conj z
+    z = rng.permutation(np.concatenate([up, np.conj(up[:25]), lone, real, dup, mirror]))
+    assert np.any(z.imag < 0) and np.any(z.real < 0)
+    _assert_folds_onto_keys(pot, z, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_mirror_points_fold_onto_their_partners(order):
+    rng = np.random.default_rng(40 + order)
+    pot = SampledPotential(h=0.05, cells=tuple(rng.uniform(-1.5, 1.5, 80)))
+    x = rng.uniform(0.05, 6.0, 30)
+    lone = -rng.uniform(0.05, 6.0, 5)  # negative points without a partner
+    real = np.concatenate([x, -x[:20], [0.0, 0.0, -0.0], lone, x[:3], -x[25:28]])
+    a, b = rng.uniform(0.05, 6.0, 8), rng.uniform(0.01, 0.4, 8)
+    images = np.concatenate([a + 1j * b, -a + 1j * b, a - 1j * b, -a - 1j * b])  # all four
+    for z in (real, np.concatenate([images, images[:5]])):
+        _assert_folds_onto_keys(pot, rng.permutation(z), order)
 
 
 def test_folded_batch_keeps_its_guards():
     pot = SampledPotential(h=0.1, cells=tuple(np.linspace(-1, 1, 10)))
-    z = np.array([0.5 - 3.0j, -1.0 - 1.0j, 0.5 - 3.0j])  # all below the axis
-    with pytest.raises(OverflowRangeError):  # |Im z| t = 60 > 50
-        transfer_batch(pot, z, t=20.0)
-    with corrupted_propagator(1e-4):
-        with pytest.raises(InvariantViolation):
-            transfer_batch(pot, z)
-    with corrupted_propagator(1e-12):
-        drift = transfer_batch(pot, z).det_drift
-    assert np.all((1e-13 < drift) & (drift < 1e-8))
-    assert drift[0] == drift[2]
+    # below the axis (one a mirror image), and real with mirror pairs
+    for z in (np.array([0.5 - 3.0j, -1.0 - 1.0j, 0.5 - 3.0j]),
+              np.array([0.5, -1.0, 0.5, -0.5, 1.0])):
+        with pytest.raises(OverflowRangeError):  # |Im z| t = 60 > 50, checked before the fold
+            transfer_batch(pot, np.append(z, -3.0j), t=20.0)
+        with corrupted_propagator(1e-4):
+            with pytest.raises(InvariantViolation):
+                transfer_batch(pot, z)
+        with corrupted_propagator(1e-12):
+            drift = transfer_batch(pot, z).det_drift
+        assert np.all((1e-13 < drift) & (drift < 1e-8))
+        assert drift[0] == drift[2]
 
 
 # ---------------------------------------------------------------------------
