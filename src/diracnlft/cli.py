@@ -89,17 +89,21 @@ def _load_config(args) -> dict:
     cfg.setdefault("seed", 0)
     if cfg["format"] not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {cfg['format']!r}")
-    for name, tol in dict(cfg.get("tolerances", {})).items():
-        if not (float(tol) > 0):
-            raise UsageError(f"tolerance {name!r} must be > 0, got {tol}")
+    tols = _require(cfg, "tolerances", _object, {})
+    for name in tols:
+        if not (_require(tols, name) > 0):
+            raise UsageError(f"tolerance {name!r} must be > 0, got {tols[name]}")
     return cfg
 
 
-def _require(cfg: dict, key: str, kind=float):
-    if key not in cfg:
+def _require(cfg: dict, key: str, kind=float, default=None):
+    """``kind(cfg[key])``, or ``kind(default)`` when the key is absent; a
+    missing key without a default, or a value that ``kind`` refuses, is a
+    UsageError."""
+    if key not in cfg and default is None:
         raise UsageError(f"config key {key!r} is required for this command")
     try:
-        return kind(cfg[key])
+        return kind(cfg.get(key, default))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config key {key!r}: {exc}") from exc
 
@@ -110,6 +114,12 @@ def _numbers(val) -> list:
     return val
 
 
+def _object(val) -> dict:
+    if not isinstance(val, dict):
+        raise ValueError(f"expected a JSON object, got {val!r}")
+    return val
+
+
 def _build_potential(cfg: dict):
     if "potential" not in cfg:
         raise UsageError("config must supply 'potential' (spec object or file path)")
@@ -117,7 +127,7 @@ def _build_potential(cfg: dict):
     if isinstance(pspec, str):
         with _reading("potential", pspec):
             pot = load_potential(pspec)
-        if "T" in cfg and float(cfg["T"]) > pot.T * (1 + 1e-9):
+        if "T" in cfg and _require(cfg, "T") > pot.T * (1 + 1e-9):
             raise UsageError(
                 f"T={cfg['T']} exceeds the horizon {pot.T} of {pspec}"
             )
@@ -130,10 +140,10 @@ def _build_potential(cfg: dict):
 
 
 def _real_grid(cfg: dict) -> np.ndarray:
-    grid = cfg.get("grid", {})
-    zmin = float(cfg.get("zmin", grid.get("zmin", -10.0)))
-    zmax = float(cfg.get("zmax", grid.get("zmax", 10.0)))
-    nz = int(cfg.get("nz", grid.get("nz", 201)))
+    grid = _require(cfg, "grid", _object, {})
+    zmin = _require(cfg, "zmin", float, _require(grid, "zmin", float, -10.0))
+    zmax = _require(cfg, "zmax", float, _require(grid, "zmax", float, 10.0))
+    nz = _require(cfg, "nz", int, _require(grid, "nz", int, 201))
     if nz < 2:
         raise UsageError(f"nz must be >= 2, got {nz}")
     if not (zmax > zmin):
@@ -156,7 +166,7 @@ def _write(cfg: dict, stem: str, cols, rows, meta=None, fields=None, body=None) 
     JSON meta, since the body carries it.
     """
     meta = _meta(cfg) if meta is None else meta
-    path = str(cfg.get("output", f"{stem}.{cfg['format']}"))
+    path = _require(cfg, "output", str, f"{stem}.{cfg['format']}")
     if cfg["format"] == "csv":
         write_csv(path, cols, rows, meta)
     else:
@@ -174,14 +184,14 @@ def _write(cfg: dict, stem: str, cols, rows, meta=None, fields=None, body=None) 
 
 def cmd_transform(cfg: dict) -> int:
     pot = _build_potential(cfg)
-    T = float(cfg.get("T", pot.T))
+    T = _require(cfg, "T", float, pot.T)
     grid = _real_grid(cfg)
     sd = nlft_forward(pot, T=T, grid=grid)
     defects = sd.real_axis_defects()
     det_defect = float(np.max(sd.det_drift))
     print(f"max | |a|^2 - |b|^2 - 1 | = {defects['unimodular']:.6e}")
     print(f"max | det M - 1 |        = {det_defect:.6e}")
-    tol = float(cfg.get("tolerances", {}).get("unimodular", 1e-8))
+    tol = _require(_require(cfg, "tolerances", _object, {}), "unimodular", float, 1e-8)
     if defects["unimodular"] > tol:
         raise InvariantViolation(
             f"unimodularity defect {defects['unimodular']:.3e} exceeds {tol}"
@@ -197,7 +207,7 @@ def cmd_transform(cfg: dict) -> int:
 
 
 def _verify_suite(cfg: dict) -> list:
-    seed = int(cfg.get("seed", 0))
+    seed = _require(cfg, "seed", int, 0)
     rng = np.random.default_rng(seed)
     checks = []
     real_grid = symmetric_grid(10.0, 33)
@@ -249,7 +259,7 @@ def cmd_verify(cfg: dict) -> int:
         "all_pass": bool(all_pass),
         "seed": cfg.get("seed", 0),
     }
-    write_json(str(cfg.get("output", "verify.json")), payload, _meta(cfg))
+    write_json(_require(cfg, "output", str, "verify.json"), payload, _meta(cfg))
     for name, defect, tol in checks:
         status = "PASS" if defect <= tol else "FAIL"
         print(f"{status} {name}: max defect {defect:.3e} (tolerance {tol:g})")
@@ -257,24 +267,24 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def _box_from(cfg: dict, t: float) -> Box:
-    box_cfg = dict(cfg.get("box", {}))
-    s = float(cfg.get("s", box_cfg.get("s", 0.0)))
-    grid_n = int(box_cfg.get("grid_n", 16))
+    box_cfg = _require(cfg, "box", _object, {})
+    s = _require(cfg, "s", float, _require(box_cfg, "s", float, 0.0))
+    grid_n = _require(box_cfg, "grid_n", int, 16)
     if "C" in cfg or "C" in box_cfg:
-        return Box.scaled(s, float(cfg.get("C", box_cfg.get("C"))), t, grid_n)
-    return Box(s=s, half_width=float(box_cfg.get("half_width", 2.0)), grid_n=grid_n)
+        return Box.scaled(s, _require(cfg, "C", float, box_cfg.get("C")), t, grid_n)
+    return Box(s=s, half_width=_require(box_cfg, "half_width", float, 2.0), grid_n=grid_n)
 
 
 def cmd_resonances(cfg: dict) -> int:
     pot = _build_potential(cfg)
-    t = float(cfg.get("t", cfg.get("T", pot.T)))
+    t = _require(cfg, "t", float, _require(cfg, "T", float, pot.T))
     box = _box_from(cfg, t)
     zeros = find_zeros(pot, t, box)
     cols = ("t", "re_z", "im_z", "re_theta_z", "im_theta_z", "residual", "label")
     rows = []
     if zeros and "t1" in cfg:
-        dt = float(cfg.get("dt", 1e-2))
-        t1 = float(cfg["t1"])
+        dt = _require(cfg, "dt", float, 1e-2)
+        t1 = _require(cfg, "t1")
         for z0, _ in zeros:
             rows += track_rows(track_resonance(pot, z0, t, t1, dt))
     else:
@@ -288,13 +298,13 @@ def cmd_resonances(cfg: dict) -> int:
 
 def cmd_eigenvalues(cfg: dict) -> int:
     pot = _build_potential(cfg)
-    kind = str(cfg.get("kind", "NN"))
+    kind = _require(cfg, "kind", str, "NN")
     x0 = _require(cfg, "x0")
     t0 = _require(cfg, "t0")
     t1 = _require(cfg, "t1")
-    dt = float(cfg.get("dt", 1e-2))
+    dt = _require(cfg, "dt", float, 1e-2)
     track = track_eigenvalue(pot, kind, x0, t0, t1, dt,
-                             pre_tol=float(cfg.get("pre_tol", 1e-6)))
+                             pre_tol=_require(cfg, "pre_tol", float, 1e-6))
     cols = ("t", "x", "residual")
     rows = [(ti, xi, res) for (ti, xi), res in zip(track.samples, track.residuals)]
     fields = {"kind": track.kind, "monotone": track.monotone, "status": track.status}
@@ -306,11 +316,13 @@ def cmd_eigenvalues(cfg: dict) -> int:
 
 def cmd_kernels(cfg: dict) -> int:
     pot = _build_potential(cfg)
-    t = float(cfg.get("t", cfg.get("T", pot.T)))
-    s = float(cfg.get("s", 0.0))
-    C = float(cfg.get("C", 4.0))
-    grid_n = int(cfg.get("box", {}).get("grid_n", 16))
-    window = cfg.get("w_window", (0.9 * min(t, pot.T), min(t, pot.T)))
+    t = _require(cfg, "t", float, _require(cfg, "T", float, pot.T))
+    s = _require(cfg, "s", float, 0.0)
+    C = _require(cfg, "C", float, 4.0)
+    grid_n = _require(_require(cfg, "box", _object, {}), "grid_n", int, 16)
+    window = _require(cfg, "w_window", _numbers, [0.9 * min(t, pot.T), min(t, pot.T)])
+    if len(window) != 2:
+        raise UsageError(f"config key 'w_window' must hold 2 numbers, got {window!r}")
     w_hat, spread = estimate_w(pot, s, (float(window[0]), float(window[1])), 8)
     probe = kernel_probe(pot, s, t, C, w_hat=w_hat, grid_n=grid_n)
     fit_kind, alpha, x, y, residual = "none", complex(np.nan, np.nan), np.nan, np.nan, np.nan
@@ -334,11 +346,11 @@ def cmd_kernels(cfg: dict) -> int:
 
 def cmd_converge(cfg: dict) -> int:
     pot = _build_potential(cfg)
-    s_list = _require(cfg, "s_list", _numbers) if "s_list" in cfg else [float(cfg.get("s", 0.0))]
-    C = float(cfg.get("C", 4.0))
+    s_list = _require(cfg, "s_list", _numbers, [_require(cfg, "s", float, 0.0)])
+    C = _require(cfg, "C", float, 4.0)
     table = run_convergence(
         pot, s_list, _require(cfg, "T_list", _numbers), C,
-        box_samples=int(cfg.get("box_samples", 16)),
+        box_samples=_require(cfg, "box_samples", int, 16),
     )
     rows = [(s, T, table.err[i, j]) for i, s in enumerate(table.s_list)
             for j, T in enumerate(table.T_list)]
@@ -353,8 +365,8 @@ def cmd_converge(cfg: dict) -> int:
 
 def cmd_parseval(cfg: dict) -> int:
     pot = _build_potential(cfg)
-    T = float(cfg.get("T", pot.T))
-    tol = float(cfg.get("tolerances", {}).get("parseval", 1e-2))
+    T = _require(cfg, "T", float, pot.T)
+    tol = _require(_require(cfg, "tolerances", _object, {}), "parseval", float, 1e-2)
     rep = parseval_check(pot, T=T, tol=tol)
     payload = dataclasses.asdict(rep)
     _write(cfg, "parseval", tuple(payload), [tuple(payload.values())], body=payload)

@@ -174,26 +174,25 @@ def limit_identities(
     pot: SampledPotential,
     s: float,
     t_window: tuple,
-    n: int = 8,
-    spread_tol: float = 0.05,
 ) -> LimitReport:
     """Check the modulus limit formulas for a, b, E at one frequency.
 
     Predictions ``|a| = sqrt(1/w + 1/wt + 2)/2`` and
     ``|b| = sqrt(1/w + 1/wt - 2)/2`` from the estimated densities are
-    compared with the observed values at the window end.  When either
-    density estimate has spread above ``spread_tol`` the report is marked
-    ``inconclusive`` rather than failing.
+    compared with the observed values at the window end, each density
+    estimated from 8 sample times of the window.  When either estimate has
+    spread 0.05 or more the report is marked ``inconclusive`` rather than
+    failing.
     """
-    w_hat, w_spread = estimate_w(pot, s, t_window, n, component="E")
-    wt_hat, wt_spread = estimate_w(pot, s, t_window, n, component="Etilde")
+    w_hat, w_spread = estimate_w(pot, s, t_window, 8, component="E")
+    wt_hat, wt_spread = estimate_w(pot, s, t_window, 8, component="Etilde")
     inner = 1.0 / w_hat + 1.0 / wt_hat
     abs_a_pred = 0.5 * np.sqrt(inner + 2.0)
     abs_b_pred = 0.5 * np.sqrt(max(inner - 2.0, 0.0))
     T_end = float(t_window[1])
     sd = nlft_forward(pot, T=T_end, grid=np.array([s], dtype=complex))
     hb = hermite_biehler(transfer(pot, float(s), T_end))
-    status = "ok" if max(w_spread, wt_spread) < spread_tol else "inconclusive"
+    status = "ok" if max(w_spread, wt_spread) < 0.05 else "inconclusive"
     return LimitReport(
         s=float(s),
         w_hat=w_hat,

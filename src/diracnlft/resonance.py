@@ -88,26 +88,26 @@ class Box:
         return cls(s=s, half_width=C / t, grid_n=grid_n)
 
     @property
-    def re_lo(self) -> float:
-        return self.s - self.half_width
-
-    @property
-    def re_hi(self) -> float:
-        return self.s + self.half_width
+    def rect(self) -> tuple:
+        """The searched upper half as ``(re_lo, re_hi, im_lo, im_hi)``."""
+        return (self.s - self.half_width, self.s + self.half_width, 0.0, self.half_width)
 
     def contains(self, z: complex, slack: float = 0.0) -> bool:
         """Membership in the upper-half part of the square."""
-        return (
-            self.re_lo - slack <= z.real <= self.re_hi + slack
-            and -slack <= z.imag <= self.half_width + slack
-        )
+        return _inside(z, self.rect, slack)
 
     def tensor_grid(self) -> np.ndarray:
-        """grid_n x grid_n complex tensor grid over the full square: Im
-        spans [-half_width, half_width] in exactly conjugate rows."""
-        re = np.linspace(self.re_lo, self.re_hi, self.grid_n)
-        im = symmetric_grid(self.half_width, self.grid_n)
-        return (re[None, :] + 1j * im[:, None]).ravel()
+        """grid_n x grid_n complex tensor grid over the full square, its
+        columns exactly symmetric about s and its rows exactly conjugate."""
+        x = symmetric_grid(self.half_width, self.grid_n)
+        return ((self.s + x)[None, :] + 1j * x[:, None]).ravel()
+
+
+def _inside(z: complex, rect: tuple, slack: float) -> bool:
+    """Is z in the rectangle ``(re_lo, re_hi, im_lo, im_hi)`` widened by slack?"""
+    re_lo, re_hi, im_lo, im_hi = rect
+    return (re_lo - slack <= z.real <= re_hi + slack
+            and im_lo - slack <= z.imag <= im_hi + slack)
 
 
 @dataclass(frozen=True)
@@ -199,13 +199,11 @@ def _newton(pot, t, z0, level=None, bounds=None):
     if bounds is not None:
         re_lo, re_hi, im_lo, im_hi = bounds
         pad = max(re_hi - re_lo, im_hi - im_lo, 1e-9)
-        re_lo, re_hi = re_lo - pad, re_hi + pad
-        im_lo, im_hi = max(im_lo - pad, -0.5 * pad), im_hi + pad
+        # widened by pad on every side, but at most pad / 2 below the axis
+        basin = (re_lo, re_hi, max(im_lo, 0.5 * pad), im_hi)
     best = None
     for _ in range(_NEWTON_MAX_ITER):
-        if bounds is not None and not (
-            re_lo <= z.real <= re_hi and im_lo <= z.imag <= im_hi
-        ):
+        if bounds is not None and not _inside(z, basin, pad):
             break  # left the basin: no zero here for this start
         th, th_z = theta_derivs(transfer(pot, z, t, order=1))
         res = abs(th) if level is None else abs(th - level)
@@ -239,53 +237,20 @@ def _newton(pot, t, z0, level=None, bounds=None):
 # ---------------------------------------------------------------------------
 
 
-class _Rect:
-    """Axis-aligned rectangle with perimeter parametrization (internal)."""
-
-    def __init__(self, re_lo, re_hi, im_lo, im_hi):
-        self.re_lo, self.re_hi = re_lo, re_hi
-        self.im_lo, self.im_hi = im_lo, im_hi
-        self.w = re_hi - re_lo
-        self.h = im_hi - im_lo
-        self.L = 2.0 * (self.w + self.h)
-
-    def point(self, tau):
-        """Map perimeter parameter(s) in [0, L) to boundary points (ccw)."""
-        tau = np.asarray(tau, dtype=float) % self.L
-        w, h = self.w, self.h
-        out = np.empty(tau.shape, dtype=complex)
-        m0 = tau < w
-        m1 = (tau >= w) & (tau < w + h)
-        m2 = (tau >= w + h) & (tau < 2 * w + h)
-        m3 = ~(m0 | m1 | m2)
-        out[m0] = self.re_lo + tau[m0] + 1j * self.im_lo
-        out[m1] = self.re_hi + 1j * (self.im_lo + (tau[m1] - w))
-        out[m2] = self.re_hi - (tau[m2] - w - h) + 1j * self.im_hi
-        out[m3] = self.re_lo + 1j * (self.im_hi - (tau[m3] - 2 * w - h))
-        return out
-
-    def center(self) -> complex:
-        return complex((self.re_lo + self.re_hi) / 2.0, (self.im_lo + self.im_hi) / 2.0)
-
-    def quadrants(self, fx: float = 0.5, fy: float = 0.5):
-        rm = self.re_lo + fx * self.w
-        im = self.im_lo + fy * self.h
-        return [
-            _Rect(self.re_lo, rm, self.im_lo, im),
-            _Rect(rm, self.re_hi, self.im_lo, im),
-            _Rect(self.re_lo, rm, im, self.im_hi),
-            _Rect(rm, self.re_hi, im, self.im_hi),
-        ]
-
-
-def _winding(pot, t, rect: _Rect, n0: int) -> int:
-    """Winding number of theta(t, .) around the rectangle boundary.
+def _winding(pot, t, rect: tuple, n0: int) -> int:
+    """Winding number of theta(t, .) around the boundary of ``rect``.
 
     Adaptive: parameters are inserted until every phase step is < pi/2.
     """
-    L = rect.L
+    re_lo, re_hi, im_lo, im_hi = rect
+    w, h = re_hi - re_lo, im_hi - im_lo
+    # perimeter parameter of each corner, counterclockwise from (re_lo, im_lo)
+    knots = (0.0, w, w + h, 2 * w + h, 2 * (w + h))
+    corners = (complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi),
+               complex(re_lo, im_hi), complex(re_lo, im_lo))
+    L = knots[-1]
     params = np.linspace(0.0, L, 4 * n0, endpoint=False)
-    vals = theta(transfer(pot, rect.point(params), t))
+    vals = theta(transfer(pot, np.interp(params, knots, corners), t))
     for _ in range(_MAX_CONTOUR_REFINES):
         nxt = np.roll(vals, -1)
         steps = np.angle(nxt / vals)
@@ -297,28 +262,26 @@ def _winding(pot, t, rect: _Rect, n0: int) -> int:
             if abs(wind - rounded) > 0.2:
                 raise BoundaryNearZeroError(
                     f"winding {wind:.4f} is not close to an integer on "
-                    f"[{rect.re_lo},{rect.re_hi}]x[{rect.im_lo},{rect.im_hi}]"
+                    f"[{re_lo},{re_hi}]x[{im_lo},{im_hi}]"
                 )
             return rounded
-        gaps = (np.roll(params, -1) - params) % L
-        if float(np.min(gaps[bad])) < 1e-13 * max(L, 1.0):
+        gaps = np.diff(params, append=L)[bad]
+        if float(np.min(gaps)) < 1e-13 * max(L, 1.0):
             raise BoundaryNearZeroError(
                 "a zero of theta sits on (or hugs) the counting contour; "
                 "shift or shrink the box"
             )
-        mids = (params[bad] + 0.5 * gaps[bad]) % L
-        mid_vals = theta(transfer(pot, rect.point(mids), t))
-        params = np.concatenate([params, mids])
-        vals = np.concatenate([vals, mid_vals])
-        order = np.argsort(params, kind="stable")
-        params = params[order]
-        vals = vals[order]
+        # each midpoint goes right after its step's start: params stay sorted
+        mids = params[bad] + 0.5 * gaps
+        at = np.flatnonzero(bad) + 1
+        params = np.insert(params, at, mids)
+        vals = np.insert(vals, at, theta(transfer(pot, np.interp(mids, knots, corners), t)))
     raise BoundaryNearZeroError(
         "contour refinement budget exhausted; a zero is (numerically) on the boundary"
     )
 
 
-def _collect_zeros(pot, t, rect: _Rect, n0: int, depth: int, out: list) -> None:
+def _collect_zeros(pot, t, rect: tuple, n0: int, depth: int, out: list) -> None:
     wind = _winding(pot, t, rect, n0)
     if wind < 0:
         raise InvariantViolation(
@@ -327,19 +290,15 @@ def _collect_zeros(pot, t, rect: _Rect, n0: int, depth: int, out: list) -> None:
         )
     if wind == 0:
         return
-    size = max(rect.w, rect.h)
-    scale = 1.0 + abs(rect.center())
+    re_lo, re_hi, im_lo, im_hi = rect
+    center = complex((re_lo + re_hi) / 2.0, (im_lo + im_hi) / 2.0)
+    size = max(re_hi - re_lo, im_hi - im_lo)
+    scale = 1.0 + abs(center)
     if wind == 1:
-        polished = _newton(
-            pot, t, rect.center(),
-            bounds=(rect.re_lo, rect.re_hi, rect.im_lo, rect.im_hi),
-        )
-        if polished is not None:
-            z, th_z, _ = polished
-            if (rect.re_lo - 1e-9 * scale <= z.real <= rect.re_hi + 1e-9 * scale
-                    and rect.im_lo - 1e-9 * scale <= z.imag <= rect.im_hi + 1e-9 * scale):
-                out.append((z, th_z))
-                return
+        polished = _newton(pot, t, center, bounds=rect)
+        if polished is not None and _inside(polished[0], rect, 1e-9 * scale):
+            out.append(polished[:2])
+            return
         # Newton missed (zero near a corner, say): fall through to splitting.
     if depth >= _MAX_QUAD_DEPTH or size < 1e-9 * scale:
         raise DerivativeDegenerateError(
@@ -349,9 +308,12 @@ def _collect_zeros(pot, t, rect: _Rect, n0: int, depth: int, out: list) -> None:
     # deterministic split-jitter schedule: re-split off-center if a child
     # contour keeps hitting a zero
     for fx, fy in ((0.5, 0.5), (0.53125, 0.5), (0.5, 0.53125), (0.46875, 0.515625)):
+        rm = re_lo + fx * (re_hi - re_lo)
+        im = im_lo + fy * (im_hi - im_lo)
         try:
             found: list = []
-            for sub in rect.quadrants(fx, fy):
+            for sub in ((re_lo, rm, im_lo, im), (rm, re_hi, im_lo, im),
+                        (re_lo, rm, im, im_hi), (rm, re_hi, im, im_hi)):
                 _collect_zeros(pot, t, sub, max(8, n0 // 2), depth + 1, found)
             out.extend(found)
             return
@@ -376,19 +338,14 @@ def find_zeros(pot: SampledPotential, t: float, box: Box):
     """
     if t <= 0:
         raise ValidationError(f"need t > 0, got {t}")
-    rect = _Rect(box.re_lo, box.re_hi, 0.0, box.half_width)
     raw: list = []
-    _collect_zeros(pot, t, rect, box.grid_n, 0, raw)
+    _collect_zeros(pot, t, box.rect, box.grid_n, 0, raw)
     # dedupe (quadrisection borders can hand the same zero to two children)
     uniq: list = []
     for z, th_z in raw:
-        if z.imag <= IM_FLOOR:
-            continue
-        if not box.contains(z, slack=1e-9 * (1.0 + abs(z))):
-            continue
-        if any(abs(z - u[0]) <= 1e-9 * (1.0 + abs(z)) for u in uniq):
-            continue
-        uniq.append((z, th_z))
+        tol = 1e-9 * (1.0 + abs(z))
+        if z.imag > IM_FLOOR and box.contains(z, tol) and all(abs(z - u) > tol for u, _ in uniq):
+            uniq.append((z, th_z))
     uniq.sort(key=lambda p: (p[0].real, p[0].imag))
     return uniq
 
@@ -396,12 +353,6 @@ def find_zeros(pot: SampledPotential, t: float, box: Box):
 # ---------------------------------------------------------------------------
 # tracking
 # ---------------------------------------------------------------------------
-
-
-def _mean_f(pot, t_a, t_b) -> float:
-    if t_b <= t_a:
-        return 0.0
-    return integral(pot, t_a, t_b) / (t_b - t_a)
 
 
 def _march(pot, z0, t0, t1, dt, pre_tol, level, build):
@@ -437,18 +388,19 @@ def _march(pot, z0, t0, t1, dt, pre_tol, level, build):
         t = t0
         while t < t1 - 1e-12:
             step = min(dt, t1 - t)
-            if level is None:
-                z_pred = z - step * (_mean_f(pot, t, t + step) / th_z)
+            t_next = t + step
+            if level is None:  # f averaged over [t, t_next]
+                z_pred = z - step * (integral(pot, t, t_next) / (t_next - t) / th_z)
             else:
                 z_pred = z + step * (-2j * z * level / th_z).real
-            polished = _newton(pot, t + step, z_pred, level)
+            polished = _newton(pot, t_next, z_pred, level)
             if polished is None:
                 status = "newton_diverged"
                 break
             if level is None and polished[0].imag <= IM_FLOOR:
                 status = "exited_real_axis"
                 break
-            t += step
+            t = t_next
             z, th_z, res = polished
             samples.append((t, z, th_z))
             residuals.append(res)
@@ -555,26 +507,22 @@ def classify_track(track: ResonanceTrack):
     segment-averaged criterion holds automatically on every segment.
     """
     ts, vel, speed, labels = _motion(track)
-    n = len(labels)
+    # runs of equal labels: samples edges[k] .. edges[k + 1] - 1
+    edges = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
     segments: list[MotionSegment] = []
-    i = 0
-    while i < n:
-        lab = labels[i]
-        j = i
-        while j + 1 < n and labels[j + 1] == lab:
-            j += 1
-        if lab:
-            units = vel[i:j + 1][speed[i:j + 1] > 0]
-            if units.size:
-                mean = np.sum(units / np.abs(units))
-                direction = mean / abs(mean) if abs(mean) > 0 else 1j
-            else:
-                direction = 1j  # stationary: pure dwell counts as vertical rest
-            segments.append(
-                MotionSegment(t1=float(ts[i]), t2=float(ts[j]), label=str(lab),
-                              mean_direction=complex(direction))
-            )
-        i = j + 1
+    for i, j in zip(edges[:-1], edges[1:]):
+        if not labels[i]:
+            continue
+        units = vel[i:j][speed[i:j] > 0]
+        if units.size:
+            mean = np.sum(units / np.abs(units))
+            direction = mean / abs(mean) if abs(mean) > 0 else 1j
+        else:
+            direction = 1j  # stationary: pure dwell counts as vertical rest
+        segments.append(
+            MotionSegment(t1=float(ts[i]), t2=float(ts[j - 1]), label=str(labels[i]),
+                          mean_direction=complex(direction))
+        )
     return segments
 
 
@@ -594,7 +542,7 @@ def track_rows(track: ResonanceTrack) -> list:
 # ---------------------------------------------------------------------------
 
 
-def zero_free_horizon(pot: SampledPotential, s: float, C: float, t_grid, grid_n: int = 16):
+def zero_free_horizon(pot: SampledPotential, s: float, C: float, t_grid):
     """Zero membership of the shrinking box Q(s, C/t) along a time grid.
 
     Zeros of E in Q(s, C/t) are the conjugates of zeros of theta in the same
@@ -604,14 +552,11 @@ def zero_free_horizon(pot: SampledPotential, s: float, C: float, t_grid, grid_n:
     ts = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t_grid must be strictly increasing")
-    boxes = [Box.scaled(s, C, t, grid_n) for t in ts]
+    boxes = [Box.scaled(s, C, t) for t in ts]
     out = []
     for t, box in zip(ts, boxes):
         zeros = find_zeros(pot, t, box)
-        if zeros:
-            nearest = min(abs(z - s) for z, _ in zeros)
-        else:
-            nearest = math.inf
+        nearest = min((abs(z - s) for z, _ in zeros), default=math.inf)
         out.append(
             HorizonSample(t=t, contains_zero=bool(zeros), nearest=nearest,
                           n_zeros=len(zeros))

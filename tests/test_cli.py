@@ -63,6 +63,28 @@ def test_bad_threads_is_usage_error(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+ZERO_CFG = {"potential": {"family": "zero", "params": {}}, "h": 0.05, "T": 2.0}
+
+
+@pytest.mark.parametrize("command,extra,key", [
+    ("kernels", {"w_window": 5}, "w_window"),
+    ("kernels", {"w_window": [1.0, 1.5, 2.0]}, "w_window"),
+    ("kernels", {"box": 3}, "box"),
+    ("transform", {"grid": [1, 2]}, "grid"),
+    ("transform", {"nz": "many"}, "nz"),
+    ("verify", {"tolerances": {"unimodular": "abc"}}, "unimodular"),
+], ids=["w_window_number", "w_window_triple", "box_number", "grid_list", "nz_word",
+        "tolerance_word"])
+def test_malformed_config_value_is_usage_error(tmp_path, capsys, command, extra, key):
+    # each of these ended in a Python traceback before
+    cfg = _write_cfg(tmp_path, "c.json", {**ZERO_CFG, **extra})
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pspec,key", [
     ({"family": "constant", "parms": {"q": 0.5}}, "parms"),
     ({"family": "constant", "params": {}, "samples": [0.1, 0.2]}, "samples"),

@@ -167,8 +167,9 @@ def test_probe_propagates_each_conjugate_pair_once(free_pot, monkeypatch, grid_n
         probe = kernel_probe(free_pot, s, 4.0, 2.0, w_hat=1.0, grid_n=grid_n)
         (z,) = seen
         pts = Box.scaled(s, 2.0, 4.0, grid_n).tensor_grid()
-        if s == 0.0:  # ±Re z as well: about a quarter of the points
+        if s == 0.0:  # ±Re z as well: a quarter of the points, the axes' once
             assert z.size == np.unique(np.abs(pts.real) + 1j * np.abs(pts.imag)).size
+            assert z.size == ((grid_n + 1) // 2) ** 2
         else:  # Re z > 0: conjugate pairs only
             assert z.size == (grid_n * grid_n + grid_n % 2 * grid_n) // 2
         assert not np.any(z.imag < 0) and not np.any(z.real < 0)

@@ -1,5 +1,6 @@
-"""Static hygiene of the package sources: every ``__all__`` name is defined
-and no module imports a name it never uses (stdlib ``ast`` only)."""
+"""Static hygiene of the package sources: every ``__all__`` name is defined,
+no module imports a name it never uses, and no private module-level name is
+left unused (stdlib ``ast`` only)."""
 
 import ast
 import pathlib
@@ -63,3 +64,27 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_private_names(path):
+    # a private function, class or constant nothing else in its module refers
+    # to is dead code (a rewrite's leftover helper); a recursive call or a
+    # constant's own assignment does not count as a use
+    tree = _tree(path)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        else:
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        used = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and id(n) not in inside}
+        unused += sorted(name for name in names
+                         if name.startswith("_") and not name.startswith("__")
+                         and name not in used)
+    assert not unused, f"{path.name}: private names defined but never used: {unused}"

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracnlft import resonance
@@ -86,6 +86,7 @@ def test_box_tensor_grid():
 
 
 @given(n=st.integers(8, 40), half_width=st.floats(1e-3, 10.0), s=st.floats(-10.0, 10.0))
+@example(n=8, half_width=0.5, s=0.0)
 @settings(max_examples=80, deadline=None)
 def test_full_tensor_grid_is_conjugate_symmetric(n, half_width, s):
     box = Box(s, half_width, grid_n=n)
@@ -94,7 +95,11 @@ def test_full_tensor_grid_is_conjugate_symmetric(n, half_width, s):
     # symmetrizing moved the rows of the plain linspace by a rounding at most
     im = np.linspace(-half_width, half_width, n)
     assert np.all(np.abs(full[:, 0].imag - im) <= 2 * np.spacing(half_width))
-    np.testing.assert_array_equal(full[0].real, np.linspace(box.re_lo, box.re_hi, n))
+    # the real row: within rounding of the plain linspace, exactly mirrored at s = 0
+    re = np.linspace(s - half_width, s + half_width, n)
+    assert np.all(np.abs(full[0].real - re) <= 2 * np.spacing(abs(s) + half_width))
+    if s == 0.0:
+        np.testing.assert_array_equal(full[0].real, -full[0].real[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +120,45 @@ def test_find_zeros_constant_potential(const_pot):
     assert abs(tzp - fd) < 1e-6 * abs(tzp)
 
 
-def test_zero_count_matches_dense_winding_oracle(const_pot):
-    zeros = find_zeros(const_pot, 3.0, Box(0.0, 2.0))
-    ring = dense_box_ring(-2.0, 2.0, 0.0, 2.0, 800)
-    vals = np.array([theta(transfer(const_pot, z, 3.0)) for z in ring])
-    assert round(oracle_winding(vals)) == len(zeros)
+@pytest.fixture
+def rough_pot():
+    return SampledPotential(h=0.05, cells=tuple(np.random.default_rng(0).uniform(-1.5, 1.5, 40)))
+
+
+# (potential, t, box, does the outer contour need midpoints, least quadrisection depth)
+@pytest.mark.parametrize("pot_name, t, box, refined, depth", [
+    ("const_pot", 3.0, Box(0.0, 2.0), True, 3),
+    ("tall_bump_pot", 1.0, Box(TALL_ZERO.real, 1.0), False, 0),
+    ("tall_bump_pot", 1.0, Box(TALL_ZERO.real, 3.0), True, 0),
+    ("rough_pot", 2.0, Box(0.0, 3.0), False, 2),
+], ids=["constant", "tall_bump", "tall_bump_refined_contour", "rough_two_levels"])
+def test_zero_count_matches_dense_winding_oracle(pot_name, t, box, refined, depth, request,
+                                                 monkeypatch):
+    pot = request.getfixturevalue(pot_name)
+    contours, depths = [], []  # per contour: its transfer batches; quadrisection depths
+    winding, collect, batch = resonance._winding, resonance._collect_zeros, resonance.transfer
+
+    def counted_winding(*args):
+        contours.append(0)
+        return winding(*args)
+
+    def counted_collect(pot, t, rect, n0, level, out):
+        depths.append(level)
+        return collect(pot, t, rect, n0, level, out)
+
+    def counted_transfer(pot, z, *args, **kw):
+        if np.ndim(z) == 1:  # a contour's batch; Newton passes scalars
+            contours[-1] += 1
+        return batch(pot, z, *args, **kw)
+
+    monkeypatch.setattr(resonance, "_winding", counted_winding)
+    monkeypatch.setattr(resonance, "_collect_zeros", counted_collect)
+    monkeypatch.setattr(resonance, "transfer", counted_transfer)
+    zeros = find_zeros(pot, t, box)
+    assert (contours[0] > 1) == refined and max(depths) >= depth
+    # the oracle: a fixed dense ring of the same box, no adaptivity
+    ring = dense_box_ring(*box.rect, 800)
+    assert round(oracle_winding(theta(batch(pot, ring, t)))) == len(zeros)
 
 
 def test_free_potential_has_no_zeros(free_pot):
