@@ -28,7 +28,6 @@ from .errors import (
 from .potential import (
     PotentialSpec,
     SampledPotential,
-    SigmaInterval,
     cell_cover,
     integral,
     l2_norm_sq,
@@ -36,7 +35,6 @@ from .potential import (
     restrict,
     sample,
     save_potential,
-    sigma_intervals,
 )
 from .propagator import (
     HermiteBiehlerPair,
@@ -50,11 +48,10 @@ from .propagator import (
     transfer_derivative,
     transfer_derivative_batch,
 )
-from .riccati import arg_mod_E_evolve, riccati_evolve_moebius, riccati_evolve_rk
+from .riccati import riccati_evolve_moebius, riccati_evolve_rk
 from .nlft import (
     ParsevalReport,
     ScatteringData,
-    arg_a_branch,
     hilbert_consistency,
     hilbert_transform,
     interval_scattering_grid,
@@ -64,7 +61,6 @@ from .nlft import (
 from .resonance import (
     Box,
     EigenTrack,
-    HorizonSample,
     MotionSegment,
     ResonanceTrack,
     classify_track,
@@ -72,7 +68,6 @@ from .resonance import (
     track_eigenvalue,
     track_resonance,
     track_rows,
-    zero_free_horizon,
 )
 from .debranges import (
     KernelProbe,

@@ -32,7 +32,8 @@ from .errors import (
 from .experiments import run_convergence
 from .nlft import nlft_forward, parseval_check
 from .potential import (
-    PotentialSpec, SampledPotential, load_potential, potential_from_dict, sample,
+    PotentialSpec, SampledPotential, clip_to_support, load_potential, potential_from_dict,
+    sample,
 )
 from .propagator import corrupted_propagator, hermite_biehler, symmetric_grid, theta, transfer
 from .reporting import config_hash, write_csv, write_json
@@ -114,6 +115,13 @@ def _numbers(val) -> list:
     return val
 
 
+def _integer(val) -> int:
+    # a JSON integer, or a float with an integral value; bool is not a number here
+    if not (type(val) is int or type(val) is float and val.is_integer()):
+        raise ValueError(f"expected a JSON integer, got {val!r}")
+    return int(val)
+
+
 def _object(val) -> dict:
     if not isinstance(val, dict):
         raise ValueError(f"expected a JSON object, got {val!r}")
@@ -127,10 +135,8 @@ def _build_potential(cfg: dict):
     if isinstance(pspec, str):
         with _reading("potential", pspec):
             pot = load_potential(pspec)
-        if "T" in cfg and _require(cfg, "T") > pot.T * (1 + 1e-9):
-            raise UsageError(
-                f"T={cfg['T']} exceeds the horizon {pot.T} of {pspec}"
-            )
+        if "T" in cfg:
+            clip_to_support(pot, _require(cfg, "T"), "T")
         return pot
     if not isinstance(pspec, dict):
         raise UsageError("'potential' must be an object or a file path")
@@ -143,7 +149,7 @@ def _real_grid(cfg: dict) -> np.ndarray:
     grid = _require(cfg, "grid", _object, {})
     zmin = _require(cfg, "zmin", float, _require(grid, "zmin", float, -10.0))
     zmax = _require(cfg, "zmax", float, _require(grid, "zmax", float, 10.0))
-    nz = _require(cfg, "nz", int, _require(grid, "nz", int, 201))
+    nz = _require(cfg, "nz", _integer, _require(grid, "nz", _integer, 201))
     if nz < 2:
         raise UsageError(f"nz must be >= 2, got {nz}")
     if not (zmax > zmin):
@@ -207,7 +213,7 @@ def cmd_transform(cfg: dict) -> int:
 
 
 def _verify_suite(cfg: dict) -> list:
-    seed = _require(cfg, "seed", int, 0)
+    seed = _require(cfg, "seed", _integer, 0)
     rng = np.random.default_rng(seed)
     checks = []
     real_grid = symmetric_grid(10.0, 33)
@@ -269,7 +275,7 @@ def cmd_verify(cfg: dict) -> int:
 def _box_from(cfg: dict, t: float) -> Box:
     box_cfg = _require(cfg, "box", _object, {})
     s = _require(cfg, "s", float, _require(box_cfg, "s", float, 0.0))
-    grid_n = _require(box_cfg, "grid_n", int, 16)
+    grid_n = _require(box_cfg, "grid_n", _integer, 16)
     if "C" in cfg or "C" in box_cfg:
         return Box.scaled(s, _require(cfg, "C", float, box_cfg.get("C")), t, grid_n)
     return Box(s=s, half_width=_require(box_cfg, "half_width", float, 2.0), grid_n=grid_n)
@@ -319,7 +325,7 @@ def cmd_kernels(cfg: dict) -> int:
     t = _require(cfg, "t", float, _require(cfg, "T", float, pot.T))
     s = _require(cfg, "s", float, 0.0)
     C = _require(cfg, "C", float, 4.0)
-    grid_n = _require(_require(cfg, "box", _object, {}), "grid_n", int, 16)
+    grid_n = _require(_require(cfg, "box", _object, {}), "grid_n", _integer, 16)
     window = _require(cfg, "w_window", _numbers, [0.9 * min(t, pot.T), min(t, pot.T)])
     if len(window) != 2:
         raise UsageError(f"config key 'w_window' must hold 2 numbers, got {window!r}")
@@ -350,7 +356,7 @@ def cmd_converge(cfg: dict) -> int:
     C = _require(cfg, "C", float, 4.0)
     table = run_convergence(
         pot, s_list, _require(cfg, "T_list", _numbers), C,
-        box_samples=_require(cfg, "box_samples", int, 16),
+        box_samples=_require(cfg, "box_samples", _integer, 16),
     )
     rows = [(s, T, table.err[i, j]) for i, s in enumerate(table.s_list)
             for j, T in enumerate(table.T_list)]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, PreconditionError, RangeError, ValidationError
-from .potential import SampledPotential
+from .errors import FitError, PreconditionError, ValidationError
+from .potential import SampledPotential, clip_to_support
 from .propagator import hermite_biehler, transfer
 from .resonance import Box, find_zeros
 
@@ -146,11 +146,7 @@ def kernel_K(pot: SampledPotential, t: float, lam: complex, z: complex) -> compl
     """
     if t <= 0:
         raise ValidationError(f"kernel_K needs t > 0, got {t}")
-    if t > pot.T * (1.0 + 1e-9):
-        raise RangeError(
-            f"kernel time t={t} exceeds the represented horizon T={pot.T}; "
-            "extend the potential with explicit cells"
-        )
+    clip_to_support(pot, t, "kernel time t")
     return complex(_kernel_matrix(pot, t, np.array([lam, z], dtype=complex))[0, 1])
 
 
@@ -204,10 +200,7 @@ def estimate_w(
     t_a, t_b = float(t_window[0]), float(t_window[1])
     if not (0.0 <= t_a < t_b):
         raise ValidationError(f"need 0 <= t_a < t_b, got window ({t_a}, {t_b})")
-    if t_b > pot.T * (1.0 + 1e-9):
-        raise RangeError(
-            f"window end {t_b} exceeds the represented horizon T={pot.T}"
-        )
+    clip_to_support(pot, t_b, "window end")
     if n < 4:
         raise ValidationError(f"need n >= 4 samples, got {n}")
     if component not in ("E", "Etilde"):

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .debranges import estimate_w
-from .errors import DiracNLFTError, NumericalError, RangeError, ValidationError
+from .errors import DiracNLFTError, NumericalError, ValidationError
 from .nlft import nlft_forward
-from .potential import SampledPotential
+from .potential import SampledPotential, clip_to_support
 from .propagator import hermite_biehler, transfer
 
 __all__ = [
@@ -130,10 +130,7 @@ def run_convergence(
     if T_arr[0] <= 0:
         raise ValidationError(f"horizons must be > 0, got {T_arr[0]}")
     T_ref = T_arr[-1]
-    if T_ref > pot.T * (1.0 + 1e-9):
-        raise RangeError(
-            f"largest horizon {T_ref} exceeds the represented T={pot.T}"
-        )
+    clip_to_support(pot, T_ref, "largest horizon")
     ns, nT = len(s_arr), len(T_arr)
     err = np.full((ns, nT), np.nan)
     failures: list = []

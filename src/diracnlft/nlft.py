@@ -32,7 +32,7 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .potential import SampledPotential, l2_norm_sq
+from .potential import SampledPotential, clip_to_support, l2_norm_sq
 from .propagator import Transfer, hermite_biehler, symmetric_grid, transfer
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "nlft_forward",
     "interval_scattering_grid",
     "parseval_check",
-    "arg_a_branch",
     "hilbert_consistency",
     "hilbert_transform",
 ]
@@ -139,9 +138,9 @@ def interval_scattering_grid(pot: SampledPotential, t1: float, t2: float, grid) 
     ``a_{t1->t2}`` is the forward transform of ``f(. + t1)`` restricted to
     length ``t2 - t1``; the returned ``T`` is that length.
     """
-    if not (0.0 <= t1 < t2 <= pot.T * (1.0 + 1e-9)):
-        raise RangeError(f"need 0 <= t1 < t2 <= pot.T = {pot.T}, got [{t1}, {t2}]")
-    t2 = min(float(t2), pot.T)
+    if not (0.0 <= t1 < t2):
+        raise RangeError(f"need 0 <= t1 < t2, got [{t1}, {t2}]")
+    t2 = clip_to_support(pot, float(t2), "t2")
     return _scattering(transfer(pot, np.atleast_1d(grid), t2, t1=float(t1)), t2 - t1)
 
 
@@ -171,11 +170,11 @@ def parseval_check(
     """
     if T is None:
         T = pot.T
-    if not (0.0 <= t1 < T <= pot.T * (1.0 + 1e-9)):
-        raise RangeError(f"need 0 <= t1 < T <= pot.T = {pot.T}, got [{t1}, {T}]")
+    if not (0.0 <= t1 < T):
+        raise RangeError(f"need 0 <= t1 < T, got [{t1}, {T}]")
+    T = clip_to_support(pot, float(T), "T")
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
-    T = min(float(T), pot.T)
     rhs = l2_norm_sq(pot, t1, T)
     width = T - t1
     scale = max(rhs, 1e-12)
@@ -245,32 +244,6 @@ def _unwrap_phases(values: np.ndarray, what: str) -> np.ndarray:
     np.cumsum(steps, out=out[1:])
     out[1:] += out[0]
     return out
-
-
-def arg_a_branch(pot: SampledPotential, t1: float, t2: float, x_grid) -> np.ndarray:
-    """Continuous branch of arg a_{t1->t2} on a symmetric real grid.
-
-    Pinned to exactly 0 at x = 0, which is consistent because
-    ``a_{t1->t2}(0) = cosh(int f) > 0``.
-
-    Args:
-        x_grid: strictly increasing, symmetric, containing 0; spacing must
-            keep phase increments under pi/2 or an AliasingError is raised.
-    """
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.ndim != 1 or xs.size < 3:
-        raise ValidationError("x_grid must be a 1-d grid with >= 3 points")
-    if np.any(np.diff(xs) <= 0):
-        raise ValidationError("x_grid must be strictly increasing")
-    span = max(1.0, float(np.max(np.abs(xs))))
-    if float(np.max(np.abs(xs + xs[::-1]))) > 1e-9 * span:
-        raise ValidationError("x_grid must be symmetric about 0")
-    i0 = int(np.argmin(np.abs(xs)))
-    if abs(xs[i0]) > 1e-12 * span:
-        raise ValidationError("x_grid must contain 0 (the branch pin)")
-    sd = interval_scattering_grid(pot, t1, t2, xs)
-    phases = _unwrap_phases(sd.a, "arg a")
-    return phases - phases[i0]
 
 
 def hilbert_transform(samples: np.ndarray) -> np.ndarray:

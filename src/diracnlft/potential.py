@@ -22,13 +22,12 @@ from .errors import RangeError, ValidationError
 __all__ = [
     "PotentialSpec",
     "SampledPotential",
-    "SigmaInterval",
     "FAMILIES",
     "sample",
     "restrict",
+    "clip_to_support",
     "l2_norm_sq",
     "integral",
-    "sigma_intervals",
     "cell_cover",
     "potential_from_dict",
     "potential_to_dict",
@@ -156,20 +155,6 @@ class SampledPotential:
         return np.where((t >= 0.0) & (t < self.T), vals, 0.0)
 
 
-@dataclass(frozen=True)
-class SigmaInterval:
-    """A cell-aligned interval on which the potential barely changes sign.
-
-    On ``[t1, t2]`` the signed integral nearly exhausts the mass:
-    ``|int f| >= (1 - sigma) * int |f|`` with ``mass = int |f| >= min_mass``.
-    """
-
-    t1: float
-    t2: float
-    sigma: float
-    mass: float
-
-
 # ---------------------------------------------------------------------------
 # construction / sampling
 # ---------------------------------------------------------------------------
@@ -207,12 +192,20 @@ def restrict(pot: SampledPotential, T: float) -> SampledPotential:
     Restriction composes: restricting twice equals restricting once to the
     smaller horizon.
     """
-    if not (0.0 < T <= pot.T * (1.0 + _BOUNDARY_RTOL)):
+    if not T > 0.0:
         raise RangeError(f"restriction horizon T={T} outside (0, {pot.T}]")
-    T = min(T, pot.T)
+    T = clip_to_support(pot, T, "restriction horizon T")
     n_keep = int(math.ceil(T / pot.h - _BOUNDARY_RTOL))
     n_keep = max(1, min(n_keep, len(pot.cells)))
     return SampledPotential(h=pot.h, cells=pot.cells[:n_keep], T=T)
+
+
+def clip_to_support(pot: SampledPotential, t: float, what: str = "t") -> float:
+    """``min(t, pot.T)``: a time up to a relative ``_BOUNDARY_RTOL`` past the
+    support end is the support end; a later time is a RangeError."""
+    if t > pot.T * (1.0 + _BOUNDARY_RTOL):
+        raise RangeError(f"{what}={t} exceeds the horizon T={pot.T}")
+    return min(t, pot.T)
 
 
 # ---------------------------------------------------------------------------
@@ -289,58 +282,6 @@ def l2_norm_sq(pot: SampledPotential, t1: float = 0.0, t2: float | None = None) 
 def integral(pot: SampledPotential, t1: float = 0.0, t2: float | None = None) -> float:
     """Exact signed integral of the potential over ``[t1, t2]``."""
     return _cell_sum(pot, t1, t2, 1)
-
-
-# ---------------------------------------------------------------------------
-# sign-coherent intervals
-# ---------------------------------------------------------------------------
-
-
-def sigma_intervals(pot: SampledPotential, sigma: float, min_mass: float):
-    """Greedy left-to-right decomposition into sign-coherent intervals.
-
-    Scanning cell boundaries left to right, each interval is extended while
-    ``|int f| >= (1 - sigma) * int |f|`` still holds, i.e. it is the maximal
-    prefix extension from its start.  Intervals with mass below ``min_mass``
-    are dropped (scan resumes one cell later), so the result is a disjoint,
-    increasing list.
-
-    Args:
-        pot: the potential.
-        sigma: sign-coherence slack in [0, 1).
-        min_mass: smallest acceptable ``int |f|``; must be > 0.
-
-    Returns:
-        list of :class:`SigmaInterval`, ordered by ``t1``.
-    """
-    if not (0.0 <= sigma < 1.0):
-        raise ValidationError(f"sigma must lie in [0, 1), got {sigma}")
-    if min_mass <= 0.0:
-        raise ValidationError(f"min_mass must be > 0, got {min_mass}")
-    widths = pot.cell_widths()
-    qs = np.asarray(pot.cells)
-    n = len(qs)
-    out: list[SigmaInterval] = []
-    i = 0
-    while i < n:
-        signed = 0.0
-        mass = 0.0
-        j = i
-        while j < n:
-            s2 = signed + qs[j] * widths[j]
-            m2 = mass + abs(qs[j]) * widths[j]
-            if abs(s2) >= (1.0 - sigma) * m2:
-                signed, mass = s2, m2
-                j += 1
-            else:
-                break
-        if j > i and mass >= min_mass:
-            t2 = min(j * pot.h, pot.T)
-            out.append(SigmaInterval(t1=i * pot.h, t2=float(t2), sigma=sigma, mass=mass))
-            i = j
-        else:
-            i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

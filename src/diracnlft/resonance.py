@@ -38,13 +38,11 @@ __all__ = [
     "ResonanceTrack",
     "EigenTrack",
     "MotionSegment",
-    "HorizonSample",
     "find_zeros",
     "track_resonance",
     "track_eigenvalue",
     "classify_track",
     "track_rows",
-    "zero_free_horizon",
 ]
 
 #: An accepted zero must satisfy |theta| below this.
@@ -161,16 +159,6 @@ class MotionSegment:
     mean_direction: complex
 
 
-@dataclass(frozen=True)
-class HorizonSample:
-    """Zero membership of a shrinking box at one time."""
-
-    t: float
-    contains_zero: bool
-    nearest: float  # distance from s to the nearest found zero (inf if none)
-    n_zeros: int
-
-
 # ---------------------------------------------------------------------------
 # Newton on theta(t, .) = level
 # ---------------------------------------------------------------------------
@@ -252,6 +240,10 @@ def _winding(pot, t, rect: tuple, n0: int) -> int:
     params = np.linspace(0.0, L, 4 * n0, endpoint=False)
     vals = theta(transfer(pot, np.interp(params, knots, corners), t))
     for _ in range(_MAX_CONTOUR_REFINES):
+        if not np.all(vals):
+            raise BoundaryNearZeroError(
+                f"theta is exactly 0 on the contour of [{re_lo},{re_hi}]x[{im_lo},{im_hi}]"
+            )
         nxt = np.roll(vals, -1)
         steps = np.angle(nxt / vals)
         bad = np.abs(steps) >= (np.pi / 2.0) * 0.999
@@ -535,30 +527,3 @@ def track_rows(track: ResonanceTrack) -> list:
     labels = _motion(track)[3] if n >= 3 else [""] * n
     return [(ti, zi.real, zi.imag, tzi.real, tzi.imag, res, str(lab))
             for (ti, zi, tzi), res, lab in zip(track.samples, track.residuals, labels)]
-
-
-# ---------------------------------------------------------------------------
-# horizon scan
-# ---------------------------------------------------------------------------
-
-
-def zero_free_horizon(pot: SampledPotential, s: float, C: float, t_grid):
-    """Zero membership of the shrinking box Q(s, C/t) along a time grid.
-
-    Zeros of E in Q(s, C/t) are the conjugates of zeros of theta in the same
-    box reflected to the upper half-plane, so each t runs :func:`find_zeros`
-    there.  Returns a list of :class:`HorizonSample`.
-    """
-    ts = [float(t) for t in t_grid]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValidationError("t_grid must be strictly increasing")
-    boxes = [Box.scaled(s, C, t) for t in ts]
-    out = []
-    for t, box in zip(ts, boxes):
-        zeros = find_zeros(pot, t, box)
-        nearest = min((abs(z - s) for z, _ in zeros), default=math.inf)
-        out.append(
-            HorizonSample(t=t, contains_zero=bool(zeros), nearest=nearest,
-                          n_zeros=len(zeros))
-        )
-    return out

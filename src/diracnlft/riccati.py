@@ -1,4 +1,4 @@
-"""Time evolution of the Dirac inner function theta and of E in polar form.
+"""Time evolution of the Dirac inner function theta.
 
 Two independent routes to theta(t, z):
 
@@ -11,9 +11,7 @@ Two independent routes to theta(t, z):
 ``E' = -izE + f E#``; it is the one consistent with the phase equation
 and the zero dynamics.)
 
-The pair must agree; the test suite enforces it.  A third route,
-:func:`arg_mod_E_evolve`, integrates the polar dynamics of E on the real
-axis (phase' = -x - f sin(2 phase), log|E|' = f cos(2 phase)).
+The pair must agree; the test suite enforces it.
 """
 
 from __future__ import annotations
@@ -27,13 +25,12 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .potential import SampledPotential, cell_cover
+from .potential import SampledPotential, cell_cover, clip_to_support
 from .propagator import POLE_FLOOR, WORK_RANGE_LIMIT, transfer
 
 __all__ = [
     "riccati_evolve_moebius",
     "riccati_evolve_rk",
-    "arg_mod_E_evolve",
 ]
 
 _BOUNDARY_THETA = {"neumann": 1.0 + 0.0j, "dirichlet": -1.0 + 0.0j}
@@ -59,8 +56,9 @@ def _boundary_value(boundary) -> complex:
 
 
 def _check_horizon(pot: SampledPotential, t: float) -> None:
-    if not (0.0 <= t <= pot.T * (1.0 + 1e-9)):
-        raise RangeError(f"need 0 <= t <= pot.T = {pot.T}, got t = {t}")
+    if not t >= 0.0:
+        raise RangeError(f"need t >= 0, got t = {t}")
+    clip_to_support(pot, t)
 
 
 def riccati_evolve_moebius(
@@ -139,40 +137,3 @@ def riccati_evolve_rk(
                     f"shrink dt_max (= {dt_max})"
                 )
     return th
-
-
-def arg_mod_E_evolve(pot: SampledPotential, x: float, t: float):
-    """Continuous phase and modulus of E(t, x) on the real axis by RK4.
-
-    Integrates ``phase' = -x - f sin(2 phase)`` and ``log|E|' = f cos(2
-    phase)`` from phase = 0, log|E| = 0, with step bounded by the cell width
-    and by ``0.1/(|x| + 1)`` (resolving the rotation rate).
-
-    Returns:
-        ``(phase, modulus)`` at time t — the continuous branch of arg E and
-        |E| > 0.
-    """
-    _check_horizon(pot, t)
-    x = float(x)
-    step_cap = 0.1 / (abs(x) + 1.0)
-    phase = 0.0
-    logmod = 0.0
-    qs, ws = cell_cover(pot, 0.0, float(t))
-    for q, w in zip(qs, ws):
-        n = max(1, math.ceil(w / step_cap))
-        dt = w / n
-        for _ in range(n):
-            p1 = -x - q * math.sin(2.0 * phase)
-            l1 = q * math.cos(2.0 * phase)
-            y = phase + 0.5 * dt * p1
-            p2 = -x - q * math.sin(2.0 * y)
-            l2 = q * math.cos(2.0 * y)
-            y = phase + 0.5 * dt * p2
-            p3 = -x - q * math.sin(2.0 * y)
-            l3 = q * math.cos(2.0 * y)
-            y = phase + dt * p3
-            p4 = -x - q * math.sin(2.0 * y)
-            l4 = q * math.cos(2.0 * y)
-            phase += (dt / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-            logmod += (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-    return phase, math.exp(logmod)

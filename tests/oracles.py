@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package's cell algebra: transfer matrices
 come from fixed-step RK4 integration of the defining ODE, theta from a
-SciPy adaptive integration of its own evolution law, and windings from a
+SciPy adaptive integration of its own evolution law, the phase and modulus
+of E on the real axis from RK4 on their polar flow, and windings from a
 dense fixed-grid contour sum.  Test modules compute expectations through
 these, then assert the package agrees.  The last section keeps plain
 complex-ufunc, full-matrix formulations of the cell coefficients and the
@@ -10,6 +11,8 @@ kernels as references for the package's leaner evaluation of them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -117,6 +120,47 @@ def cell_cover_by_hand(pot: SampledPotential, t1: float, t2: float):
 
 
 # ---------------------------------------------------------------------------
+# phase and modulus of E by RK4 on their polar flow
+# ---------------------------------------------------------------------------
+
+
+def arg_mod_E_evolve(pot: SampledPotential, x: float, t: float):
+    """Continuous phase and modulus of E(t, x) on the real axis by RK4.
+
+    Integrates ``phase' = -x - f sin(2 phase)`` and ``log|E|' = f cos(2
+    phase)`` from phase = 0, log|E| = 0, with step bounded by the cell width
+    and by ``0.1/(|x| + 1)`` (resolving the rotation rate).
+
+    Returns:
+        ``(phase, modulus)`` at time t: the continuous branch of arg E and
+        |E| > 0.
+    """
+    x = float(x)
+    step_cap = 0.1 / (abs(x) + 1.0)
+    phase = 0.0
+    logmod = 0.0
+    qs, ws = cell_cover_by_hand(pot, 0.0, float(t))
+    for q, w in zip(qs, ws):
+        n = max(1, math.ceil(w / step_cap))
+        dt = w / n
+        for _ in range(n):
+            p1 = -x - q * math.sin(2.0 * phase)
+            l1 = q * math.cos(2.0 * phase)
+            y = phase + 0.5 * dt * p1
+            p2 = -x - q * math.sin(2.0 * y)
+            l2 = q * math.cos(2.0 * y)
+            y = phase + 0.5 * dt * p2
+            p3 = -x - q * math.sin(2.0 * y)
+            l3 = q * math.cos(2.0 * y)
+            y = phase + dt * p3
+            p4 = -x - q * math.sin(2.0 * y)
+            l4 = q * math.cos(2.0 * y)
+            phase += (dt / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            logmod += (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+    return phase, math.exp(logmod)
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 
@@ -171,35 +215,6 @@ def dense_box_ring(re_lo, re_hi, im_lo, im_hi, n_per_edge: int) -> np.ndarray:
 def hilbert_pair_lorentzian(x: np.ndarray):
     """u = 1/(1+x^2) has Hilbert transform x/(1+x^2)."""
     return 1.0 / (1.0 + x * x), x / (1.0 + x * x)
-
-
-def sigma_intervals_by_hand(cells, h, sigma, min_mass):
-    """Greedy near-constant-sign intervals by plain list arithmetic.
-
-    Each interval is extended cell by cell while the sign-coherence
-    inequality keeps holding, stopping at the first violation.
-    """
-    out = []
-    n = len(cells)
-    i = 0
-    while i < n:
-        s_int = 0.0
-        s_abs = 0.0
-        j = i
-        while j < n:
-            s2 = s_int + cells[j] * h
-            m2 = s_abs + abs(cells[j]) * h
-            if abs(s2) >= (1.0 - sigma) * m2:
-                s_int, s_abs = s2, m2
-                j += 1
-            else:
-                break
-        if j > i and s_abs >= min_mass:
-            out.append((i * h, j * h, s_int, s_abs))
-            i = j
-        else:
-            i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

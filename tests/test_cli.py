@@ -73,10 +73,16 @@ ZERO_CFG = {"potential": {"family": "zero", "params": {}}, "h": 0.05, "T": 2.0}
     ("transform", {"grid": [1, 2]}, "grid"),
     ("transform", {"nz": "many"}, "nz"),
     ("verify", {"tolerances": {"unimodular": "abc"}}, "unimodular"),
+    ("transform", {"nz": 10.9}, "nz"),
+    ("transform", {"nz": True}, "nz"),
+    ("resonances", {"box": {"grid_n": 8.5}}, "grid_n"),
+    ("converge", {"T_list": [1.0, 2.0], "box_samples": True}, "box_samples"),
+    ("verify", {"seed": 1.5}, "seed"),
 ], ids=["w_window_number", "w_window_triple", "box_number", "grid_list", "nz_word",
-        "tolerance_word"])
+        "tolerance_word", "nz_fraction", "nz_bool", "grid_n_fraction", "box_samples_bool",
+        "seed_fraction"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, command, extra, key):
-    # each of these ended in a Python traceback before
+    # each of these ended in a Python traceback, or was silently truncated, before
     cfg = _write_cfg(tmp_path, "c.json", {**ZERO_CFG, **extra})
     out = tmp_path / "o.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1

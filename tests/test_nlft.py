@@ -12,7 +12,6 @@ from diracnlft.errors import (
 )
 from diracnlft.nlft import (
     ParsevalReport,
-    arg_a_branch,
     hilbert_consistency,
     hilbert_transform,
     interval_scattering_grid,
@@ -186,26 +185,6 @@ def test_unwrap_refuses_aliased_grids():
     fine = np.exp(1j * np.linspace(0.0, 6.0, 40))
     out = _unwrap_phases(fine, "test values")
     assert np.allclose(out, np.linspace(0.0, 6.0, 40), atol=1e-12)  # no 2pi jumps
-
-
-def test_arg_a_branch_pin_and_antisymmetry(const_pot):
-    xs = np.linspace(-10, 10, 801)
-    arg = arg_a_branch(const_pot, 0.0, 2.0, xs)
-    assert arg[400] == 0.0
-    # a(-x) = conj a(x) makes the pinned branch odd
-    assert np.max(np.abs(arg + arg[::-1])) < 1e-10
-
-
-def test_arg_a_branch_validation():
-    pot = _random_pot(20, n=10)
-    with pytest.raises(ValidationError):
-        arg_a_branch(pot, 0.0, 0.5, [0.0, 1.0])  # too short
-    with pytest.raises(ValidationError):
-        arg_a_branch(pot, 0.0, 0.5, [-1.0, 0.0, 0.5])  # asymmetric
-    with pytest.raises(ValidationError):
-        arg_a_branch(pot, 0.0, 0.5, [-1.0, 0.5, 0.0, 1.0])  # not increasing
-    with pytest.raises(ValidationError):
-        arg_a_branch(pot, 0.0, 0.5, [-1.0, -0.5, 0.5, 1.0])  # no 0 pin
 
 
 def test_hilbert_transform_lorentzian_pair():

@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracnlft.errors import RangeError, ValidationError
+from diracnlft.debranges import estimate_w, kernel_K
+from diracnlft.experiments import run_convergence
+from diracnlft.nlft import interval_scattering_grid, parseval_check
 from diracnlft.potential import (
     PotentialSpec,
     SampledPotential,
     cell_cover,
+    clip_to_support,
     integral,
     l2_norm_sq,
     load_potential,
@@ -18,10 +22,10 @@ from diracnlft.potential import (
     restrict,
     sample,
     save_potential,
-    sigma_intervals,
 )
+from diracnlft.riccati import riccati_evolve_moebius, riccati_evolve_rk
 
-from oracles import cell_cover_by_hand, sigma_intervals_by_hand
+from oracles import cell_cover_by_hand
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +87,33 @@ def test_restrict_composes():
     a = restrict(restrict(pot, 1.5), 0.7)
     b = restrict(pot, 0.7)
     assert a.cells == b.cells and a.T == b.T
+
+
+def test_clip_to_support():
+    pot = SampledPotential(h=0.1, cells=(1.0, 1.0, 1.0))
+    assert clip_to_support(pot, 0.2) == 0.2
+    assert clip_to_support(pot, pot.T * (1 + 1e-10)) == pot.T
+    with pytest.raises(RangeError, match=f"T={pot.T}"):
+        clip_to_support(pot, pot.T * (1 + 1e-8))
+
+
+# every site that needs a horizon within the support refuses one past it the same way
+@pytest.mark.parametrize("call", [
+    lambda pot, t: restrict(pot, t),
+    lambda pot, t: interval_scattering_grid(pot, 0.0, t, [0.5]),
+    lambda pot, t: parseval_check(pot, T=t),
+    lambda pot, t: riccati_evolve_moebius(pot, 0.5, t),
+    lambda pot, t: riccati_evolve_rk(pot, 0.5, t),
+    lambda pot, t: kernel_K(pot, t, 0.5j, 0.5j),
+    lambda pot, t: estimate_w(pot, 0.5, (0.1, t), 8),
+    lambda pot, t: run_convergence(pot, [0.5], [t], 4.0),
+], ids=["restrict", "interval_scattering_grid", "parseval_check", "riccati_evolve_moebius",
+        "riccati_evolve_rk", "kernel_K", "estimate_w", "run_convergence"])
+def test_horizon_past_the_support_is_a_range_error(call):
+    pot = SampledPotential(h=0.1, cells=(0.5,) * 10)
+    call(pot, pot.T * (1 + 1e-10))  # within the boundary slack
+    with pytest.raises(RangeError, match=f"exceeds the horizon T={pot.T}"):
+        call(pot, pot.T * (1 + 1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -151,48 +182,6 @@ def test_integrals_exact_cell_arithmetic():
     assert l2_norm_sq(pot) == pytest.approx(0.5 * (4 + 1 + 0.25), abs=1e-15)
     # sub-interval cuts cells exactly
     assert integral(pot, 0.25, 0.75) == pytest.approx(0.25 * 2 - 0.25 * 1, abs=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# sigma intervals
-# ---------------------------------------------------------------------------
-
-
-def test_sigma_intervals_spec_examples():
-    pot = SampledPotential(h=1.0, cells=(1.0, 1.0, -0.01))
-    out = sigma_intervals(pot, sigma=0.05, min_mass=0.5)
-    assert len(out) == 1
-    assert (out[0].t1, out[0].t2) == (0.0, 3.0)
-
-    pot = SampledPotential(h=1.0, cells=(1.0, -1.0))
-    out = sigma_intervals(pot, sigma=0.05, min_mass=0.5)
-    assert [(iv.t1, iv.t2) for iv in out] == [(0.0, 1.0), (1.0, 2.0)]
-
-
-@given(
-    cells=st.lists(st.floats(-1, 1, allow_nan=False), min_size=1, max_size=25),
-    sigma=st.floats(0.0, 0.9),
-)
-@settings(max_examples=80, deadline=None)
-def test_sigma_intervals_match_hand_oracle(cells, sigma):
-    pot = SampledPotential(h=0.25, cells=tuple(cells))
-    got = sigma_intervals(pot, sigma=sigma, min_mass=0.05)
-    expect = sigma_intervals_by_hand(cells, 0.25, sigma, 0.05)
-    assert len(got) == len(expect)
-    for iv, (t1, t2, s_int, s_abs) in zip(got, expect):
-        assert iv.t1 == pytest.approx(t1, abs=1e-12)
-        assert iv.t2 == pytest.approx(t2, abs=1e-12)
-        assert iv.mass == pytest.approx(s_abs, abs=1e-12)
-        # defining inequality of the interval
-        assert abs(integral(pot, iv.t1, iv.t2)) >= (1 - sigma) * iv.mass - 1e-12
-
-
-def test_sigma_intervals_disjoint_ordered():
-    rng = np.random.default_rng(5)
-    pot = SampledPotential(h=0.1, cells=tuple(rng.uniform(-1, 1, 60)))
-    out = sigma_intervals(pot, sigma=0.2, min_mass=0.05)
-    for a, b in zip(out, out[1:]):
-        assert a.t2 <= b.t1 + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from diracnlft.resonance import (
     find_zeros,
     track_eigenvalue,
     track_resonance,
-    zero_free_horizon,
 )
 
 from oracles import dense_box_ring, fd1, oracle_winding
@@ -60,11 +60,10 @@ def test_box_validation_and_membership():
     lambda pot: kernel_probe(pot, 0.5, 0.0, 4.0, w_hat=1.0),
     lambda pot: hb_sine_fit(pot, 0.5, 0.0, 4.0),
     lambda pot: hb_exp_fit(pot, 0.5, 0.0, 4.0),
-    lambda pot: zero_free_horizon(pot, 0.5, 2.0, [0.0, 1.0]),
     lambda pot: run_convergence(pot, [0.5], [0.0, 1.0], 4.0),
     "cli",
-], ids=["kernel_probe", "hb_sine_fit", "hb_exp_fit",
-        "zero_free_horizon", "run_convergence", "cli_resonances"])
+], ids=["kernel_probe", "hb_sine_fit", "hb_exp_fit", "run_convergence",
+        "cli_resonances"])
 def test_zero_time_box_is_a_validation_error(call, free_pot, tmp_path, capsys):
     if call == "cli":
         cfg = tmp_path / "c.json"
@@ -176,6 +175,23 @@ def test_zero_on_boundary_is_refused(const_pot):
     # right edge of this box runs straight through the zero
     with pytest.raises(BoundaryNearZeroError):
         find_zeros(const_pot, 3.0, Box(zstar.real - 0.5, 0.5))
+
+
+def test_exact_zero_on_the_contour_is_refused(const_pot, monkeypatch):
+    # an exact 0 among the contour values is a zero on the contour; the phase
+    # steps divide by it, so it must be refused before any division warns
+    exact = resonance.theta
+
+    def theta_with_an_exact_zero(m):
+        vals = exact(m)
+        vals[len(vals) // 3] = 0.0
+        return vals
+
+    monkeypatch.setattr(resonance, "theta", theta_with_an_exact_zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BoundaryNearZeroError, match="exactly 0"):
+            find_zeros(const_pot, 3.0, Box(0.0, 2.0))
 
 
 def test_oversized_box_beyond_resolving_power(tall_bump_pot):
@@ -375,28 +391,3 @@ def test_classify_mixed_track_splits():
 def test_classify_validation(const_pot):
     with pytest.raises(PreconditionError):
         classify_track(_synthetic_track([0.0, 1.0], [1j, 1j]))
-
-
-# ---------------------------------------------------------------------------
-# horizon scan
-# ---------------------------------------------------------------------------
-
-
-def test_horizon_free_potential_is_empty(free_pot):
-    out = zero_free_horizon(free_pot, 0.5, 2.0, [1.0, 2.0, 4.0])
-    assert all(not h.contains_zero for h in out)
-    assert all(h.nearest == np.inf and h.n_zeros == 0 for h in out)
-
-
-def test_horizon_eventually_zero_free(tall_bump_pot):
-    out = zero_free_horizon(tall_bump_pot, TALL_ZERO.real, 2.0, [2.0, 3.0, 4.0, 6.0])
-    assert [h.contains_zero for h in out] == [True, False, False, False]
-    assert out[0].n_zeros == 1
-    assert out[0].nearest == pytest.approx(TALL_ZERO.imag, abs=1e-6)
-
-
-def test_horizon_validation(free_pot):
-    with pytest.raises(ValidationError):
-        zero_free_horizon(free_pot, 0.0, 2.0, [2.0, 1.0])
-    with pytest.raises(ValidationError):
-        zero_free_horizon(free_pot, 0.0, -1.0, [1.0, 2.0])

@@ -6,13 +6,9 @@ from hypothesis import strategies as st
 from diracnlft.errors import InstabilityError, RangeError, ValidationError
 from diracnlft.potential import SampledPotential
 from diracnlft.propagator import hermite_biehler, theta, transfer
-from diracnlft.riccati import (
-    arg_mod_E_evolve,
-    riccati_evolve_moebius,
-    riccati_evolve_rk,
-)
+from diracnlft.riccati import riccati_evolve_moebius, riccati_evolve_rk
 
-from oracles import oracle_theta
+from oracles import arg_mod_E_evolve, oracle_theta
 
 
 def _random_pot(seed, n=30, h=0.05, amp=1.5):
