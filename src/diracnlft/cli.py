@@ -92,6 +92,8 @@ def _load_config(args) -> dict:
         raise UsageError(f"format must be csv or json, got {cfg['format']!r}")
     tols = _require(cfg, "tolerances", _object, {})
     for name in tols:
+        if name not in ("unimodular", "parseval"):
+            raise UsageError(f"unknown tolerance {name!r}: expected unimodular or parseval")
         if not (_require(tols, name) > 0):
             raise UsageError(f"tolerance {name!r} must be > 0, got {tols[name]}")
     return cfg

@@ -143,10 +143,10 @@ def kernel_K(pot: SampledPotential, t: float, lam: complex, z: complex) -> compl
     Evaluated from the transfer-matrix entries A and C; coincident points
     (|conj lam - z| under 1e-6 relative) switch to the confluent form built
     from z-derivatives, keeping the diagonal exactly real and positive.
+    Past ``pot.T`` the potential is extended by zero, as in :func:`transfer`.
     """
     if t <= 0:
         raise ValidationError(f"kernel_K needs t > 0, got {t}")
-    clip_to_support(pot, t, "kernel time t")
     return complex(_kernel_matrix(pot, t, np.array([lam, z], dtype=complex))[0, 1])
 
 
@@ -252,7 +252,7 @@ def hb_sine_fit(
         FitError: the minimal shift pushed the model zero out of the lower
             half-plane.
     """
-    box = Box.scaled(s, C, t, max(8, grid_n))
+    box = Box.scaled(s, C, t, grid_n)
     zeros = find_zeros(pot, t, box)
     if not zeros:
         raise PreconditionError(
@@ -321,7 +321,7 @@ def hb_exp_fit(
     Raises:
         PreconditionError: the box contains a theta-zero (use hb_sine_fit).
     """
-    box = Box.scaled(s, D, t, max(8, grid_n))
+    box = Box.scaled(s, D, t, grid_n)
     zeros = find_zeros(pot, t, box)
     if zeros:
         raise PreconditionError(

@@ -534,20 +534,25 @@ def hermite_biehler(m: Transfer) -> HermiteBiehlerPair:
     )
 
 
+def _pole_checked(A, C):
+    """``(E, theta)`` for ``E = A - iC``, after the package's one pole test."""
+    E = A - 1j * C
+    near = abs(E) <= POLE_FLOOR * (abs(A) + abs(C) + 1.0)
+    if near is True or near is not False and near.any():  # a bool for scalars
+        raise PoleProximityError(
+            "theta evaluated too close to a pole (|A - iC| under its floor); "
+            "the point sits at a conjugate zero of the first-kind function"
+        )
+    return E, (A + 1j * C) / E
+
+
 def theta(m: Transfer):
     """Inner-function value theta = (A + iC)/(A - iC).
 
     Unimodular on the real axis, strictly contractive in the open upper
     half-plane.  Raises :class:`PoleProximityError` at (numerical) poles.
     """
-    A, C = np.asarray(m.A, dtype=complex), np.asarray(m.C, dtype=complex)
-    E = A - 1j * C
-    if np.any(np.abs(E) <= POLE_FLOOR * (np.abs(A) + np.abs(C) + 1.0)):
-        raise PoleProximityError(
-            "theta evaluated too close to a pole (|A - iC| under its floor); "
-            "the point sits at a conjugate zero of the first-kind function"
-        )
-    val = (A + 1j * C) / E
+    _, val = _pole_checked(np.asarray(m.A, dtype=complex), np.asarray(m.C, dtype=complex))
     return val if val.ndim else complex(val)
 
 
@@ -559,11 +564,7 @@ def theta_derivs(m: Transfer):
     ``theta_z = 2i (A C' - A' C) / E^2``.
     """
     A, C, dA, dC = m.A, m.C, m.dA, m.dC
-    E = A - 1j * C
-    floor = POLE_FLOOR * (abs(A) + abs(C) + 1.0)
-    if abs(E) <= floor:
-        raise PoleProximityError("theta derivative requested at a pole of theta")
-    th = (A + 1j * C) / E
+    E, th = _pole_checked(A, C)
     wronsk = A * dC - dA * C
     th_z = 2j * wronsk / (E * E)
     if m.order < 2:

@@ -321,8 +321,8 @@ def find_zeros(pot: SampledPotential, t: float, box: Box):
     """All zeros of theta(t, .) inside the upper-half part of ``box``.
 
     Argument-principle count on the boundary, quadrisection to single
-    windings, Newton polish.  Returns a list of ``(z, theta_z)`` sorted by
-    real part, every zero satisfying ``|theta| <= 1e-9`` and ``Im z > 0``.
+    windings, Newton polish.  Returns ``(z, theta_z)`` pairs sorted by Re z
+    (to 1e-9), then Im z, each zero with ``|theta| <= 1e-9`` and ``Im z > 0``.
 
     Raises:
         BoundaryNearZeroError: a zero sits numerically on the initial
@@ -338,7 +338,8 @@ def find_zeros(pot: SampledPotential, t: float, box: Box):
         tol = 1e-9 * (1.0 + abs(z))
         if z.imag > IM_FLOOR and box.contains(z, tol) and all(abs(z - u) > tol for u, _ in uniq):
             uniq.append((z, th_z))
-    uniq.sort(key=lambda p: (p[0].real, p[0].imag))
+    q = 1e-9 * (1.0 + abs(box.s) + box.half_width)  # Re z within q: one column, by Im z
+    uniq.sort(key=lambda p: (round(p[0].real / q), p[0].imag))
     return uniq
 
 

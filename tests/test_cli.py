@@ -78,9 +78,10 @@ ZERO_CFG = {"potential": {"family": "zero", "params": {}}, "h": 0.05, "T": 2.0}
     ("resonances", {"box": {"grid_n": 8.5}}, "grid_n"),
     ("converge", {"T_list": [1.0, 2.0], "box_samples": True}, "box_samples"),
     ("verify", {"seed": 1.5}, "seed"),
+    ("transform", {"tolerances": {"unimodualr": 1e-30}}, "unimodualr"),
 ], ids=["w_window_number", "w_window_triple", "box_number", "grid_list", "nz_word",
         "tolerance_word", "nz_fraction", "nz_bool", "grid_n_fraction", "box_samples_bool",
-        "seed_fraction"])
+        "seed_fraction", "tolerance_name_typo"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, command, extra, key):
     # each of these ended in a Python traceback, or was silently truncated, before
     cfg = _write_cfg(tmp_path, "c.json", {**ZERO_CFG, **extra})

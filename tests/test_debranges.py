@@ -177,8 +177,11 @@ def test_probe_propagates_each_conjugate_pair_once(free_pot, monkeypatch, grid_n
 
 
 def test_kernel_time_guard(const_pot):
-    with pytest.raises(RangeError):
-        kernel_K(const_pot, const_pot.T + 1.0, 0.0, 1.0)
+    # past pot.T the kernel is that of the potential extended by zero
+    pot = SampledPotential(h=0.1, cells=(0.5,) * 10)
+    padded = SampledPotential(h=0.1, cells=(0.5,) * 10 + (0.0,) * 20)
+    for lam, z in ((0.3 + 0.2j, 1.1 - 0.4j), (0.7 + 0.1j, 0.7 - 0.1j)):  # plain, confluent
+        assert kernel_K(pot, 3.0, lam, z) == kernel_K(padded, 3.0, lam, z)
     with pytest.raises(ValidationError):
         kernel_K(const_pot, 0.0, 0.0, 1.0)
 
@@ -314,6 +317,13 @@ def test_sine_fit_preconditions(free_pot, tall_bump_pot):
 # ---------------------------------------------------------------------------
 # exponential fit (zero-free boxes)
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fit", [hb_sine_fit, hb_exp_fit], ids=["sine", "exp"])
+def test_fits_pass_grid_n_to_box_unchanged(free_pot, fit):
+    # as in kernel_probe, grid_n = 4 is refused, not silently raised to 8
+    with pytest.raises(ValidationError, match="grid_n"):
+        fit(free_pot, 0.5, 4.0, 2.0, grid_n=4)
 
 
 def test_exp_fit_free_is_exact(free_pot):

@@ -1,6 +1,6 @@
 """Static hygiene of the package sources: every ``__all__`` name is defined
-and has a caller, no module imports a name it never uses, and no private
-module-level name is left unused (stdlib ``ast`` only)."""
+and has a caller, no module (nor test file) imports a name it never uses,
+and no private module-level name is left unused (stdlib ``ast`` only)."""
 
 import ast
 import pathlib
@@ -10,6 +10,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "diracnlft"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 #: Exported names that may have no caller, each for a stated reason.
 UNCALLED_EXPORTS = {
@@ -58,7 +59,7 @@ def test_every_exported_name_is_defined(path):
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.stem
+    "path", [p for p in MODULES + TESTS if p.name != "__init__.py"], ids=lambda p: p.stem
 )
 def test_no_unused_imports(path):
     # __init__.py is left out: its imports are the package's re-exports.

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracnlft.errors import RangeError, ValidationError
-from diracnlft.debranges import estimate_w, kernel_K
+from diracnlft.debranges import estimate_w
 from diracnlft.experiments import run_convergence
 from diracnlft.nlft import interval_scattering_grid, parseval_check
 from diracnlft.potential import (
@@ -18,7 +18,6 @@ from diracnlft.potential import (
     l2_norm_sq,
     load_potential,
     potential_from_dict,
-    potential_to_dict,
     restrict,
     sample,
     save_potential,
@@ -104,11 +103,10 @@ def test_clip_to_support():
     lambda pot, t: parseval_check(pot, T=t),
     lambda pot, t: riccati_evolve_moebius(pot, 0.5, t),
     lambda pot, t: riccati_evolve_rk(pot, 0.5, t),
-    lambda pot, t: kernel_K(pot, t, 0.5j, 0.5j),
     lambda pot, t: estimate_w(pot, 0.5, (0.1, t), 8),
     lambda pot, t: run_convergence(pot, [0.5], [t], 4.0),
 ], ids=["restrict", "interval_scattering_grid", "parseval_check", "riccati_evolve_moebius",
-        "riccati_evolve_rk", "kernel_K", "estimate_w", "run_convergence"])
+        "riccati_evolve_rk", "estimate_w", "run_convergence"])
 def test_horizon_past_the_support_is_a_range_error(call):
     pot = SampledPotential(h=0.1, cells=(0.5,) * 10)
     call(pot, pot.T * (1 + 1e-10))  # within the boundary slack

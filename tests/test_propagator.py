@@ -622,9 +622,16 @@ def test_theta_contractive_in_upper_half_plane():
 
 
 def test_theta_pole_guard():
+    # A - iC = 0: one pole test serves theta (scalar or batch) and theta_derivs
     m = Transfer(t=1.0, z=0j, jet=np.array([[[1.0, 0.0], [-1.0j, 0.0]]]), det_tracked=1 + 0j)
     with pytest.raises(PoleProximityError):
         theta(m)
+    m1 = Transfer(t=1.0, z=0j, jet=np.array([m.jet[0], np.eye(2)]), det_tracked=1 + 0j)
+    with pytest.raises(PoleProximityError):
+        theta_derivs(m1)
+    batch = np.stack([m.jet, np.eye(2)[None]], axis=-1).astype(complex)
+    with pytest.raises(PoleProximityError):
+        theta(Transfer(t=1.0, z=np.zeros(2, complex), jet=batch, det_tracked=np.ones(2, complex)))
 
 
 def test_theta_derivatives_match_fd():

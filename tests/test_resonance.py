@@ -20,7 +20,6 @@ from diracnlft.potential import PotentialSpec, SampledPotential, sample
 from diracnlft.propagator import theta, transfer
 from diracnlft.resonance import (
     Box,
-    MotionSegment,
     ResonanceTrack,
     classify_track,
     find_zeros,
@@ -175,6 +174,16 @@ def test_zero_on_boundary_is_refused(const_pot):
     # right edge of this box runs straight through the zero
     with pytest.raises(BoundaryNearZeroError):
         find_zeros(const_pot, 3.0, Box(zstar.real - 0.5, 0.5))
+
+
+def test_zeros_on_one_vertical_line_come_out_by_height(const_pot, monkeypatch):
+    # real parts that differ by rounding noise only must not set the order
+    def two_zeros(pot, t, rect, n0, depth, out):
+        out.extend([(1e-16 + 2j, 1.0), (1e-12 + 1j, 1.0)])
+
+    monkeypatch.setattr(resonance, "_collect_zeros", two_zeros)
+    zeros = [z for z, _ in find_zeros(const_pot, 3.0, Box(0.0, 3.0))]
+    assert [z.imag for z in zeros] == [1.0, 2.0]
 
 
 def test_exact_zero_on_the_contour_is_refused(const_pot, monkeypatch):
