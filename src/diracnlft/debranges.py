@@ -97,18 +97,34 @@ def kernel_sinc(t: float, lam: complex, z: complex):
     if t <= 0:
         raise ValidationError(f"kernel_sinc needs t > 0, got {t}")
     d = np.atleast_1d(np.asarray(z, dtype=complex) - np.conj(np.asarray(lam, dtype=complex)))
-    u = t * d
-    out = np.empty_like(u)  # sin(a + ib) = sin a cosh b + i cos a sinh b
-    np.multiply(np.sin(u.real), np.cosh(u.imag), out=out.real)
-    np.multiply(np.cos(u.real), np.sinh(u.imag), out=out.imag)
-    small = np.nonzero(np.abs(u) < _SINC_SERIES)
-    d[small] = 1.0
-    d *= np.pi
-    out /= d
-    u2 = u[small] ** 2
-    out[small] = (t / np.pi) * (1.0 - u2 / 6.0 * (1.0 - u2 / 20.0))
+    out = _sinc(t, d.real, d.imag)
     if np.ndim(z) == 0 and np.ndim(lam) == 0:
         return complex(out[0])
+    return out
+
+
+def _sinc(t, re, im):
+    """sin(t d) / (pi d) at ``d = re + i im``, for real arrays broadcast together.
+
+    sin/cos run at the shape of ``re`` and cosh/sinh at that of ``im``, so a
+    tensor grid passes its factors and pays the transcendentals once per
+    distinct value, not once per entry.
+    """
+    ur, ui = t * re, t * im
+    out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
+    # sin(a + ib) = sin a cosh b + i cos a sinh b
+    np.multiply(np.sin(ur), np.cosh(ui), out=out.real)
+    np.multiply(np.cos(ur), np.sinh(ui), out=out.imag)
+    u = np.empty_like(out)  # t d; complex abs is several times faster than hypot
+    u.real[...], u.imag[...] = ur, ui
+    small = np.nonzero(np.abs(u) < _SINC_SERIES)
+    u2 = u[small] ** 2
+    d = u  # reuse the buffer for pi d
+    np.multiply(np.pi, re, out=d.real)
+    np.multiply(np.pi, im, out=d.imag)
+    d[small] = np.pi
+    out /= d
+    out[small] = (t / np.pi) * (1.0 - u2 / 6.0 * (1.0 - u2 / 20.0))
     return out
 
 
@@ -116,24 +132,32 @@ def _kernel_matrix(pot, t, pts):
     """K(t, lam_i, z_j) over one point set (rows index lam, cols index z).
 
     Uses A(conj p) = conj A(p) (real potential) so a single batch at
-    ``pts`` supplies values and, carrying derivatives only when some entry
-    is confluent, the confluent branch; the numerator is ``P - P^H`` for
-    ``P = A(z_j) C(conj lam_i)``, so K is exactly Hermitian.
+    ``pts`` supplies values and the confluent branch; the numerator is
+    ``P - P^H`` for ``P = A(z_j) C(conj lam_i)``, so K is exactly Hermitian.
+    The batch carries the z-derivatives the confluent branch needs: order 0
+    when no entry is confluent, order 1 when every confluent offset
+    ``d = conj(lam_i) - z_j`` is exactly 0 (the second-order term is then
+    0; the case of every probe grid, whose rows are exactly conjugate), and
+    order 2 otherwise.
     """
     denom = np.conj(pts)[:, None] - pts
     i, j = np.nonzero(np.abs(denom) < _DIAG_SWITCH * (1.0 + np.abs(pts)))
-    m = transfer(pot, pts, t, order=2 if len(i) else 0)
+    d, denom[i, j] = denom[i, j], 1.0
+    order = 2 if d.any() else 1 if len(d) else 0
+    m = transfer(pot, pts, t, order=order)
     K = m.A * np.conj(m.C)[:, None]  # A(z_j) C(conj lam_i)
     K -= np.conj(K.T)
-    d, denom[i, j] = denom[i, j], 1.0
     denom *= np.pi
     K /= denom
-    if len(i):
+    if order:
         # confluent branch: numerator N(conj lam) = A(z) C(.) - C(z) A(.)
         # vanishes at conj lam = z, so K -> (N' + N'' (conj lam - z)/2) / pi
         # with all derivatives taken at z.
         A, C = m.A[j], m.C[j]
-        K[i, j] = (A * m.dC[j] - C * m.dA[j] + 0.5 * (A * m.d2C[j] - C * m.d2A[j]) * d) / np.pi
+        N = A * m.dC[j] - C * m.dA[j]
+        if order == 2:
+            N += 0.5 * (A * m.d2C[j] - C * m.d2A[j]) * d
+        K[i, j] = N / np.pi
     return K
 
 
@@ -161,17 +185,23 @@ def kernel_probe(
     """Tabulate K and S over the full square Q(s, C/t) and score the gap.
 
     ``w_hat`` defaults to an 8-sample estimate over the trailing tenth of
-    [0, t].  The gap is ``max |K - S / w_hat| / t`` over all grid pairs.
+    [0, min(t, pot.T)], as in the fits (past the support |E(t, s)| is
+    frozen).  The gap is ``max |K - S / w_hat| / t`` over all grid pairs.
     """
     if w_hat is None:
-        w_hat, _ = estimate_w(pot, s, (0.9 * t, t), 8)
+        w_hat = _w_for_fit(pot, s, t)
     if w_hat <= 0:
         raise ValidationError(f"need w_hat > 0, got {w_hat}")
     box = Box.scaled(s, C, t, grid_n)
     pts = box.tensor_grid()
     K = _kernel_matrix(pot, t, pts)
-    S = kernel_sinc(t, pts[:, None], pts[None, :])
-    gap = float(np.max(np.abs(K - S / w_hat)) / t)
+    # entry (r_i, c_i, r_j, c_j): z_j - conj lam_i = (x[c_j] - x[c_i]) + i (x[r_i] + x[r_j])
+    x = box.axis
+    re = x[None, None, None, :] - x[None, :, None, None]
+    im = x[:, None, None, None] + x[None, None, :, None]
+    S = _sinc(t, re, im).reshape(K.shape)
+    dev = S / w_hat
+    gap = float(np.max(np.abs(np.subtract(K, dev, out=dev))) / t)
     return KernelProbe(
         t=t, s=s, C=C, lambda_grid=pts, z_grid=pts,
         K_values=K, S_values=S, gap=gap, w_hat=w_hat,

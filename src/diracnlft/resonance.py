@@ -94,10 +94,17 @@ class Box:
         """Membership in the upper-half part of the square."""
         return _inside(z, self.rect, slack)
 
+    @property
+    def axis(self) -> np.ndarray:
+        """The grid_n offsets ``x`` of the tensor grid from its center, the
+        same along the real and the imaginary direction."""
+        return symmetric_grid(self.half_width, self.grid_n)
+
     def tensor_grid(self) -> np.ndarray:
-        """grid_n x grid_n complex tensor grid over the full square, its
-        columns exactly symmetric about s and its rows exactly conjugate."""
-        x = symmetric_grid(self.half_width, self.grid_n)
+        """grid_n x grid_n complex tensor grid over the full square: point
+        ``r * grid_n + c`` is ``s + x[c] + i x[r]`` for ``x = axis``, so its
+        columns are exactly symmetric about s and its rows exactly conjugate."""
+        x = self.axis
         return ((self.s + x)[None, :] + 1j * x[:, None]).ravel()
 
 

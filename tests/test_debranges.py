@@ -12,7 +12,7 @@ from diracnlft.debranges import (
 )
 from diracnlft.errors import PreconditionError, RangeError, ValidationError
 from diracnlft.potential import SampledPotential
-from diracnlft.propagator import transfer_derivative_batch
+from diracnlft.propagator import transfer, transfer_derivative_batch
 from diracnlft.resonance import Box
 
 from oracles import kernel_matrix_by_where, kernel_sinc_by_where
@@ -91,14 +91,10 @@ def test_kernel_hermitian_symmetry_is_exact(const_pot):
         assert kernel_K(const_pot, t, lam, z) == np.conj(kernel_K(const_pot, t, z, lam))
 
 
-def test_non_confluent_kernel_is_its_closed_formula(monkeypatch):
-    # no confluent entry: kernel_K propagates at order 0 and is the quotient
-    # (A(z) C(conj lam) - C(z) A(conj lam)) / (pi (conj lam - z))
+def _record_orders(monkeypatch):
+    """The list that collects the ``order`` of each ``transfer`` call of ``debranges``."""
     import diracnlft.debranges as db
-    from diracnlft.propagator import transfer
 
-    rng = np.random.default_rng(31)
-    pot = SampledPotential(h=0.01, cells=tuple(rng.uniform(-1.0, 1.0, 300)))
     orders, propagate = [], db.transfer
 
     def recording(*args, order=0, **kwargs):
@@ -106,6 +102,15 @@ def test_non_confluent_kernel_is_its_closed_formula(monkeypatch):
         return propagate(*args, order=order, **kwargs)
 
     monkeypatch.setattr(db, "transfer", recording)
+    return orders
+
+
+def test_non_confluent_kernel_is_its_closed_formula(monkeypatch):
+    # no confluent entry: kernel_K propagates at order 0 and is the quotient
+    # (A(z) C(conj lam) - C(z) A(conj lam)) / (pi (conj lam - z))
+    rng = np.random.default_rng(31)
+    pot = SampledPotential(h=0.01, cells=tuple(rng.uniform(-1.0, 1.0, 300)))
+    orders = _record_orders(monkeypatch)
     pairs = [(0.5 + 0.2j, 1.0 - 0.3j), (-1.0 + 0.4j, 2.0 + 0.1j), (0.3 - 0.5j, -0.7 + 0.1j)]
     for lam, z in pairs:
         got = kernel_K(pot, pot.T, lam, z)
@@ -149,6 +154,46 @@ def test_kernel_matrix_matches_full_matrix_reference(grid_n):
     assert np.count_nonzero(near) >= len(pts)  # every point meets its conjugate partner
     assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
     np.testing.assert_array_equal(K, np.conj(K.T))  # exactly Hermitian
+
+
+@pytest.mark.parametrize("grid_n", [8, 9, 16, 17, 24])
+@pytest.mark.parametrize("s", [0.0, 0.7, -2.9])
+def test_probe_kernel_at_order_1_is_the_order_2_kernel(monkeypatch, s, grid_n):
+    # probe rows are exactly conjugate, so every confluent offset is exactly 0
+    # and one order-1 propagation gives the order-2 kernel bit for bit
+    import diracnlft.debranges as db
+
+    rng = np.random.default_rng(40 + grid_n)
+    pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, 300)))
+    t, C = pot.T, 4.0
+    orders = _record_orders(monkeypatch)
+    probe = kernel_probe(pot, s, t, C, w_hat=1.0, grid_n=grid_n)
+    assert orders == [1]
+    pts = Box(s, C / t, grid_n).tensor_grid()
+    np.testing.assert_array_equal(probe.lambda_grid, pts)
+    monkeypatch.setattr(db, "transfer", lambda *a, order, **k: transfer(*a, order=2, **k))
+    np.testing.assert_array_equal(probe.K_values, db._kernel_matrix(pot, t, pts))
+    # both branches of the full-matrix reference: the confluent one (with its
+    # second-order term) exactly, the direct quotient up to its rounding
+    m = transfer(pot, pts, t, order=2)
+    ref = kernel_matrix_by_where(pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)
+    near = np.abs(np.conj(pts)[:, None] - pts) < 1e-6 * (1.0 + np.abs(pts))
+    np.testing.assert_array_equal(probe.K_values[near], ref[near])
+    assert np.max(np.abs(probe.K_values - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the sinc from the grid factors moves by rounding only
+    S = kernel_sinc_by_where(t, pts[:, None], pts[None, :])
+    assert np.max(np.abs(probe.S_values - S)) <= 1e-14 * np.max(np.abs(S))
+
+
+def test_kernel_order_follows_the_confluent_offsets(monkeypatch, const_pot):
+    # a close but unequal pair needs the second-order term, an exact one does not
+    orders = _record_orders(monkeypatch)
+    for lam, z in ((1.2, 1.2 + 1e-7), (0.7 + 0.1j, 0.7 - 0.1j)):
+        got = kernel_K(const_pot, 2.0, lam, z)
+        pts = np.array([lam, z], dtype=complex)
+        m = transfer(const_pot, pts, 2.0, order=2)
+        assert got == kernel_matrix_by_where(pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)[0, 1]
+    assert orders == [2, 1]
 
 
 @pytest.mark.parametrize("grid_n", [8, 9])
@@ -237,6 +282,20 @@ def test_gap_decreases_with_time(bump_pot):
     g8 = kernel_probe(bump_pot, 0.5, 8.0, 4.0, w_hat=w).gap
     g32 = kernel_probe(bump_pot, 0.5, 32.0, 4.0, w_hat=w).gap
     assert g32 < g8
+
+
+def test_probe_default_w_past_the_support():
+    # the default w window ends at min(t, pot.T), as in the fits: past the
+    # support |E(t, s)| is frozen
+    pot = SampledPotential(h=0.1, cells=(0.5,) * 10)
+    w_end, _ = estimate_w(pot, 0.5, (0.9 * pot.T, pot.T), 8)
+    probe = kernel_probe(pot, 0.5, 3.0, 4.0, grid_n=8)
+    assert probe.w_hat == w_end
+    assert probe.gap == kernel_probe(pot, 0.5, 3.0, 4.0, w_hat=w_end, grid_n=8).gap
+    assert probe.gap == pytest.approx(68.97, rel=1e-3)
+    # within the support: the trailing tenth of [0, t], as before
+    w_in, _ = estimate_w(pot, 0.5, (0.9 * 0.8, 0.8), 8)
+    assert kernel_probe(pot, 0.5, 0.8, 4.0, grid_n=8).w_hat == w_in
 
 
 def test_probe_validation(bump_pot):
