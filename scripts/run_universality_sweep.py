@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from diracnlft.debranges import estimate_w, hb_exp_fit, hb_sine_fit, kernel_probe
+from diracnlft.debranges import estimate_w, hb_fit, kernel_probe
 from diracnlft.errors import PreconditionError
 from diracnlft.potential import PotentialSpec, SampledPotential, sample
 from diracnlft.reporting import write_csv
@@ -51,20 +51,13 @@ def main(argv=None) -> int:
     for t in args.times:
         probe = kernel_probe(pot, args.s, t, args.C, w_hat=w_hat,
                              grid_n=args.grid_n)
-        fit_kind, alpha = "none", complex(np.nan, np.nan)
-        x = y = residual = np.nan
         try:
-            fit = hb_sine_fit(pot, args.s, t, args.C, grid_n=args.grid_n,
-                              w_hat=w_hat)
-            fit_kind, alpha = "sine", fit.alpha
+            fit = hb_fit(pot, args.s, t, args.C, grid_n=args.grid_n, w_hat=w_hat)
+            fit_kind, alpha = fit.kind, fit.alpha
             x, y, residual = fit.x, fit.y, fit.residual
         except PreconditionError:
-            try:
-                alpha, residual = hb_exp_fit(pot, args.s, t, args.C,
-                                             grid_n=args.grid_n, w_hat=w_hat)
-                fit_kind = "exp"
-            except PreconditionError:
-                pass
+            fit_kind, alpha = "none", complex(np.nan, np.nan)
+            x = y = residual = np.nan
         rows.append((t, args.s, args.C, w_hat, probe.gap, fit_kind,
                      alpha.real, alpha.imag, x, y, residual))
         print(f"  t = {t:6.1f}   gap = {probe.gap:10.4f}   fit = {fit_kind:4s}"

@@ -71,10 +71,11 @@ from .resonance import (
 )
 from .debranges import (
     KernelProbe,
-    SineFit,
+    ModelFit,
     estimate_w,
     gamma_factor,
     hb_exp_fit,
+    hb_fit,
     hb_sine_fit,
     kernel_K,
     kernel_probe,

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .debranges import estimate_w, hb_exp_fit, hb_sine_fit, kernel_probe
+from .debranges import estimate_w, hb_fit, kernel_probe
 from .errors import (
     DiracNLFTError,
     InvariantViolation,
@@ -333,16 +333,12 @@ def cmd_kernels(cfg: dict) -> int:
         raise UsageError(f"config key 'w_window' must hold 2 numbers, got {window!r}")
     w_hat, spread = estimate_w(pot, s, (float(window[0]), float(window[1])), 8)
     probe = kernel_probe(pot, s, t, C, w_hat=w_hat, grid_n=grid_n)
-    fit_kind, alpha, x, y, residual = "none", complex(np.nan, np.nan), np.nan, np.nan, np.nan
     try:
-        fit = hb_sine_fit(pot, s, t, C, grid_n=grid_n, w_hat=w_hat)
-        fit_kind, alpha, x, y, residual = "sine", fit.alpha, fit.x, fit.y, fit.residual
-    except PreconditionError:
-        try:
-            alpha, residual = hb_exp_fit(pot, s, t, C, grid_n=grid_n, w_hat=w_hat)
-            fit_kind = "exp"
-        except PreconditionError as exc:
-            log.info("no admissible fit: %s", exc)
+        fit = hb_fit(pot, s, t, C, grid_n=grid_n, w_hat=w_hat)
+        fit_kind, alpha, x, y, residual = fit.kind, fit.alpha, fit.x, fit.y, fit.residual
+    except PreconditionError as exc:
+        log.info("no admissible fit: %s", exc)
+        fit_kind, alpha, x, y, residual = "none", complex(np.nan, np.nan), np.nan, np.nan, np.nan
     cols = ("t", "s", "C", "w_hat", "gap", "fit_kind", "re_alpha", "im_alpha",
             "x", "y", "residual")
     row = (t, s, C, w_hat, probe.gap, fit_kind, alpha.real, alpha.imag, x, y, residual)

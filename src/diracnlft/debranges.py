@@ -7,8 +7,8 @@ The space attached to E(t, .) has kernel
 which in the free case collapses to the Paley-Wiener sinc kernel
 ``S = sin(t (z - conj lam)) / (pi (z - conj lam))``.  In the universality
 regime K approaches S / w(s) on boxes Q(s, C/t); ``kernel_probe(...).gap``
-measures that defect, and the sine/exponential fits realize the two limit
-shapes of E itself (a zero nearby or not).
+measures that defect, and ``hb_fit`` realizes the two limit shapes of E
+itself, picking the sine or the exponential by whether a zero is nearby.
 
 Spectral densities are never constructed: w(s) is estimated from the
 pointwise stabilization of 1 / |E(t, s)|^2, with the sampling spread
@@ -29,11 +29,12 @@ from .resonance import Box, find_zeros
 
 __all__ = [
     "KernelProbe",
-    "SineFit",
+    "ModelFit",
     "kernel_K",
     "kernel_sinc",
     "kernel_probe",
     "estimate_w",
+    "hb_fit",
     "hb_sine_fit",
     "hb_exp_fit",
     "gamma_factor",
@@ -63,11 +64,17 @@ class KernelProbe:
 
 
 @dataclass(frozen=True)
-class SineFit:
-    """Local sine model ``(alpha gamma(t y)/sqrt(w)) sin(t (z - (x - i y)))``."""
+class ModelFit:
+    """Local model of E(t, .) on a box Q(s, C/t).
+
+    ``kind`` "sine": ``(alpha gamma(t y)/sqrt(w)) sin(t (z - (x - i y)))``,
+    fitted where a theta-zero sits in the box.  ``kind`` "exp":
+    ``(-i alpha / sqrt(w)) e^{-i t z}`` on a zero-free box, with x and y NaN.
+    """
 
     t: float
     s: float
+    kind: str
     alpha: complex
     x: float
     y: float
@@ -260,109 +267,101 @@ def _w_for_fit(pot, s, t):
     return w_hat
 
 
-def hb_sine_fit(
+def hb_fit(
     pot: SampledPotential,
     s: float,
     t: float,
     C: float,
     grid_n: int = 16,
     w_hat: float | None = None,
-) -> SineFit:
-    """Fit E(t, .) near s by a shifted sine when a zero sits in the box.
+) -> ModelFit:
+    """Fit E(t, .) on Q(s, C/t) by the limit shape the box admits.
 
-    The zero of the model starts at the conjugate of the nearest theta-zero
-    in Q(s, C/t); the zero is then moved by the smallest amount that lets a
-    unimodular alpha pin the model to E(t, s) exactly (two real matching
-    conditions, so the phase alone cannot absorb both).  gamma is frozen at
-    the original zero height.
+    One zero search decides.  A theta-zero in the box gives the shifted
+    sine: its zero starts at the conjugate of the nearest theta-zero and is
+    moved by the smallest amount that lets a unimodular alpha pin the model
+    to E(t, s) exactly (two real matching conditions, so the phase alone
+    cannot absorb both); gamma is frozen at the original zero height.  A
+    zero-free box gives the exponential, with alpha pinned to E(t, s) the
+    same way.  ``residual`` is the sup of |E - model| over the box tensor
+    grid; ``w_hat`` defaults to an 8-sample estimate over the trailing
+    tenth of [0, min(t, pot.T)].
 
     Raises:
-        PreconditionError: no theta-zero in the box (use hb_exp_fit), or
-            the zero height violates 1 < t y < 2C.
+        PreconditionError: the zero height violates 1 < t y < 2C.
         FitError: the minimal shift pushed the model zero out of the lower
             half-plane.
     """
+    return _fit(pot, s, t, C, grid_n, w_hat, None)
+
+
+def hb_sine_fit(pot: SampledPotential, s: float, t: float, C: float,
+                grid_n: int = 16, w_hat: float | None = None) -> ModelFit:
+    """:func:`hb_fit` that raises PreconditionError on a zero-free box."""
+    return _fit(pot, s, t, C, grid_n, w_hat, "sine")
+
+
+def hb_exp_fit(pot: SampledPotential, s: float, t: float, D: float,
+               grid_n: int = 16, w_hat: float | None = None) -> ModelFit:
+    """:func:`hb_fit` that raises PreconditionError on a box holding a zero."""
+    return _fit(pot, s, t, D, grid_n, w_hat, "exp")
+
+
+def _fit(pot, s, t, C, grid_n, w_hat, only):
+    """Body of the fits: ``only`` None fits the model the zero search
+    admits, "sine" or "exp" refuses a box that admits the other one."""
     box = Box.scaled(s, C, t, grid_n)
     zeros = find_zeros(pot, t, box)
-    if not zeros:
+    kind = "sine" if zeros else "exp"
+    if only not in (None, kind):
         raise PreconditionError(
-            f"no theta-zero in Q({s}, {C / t:.3g}): E has no nearby zero; "
-            "use hb_exp_fit"
+            f"{len(zeros)} theta-zero(s) in Q({s}, {C / t:.3g}): the box admits the "
+            f"{kind} model, not the {only} one (use hb_fit)"
         )
-    z_up = min((z for z, _ in zeros), key=lambda z: abs(z - s))
-    x0, y0 = z_up.real, z_up.imag
-    if not (1.0 < t * y0 < 2.0 * C):
-        raise PreconditionError(
-            f"t*y = {t * y0:.3g} outside (1, {2 * C}): the sine model's value "
-            "pin is only calibrated in that band"
-        )
+    if kind == "sine":
+        z_up = min((z for z, _ in zeros), key=lambda z: abs(z - s))
+        if not (1.0 < t * z_up.imag < 2.0 * C):
+            raise PreconditionError(
+                f"t*y = {t * z_up.imag:.3g} outside (1, {2 * C}): the sine model's "
+                "value pin is only calibrated in that band"
+            )
     if w_hat is None:
         w_hat = _w_for_fit(pot, s, t)
-    gam = gamma_factor(t * y0)
     E_s = complex(_E_on(pot, t, [s])[0])
-    V = E_s * math.sqrt(w_hat) / gam
-    # minimal move of zeta = t (s - z_model) onto the level set |sin| = |V|
-    zeta = t * (s - np.conj(z_up))
-    target = abs(V) ** 2
-    for _ in range(80):
-        a, b = zeta.real, zeta.imag
-        g = math.sin(a) ** 2 + math.sinh(b) ** 2 - target
-        if abs(g) < 1e-15 * (1.0 + target):
-            break
-        ga, gb = math.sin(2 * a), math.sinh(2 * b)
-        norm2 = ga * ga + gb * gb
-        if norm2 < 1e-30:
-            raise FitError("level-set gradient vanished while shifting the sine zero")
-        step = g / norm2
-        zeta = complex(a - step * ga, b - step * gb)
-    else:
-        raise FitError("sine-zero shift did not converge")
-    sin_zeta = np.sin(zeta)
-    if abs(sin_zeta) < 1e-300:
-        raise FitError("shifted zeta landed on a lattice zero of sin")
-    alpha = V / sin_zeta
-    z_model = s - zeta / t
-    x, y = float(z_model.real), float(-z_model.imag)
-    if y <= 0:
-        raise FitError(f"shifted model zero has y = {y:.3g} <= 0")
     pts = box.tensor_grid()
-    model = (alpha * gam / math.sqrt(w_hat)) * np.sin(t * (pts - (x - 1j * y)))
+    if kind == "exp":
+        alpha, x, y = 1j * math.sqrt(w_hat) * E_s * np.exp(1j * t * s), math.nan, math.nan
+        model = (-1j * alpha / math.sqrt(w_hat)) * np.exp(-1j * t * pts)
+    else:
+        gam = gamma_factor(t * z_up.imag)
+        V = E_s * math.sqrt(w_hat) / gam
+        # minimal move of zeta = t (s - z_model) onto the level set |sin| = |V|
+        zeta = t * (s - np.conj(z_up))
+        target = abs(V) ** 2
+        for _ in range(80):
+            a, b = zeta.real, zeta.imag
+            g = math.sin(a) ** 2 + math.sinh(b) ** 2 - target
+            if abs(g) < 1e-15 * (1.0 + target):
+                break
+            ga, gb = math.sin(2 * a), math.sinh(2 * b)
+            norm2 = ga * ga + gb * gb
+            if norm2 < 1e-30:
+                raise FitError("level-set gradient vanished while shifting the sine zero")
+            step = g / norm2
+            zeta = complex(a - step * ga, b - step * gb)
+        else:
+            raise FitError("sine-zero shift did not converge")
+        sin_zeta = np.sin(zeta)
+        if abs(sin_zeta) < 1e-300:
+            raise FitError("shifted zeta landed on a lattice zero of sin")
+        alpha = V / sin_zeta
+        z_model = s - zeta / t
+        x, y = float(z_model.real), float(-z_model.imag)
+        if y <= 0:
+            raise FitError(f"shifted model zero has y = {y:.3g} <= 0")
+        model = (alpha * gam / math.sqrt(w_hat)) * np.sin(t * (pts - (x - 1j * y)))
     residual = float(np.max(np.abs(_E_on(pot, t, pts) - model)))
-    return SineFit(
-        t=t, s=s, alpha=complex(alpha), x=x, y=y,
+    return ModelFit(
+        t=t, s=s, kind=kind, alpha=complex(alpha), x=x, y=y,
         residual=residual, w_used=float(w_hat),
     )
-
-
-def hb_exp_fit(
-    pot: SampledPotential,
-    s: float,
-    t: float,
-    D: float,
-    grid_n: int = 16,
-    w_hat: float | None = None,
-):
-    """Fit E(t, .) on Q(s, D/t) by ``(-i alpha / sqrt(w)) e^{-i t z}``.
-
-    Applies when no theta-zero sits in the box (the resonance-free time
-    regime); alpha is pinned so the model matches E(t, s) exactly.  Returns
-    ``(alpha, residual)`` with residual the sup over the box tensor grid.
-
-    Raises:
-        PreconditionError: the box contains a theta-zero (use hb_sine_fit).
-    """
-    box = Box.scaled(s, D, t, grid_n)
-    zeros = find_zeros(pot, t, box)
-    if zeros:
-        raise PreconditionError(
-            f"{len(zeros)} theta-zero(s) in Q({s}, {D / t:.3g}); the "
-            "exponential model only applies to zero-free boxes (use hb_sine_fit)"
-        )
-    if w_hat is None:
-        w_hat = _w_for_fit(pot, s, t)
-    E_s = complex(_E_on(pot, t, [s])[0])
-    alpha = 1j * math.sqrt(w_hat) * E_s * np.exp(1j * t * s)
-    pts = box.tensor_grid()
-    model = (-1j * alpha / math.sqrt(w_hat)) * np.exp(-1j * t * pts)
-    residual = float(np.max(np.abs(_E_on(pot, t, pts) - model)))
-    return complex(alpha), residual

@@ -187,8 +187,7 @@ def limit_identities(
     abs_a_pred = 0.5 * np.sqrt(inner + 2.0)
     abs_b_pred = 0.5 * np.sqrt(max(inner - 2.0, 0.0))
     T_end = float(t_window[1])
-    sd = nlft_forward(pot, T=T_end, grid=np.array([s], dtype=complex))
-    hb = hermite_biehler(transfer(pot, float(s), T_end))
+    hb = hermite_biehler(transfer(pot, float(s), T_end))  # |a|, |b| = |E +- i Etilde| / 2
     status = "ok" if max(w_spread, wt_spread) < 0.05 else "inconclusive"
     return LimitReport(
         s=float(s),
@@ -196,8 +195,8 @@ def limit_identities(
         w_tilde_hat=wt_hat,
         abs_a_pred=float(abs_a_pred),
         abs_b_pred=float(abs_b_pred),
-        abs_a_obs=float(np.abs(sd.a[0])),
-        abs_b_obs=float(np.abs(sd.b[0])),
+        abs_a_obs=float(abs(hb.E + 1j * hb.Etilde) / 2.0),
+        abs_b_obs=float(abs(hb.E - 1j * hb.Etilde) / 2.0),
         abs_E_obs=float(abs(hb.E)),
         abs_Etilde_obs=float(abs(hb.Etilde)),
         status=status,

@@ -35,7 +35,10 @@ __all__ = [
     "save_potential",
 ]
 
-FAMILIES = ("zero", "constant", "box", "powerlaw", "damped_cosine")
+#: The params keys each family reads.
+_FAMILY_PARAMS = {"zero": (), "constant": ("q",), "box": ("q", "t0"),
+                  "powerlaw": ("q", "p"), "damped_cosine": ("q", "p", "omega")}
+FAMILIES = tuple(_FAMILY_PARAMS)
 
 #: Families whose tail decays like (1+t)^(-p); they require p > 1/2 so the
 #: potential is square integrable on the half-line.
@@ -50,9 +53,9 @@ class PotentialSpec:
 
     Args:
         family: one of :data:`FAMILIES`.
-        params: real parameters; recognised keys are ``q`` (amplitude),
-            ``t0`` (support end for ``box``), ``p`` (decay exponent) and
-            ``omega`` (oscillation frequency).
+        params: real parameters, only the keys the family reads
+            (``_FAMILY_PARAMS``): ``q`` (amplitude), ``t0`` (support end),
+            ``p`` (decay exponent) and ``omega`` (oscillation frequency).
 
     Explicit cells are not a family: build a :class:`SampledPotential`
     from them (and :func:`restrict` it to a shorter horizon).
@@ -65,6 +68,12 @@ class PotentialSpec:
         if self.family not in FAMILIES:
             raise ValidationError(
                 f"unknown potential family {self.family!r}; expected one of {FAMILIES}"
+            )
+        unknown = sorted(set(self.params) - set(_FAMILY_PARAMS[self.family]))
+        if unknown:
+            raise ValidationError(
+                f"params key(s) {unknown} unknown to family {self.family!r}, "
+                f"which reads {list(_FAMILY_PARAMS[self.family])}"
             )
         for key, val in self.params.items():
             if not isinstance(val, (int, float)) or not math.isfinite(val):

@@ -171,7 +171,7 @@ class MotionSegment:
 # ---------------------------------------------------------------------------
 
 
-def _newton(pot, t, z0, level=None, bounds=None):
+def _newton(pot, t, z0, level=None, bounds=None, pre_tol=math.inf):
     """Solve theta(t, z) = 0, or theta(t, x) = level on the real axis.
 
     Returns ``(z, theta_z, residual)`` with residual ``|theta - level|``,
@@ -186,8 +186,9 @@ def _newton(pot, t, z0, level=None, bounds=None):
     longer than ``1 + |z|``, and then returns its best iterate if that is
     within :data:`ZERO_RESIDUAL_TOL` (None otherwise).
 
-    Raises DerivativeDegenerateError when theta_z (or the level-set slope)
-    drops under its floor.
+    Raises PreconditionError when the residual at ``z0`` exceeds
+    ``pre_tol``, and DerivativeDegenerateError when theta_z (or the
+    level-set slope) drops under its floor.
     """
     z = complex(z0) if level is None else float(z0)
     floor = THETA_Z_FLOOR_SCALE * max(t, 1e-6)
@@ -202,6 +203,11 @@ def _newton(pot, t, z0, level=None, bounds=None):
             break  # left the basin: no zero here for this start
         th, th_z = theta_derivs(transfer(pot, z, t, order=1))
         res = abs(th) if level is None else abs(th - level)
+        if best is None and res > pre_tol:
+            raise PreconditionError(
+                f"|theta(t0, z0) - {0 if level is None else level.real:g}| = {res:.3g} "
+                f"exceeds pre_tol {pre_tol:g}: not a starting point of this track"
+            )
         if best is None or res < best[2]:
             best = (z, th_z, res)
         if res <= 1e-13:
@@ -368,18 +374,11 @@ def _march(pot, z0, t0, t1, dt, pre_tol, level, build):
     """
     if dt <= 0 or t1 <= t0:
         raise ValidationError(f"need t1 > t0 and dt > 0, got [{t0}, {t1}], dt={dt}")
-    th0 = theta(transfer(pot, z0, t0))
-    off = abs(th0) if level is None else abs(th0 - level)
-    if off > pre_tol:
-        raise PreconditionError(
-            f"|theta(t0, z0) - {0 if level is None else level.real:g}| = {off:.3g} "
-            f"exceeds pre_tol {pre_tol:g}: not a starting point of this track"
-        )
     samples: list = []
     residuals: list = []
     status = "completed"
     try:
-        polished = _newton(pot, t0, z0, level)
+        polished = _newton(pot, t0, z0, level, pre_tol=pre_tol)
         if polished is None:
             raise PreconditionError("Newton could not refine the starting point")
         z, th_z, res = polished

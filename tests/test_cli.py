@@ -95,12 +95,13 @@ def test_malformed_config_value_is_usage_error(tmp_path, capsys, command, extra,
 @pytest.mark.parametrize("pspec,key", [
     ({"family": "constant", "parms": {"q": 0.5}}, "parms"),
     ({"family": "constant", "params": {}, "samples": [0.1, 0.2]}, "samples"),
-], ids=["parms_typo", "retired_samples"])
+    ({"family": "box", "params": {"q": 0.4, "t_0": 1.5}}, "t_0"),
+], ids=["parms_typo", "retired_samples", "params_key_typo"])
 def test_inline_potential_unknown_key_is_usage_error(tmp_path, capsys, pspec, key):
     cfg = _write_cfg(tmp_path, "c.json", {"potential": pspec, "h": 0.5, "T": 1.0})
     assert main(["transform", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -374,6 +375,31 @@ def test_kernels_exp_fit_on_free(tmp_path, capsys):
     out = tmp_path / "kernels.csv"
     assert main(["kernels", "--config", cfg, "--out", str(out)]) == 0
     assert "fit = exp" in capsys.readouterr().out
+
+
+def test_kernels_none_row_below_the_sine_band(tmp_path, capsys, monkeypatch):
+    # the tall bump's zero sits at t y = 0.83 < 1 for t = 1: it is in the
+    # box, so no exponential, and below the sine band, so no fit at all
+    from diracnlft import debranges
+
+    calls, search = [], debranges.find_zeros
+    monkeypatch.setattr(debranges, "find_zeros",
+                        lambda *a, **k: calls.append(a) or search(*a, **k))
+    pot = SampledPotential(h=0.01, cells=tuple([0.8] * 100 + [0.0] * 3000))
+    ppath = tmp_path / "tall.json"
+    save_potential(pot, ppath)
+    cfg = _write_cfg(
+        tmp_path, "c.json",
+        {"potential": str(ppath), "t": 1.0, "s": 2.4517264, "C": 4.0,
+         "w_window": [20.0, 31.0], "box": {"grid_n": 8}},
+    )
+    out = tmp_path / "kernels.csv"
+    assert main(["kernels", "--config", cfg, "--out", str(out)]) == 0
+    assert "fit = none" in capsys.readouterr().out
+    rows = [l for l in out.read_text().splitlines()
+            if l and not l.startswith("#") and not l.startswith("t,")]
+    assert rows[0].split(",")[5:] == ["none"] + ["nan"] * 5
+    assert len(calls) == 1  # one zero search decides the model
 
 
 # ---------------------------------------------------------------------------

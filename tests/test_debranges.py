@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from diracnlft import debranges
 from diracnlft.debranges import (
     estimate_w,
     gamma_factor,
     hb_exp_fit,
+    hb_fit,
     hb_sine_fit,
     kernel_K,
     kernel_probe,
@@ -386,26 +390,62 @@ def test_fits_pass_grid_n_to_box_unchanged(free_pot, fit):
 
 
 def test_exp_fit_free_is_exact(free_pot):
-    alpha, res = hb_exp_fit(free_pot, 0.5, 3.0, 2.0, w_hat=1.0)
-    assert abs(abs(alpha) - 1.0) < 1e-12
-    assert res < 1e-12
+    fit = hb_exp_fit(free_pot, 0.5, 3.0, 2.0, w_hat=1.0)
+    assert abs(abs(fit.alpha) - 1.0) < 1e-12
+    assert fit.residual < 1e-12
 
 
 def test_exp_fit_residual_decays(bump_pot):
     w, _ = estimate_w(bump_pot, 1.5, (40.0, 71.0), 8)
-    res = [hb_exp_fit(bump_pot, 1.5, t, 4.0, w_hat=w)[1] for t in (4.0, 8.0, 16.0)]
+    res = [hb_exp_fit(bump_pot, 1.5, t, 4.0, w_hat=w).residual for t in (4.0, 8.0, 16.0)]
     assert res[0] > res[1] > res[2]
 
 
 def test_exp_fit_far_horizon(bump_pot):
     # propagation far past the support stays O(cells) and exact, so the
     # model defect keeps shrinking like 1/t
-    _, res = hb_exp_fit(bump_pot, 1.5, 1e6, 4.0)
-    assert res < 1e-2
-    _, res = hb_exp_fit(bump_pot, 1.5, 1e11, 4.0)
-    assert res < 1e-10
+    assert hb_exp_fit(bump_pot, 1.5, 1e6, 4.0).residual < 1e-2
+    assert hb_exp_fit(bump_pot, 1.5, 1e11, 4.0).residual < 1e-10
 
 
 def test_exp_fit_refuses_resonant_box(tall_bump_pot):
     with pytest.raises(PreconditionError):
         hb_exp_fit(tall_bump_pot, TALL_ZERO.real, 2.0, 4.0)
+
+
+# ---------------------------------------------------------------------------
+# one model fit: the zero search picks the model
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pot_name, s, t, kind", [
+    ("tall_bump_pot", TALL_ZERO.real, 2.0, "sine"),
+    ("bump_pot", 1.5, 8.0, "exp"),
+    ("tall_bump_pot", TALL_ZERO.real, 1.0, None),  # t * y = 0.83 < 1
+], ids=["sine", "exp", "band_failure"])
+def test_hb_fit_runs_one_zero_search(pot_name, s, t, kind, request, monkeypatch):
+    calls, search = [], debranges.find_zeros
+    monkeypatch.setattr(debranges, "find_zeros",
+                        lambda *a, **k: calls.append(a) or search(*a, **k))
+    pot = request.getfixturevalue(pot_name)
+    if kind is None:
+        with pytest.raises(PreconditionError, match="outside"):
+            hb_fit(pot, s, t, 4.0, w_hat=1.0)
+    else:
+        assert hb_fit(pot, s, t, 4.0, w_hat=1.0).kind == kind
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pot_name, s, t, restricted", [
+    ("tall_bump_pot", TALL_ZERO.real, 2.0, hb_sine_fit),
+    ("tall_bump_pot", -TALL_ZERO.real, 3.0, hb_sine_fit),
+    ("bump_pot", 1.5, 8.0, hb_exp_fit),
+    ("free_pot", 0.5, 3.0, hb_exp_fit),
+], ids=["sine", "sine_mirror", "exp", "exp_free"])
+def test_hb_fit_equals_its_restricted_form(pot_name, s, t, restricted, request):
+    pot = request.getfixturevalue(pot_name)
+    fit = hb_fit(pot, s, t, 4.0, grid_n=8)
+    np.testing.assert_equal(dataclasses.astuple(fit),
+                            dataclasses.astuple(restricted(pot, s, t, 4.0, grid_n=8)))
+    assert fit.kind == ("sine" if restricted is hb_sine_fit else "exp")
+    assert np.isnan(fit.x) == np.isnan(fit.y) == (fit.kind == "exp")

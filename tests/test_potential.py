@@ -49,6 +49,17 @@ def test_spec_families_and_validation():
         PotentialSpec(family="powerlaw", params={"q": 1.0, "p": 0.5})
 
 
+@pytest.mark.parametrize("family, params, typo", [
+    ("box", {"q": 0.4, "t_0": 1.5}, "t_0"),
+    ("damped_cosine", {"q": 1.0, "p": 0.6, "omgea": 3.0}, "omgea"),
+    ("zero", {"q": 1.0, "t0": 2.0}, "'q', 't0'"),
+], ids=["box_t_0", "damped_cosine_omgea", "zero_any"])
+def test_spec_refuses_params_its_family_does_not_read(family, params, typo):
+    # these built the family defaults (t0 = 1, omega = 1) without a word
+    with pytest.raises(ValidationError, match=typo):
+        PotentialSpec(family=family, params=params)
+
+
 def test_sampling_is_midpoint_rule():
     spec = PotentialSpec(family="powerlaw", params={"q": 0.5, "p": 0.75})
     pot = sample(spec, h=0.1, T=1.0)

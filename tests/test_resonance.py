@@ -280,6 +280,17 @@ def test_track_crosses_the_support_end():
     assert len(after) == 5 and np.max(np.abs(after - after[0])) <= 1e-12
 
 
+def test_track_start_is_one_propagation(monkeypatch):
+    # the pre_tol check reads Newton's first residual: one transfer at (z0, t0)
+    pot = sample(PotentialSpec(family="constant", params={"q": 1.0}), h=0.05, T=4.0)
+    z0 = find_zeros(pot, 3.9, Box(0.0, 2.0))[-1][0]
+    calls, propagate = [], resonance.transfer
+    monkeypatch.setattr(resonance, "transfer",
+                        lambda p, z, t, **k: calls.append((z, t)) or propagate(p, z, t, **k))
+    track_resonance(pot, z0, 3.9, 4.0, 0.05)
+    assert calls.count((z0, 3.9)) == 1
+
+
 # the resonance start is not polished to 1e-13, so its first Newton step
 # trips the floor; the free NN start is exact, so the first march step does
 @pytest.mark.parametrize("pot_name, follow, n_samples", [
