@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -393,6 +394,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # in-process callers run main once per job; parsing keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="diracnlft", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)

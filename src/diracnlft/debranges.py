@@ -220,6 +220,24 @@ def kernel_probe(
 # ---------------------------------------------------------------------------
 
 
+def _window_sweep(pot: SampledPotential, s: float, t_window: tuple, n: int):
+    """``(mean, max/min - 1)`` of ``1/|E|^2`` and of ``1/|Etilde|^2`` over
+    ``n`` times of the window from one sweep at ``s``, and ``(E, Etilde)``
+    at the window end."""
+    t_a, t_b = float(t_window[0]), float(t_window[1])
+    if not (0.0 <= t_a < t_b):
+        raise ValidationError(f"need 0 <= t_a < t_b, got window ({t_a}, {t_b})")
+    clip_to_support(pot, t_b, "window end")
+    if n < 4:
+        raise ValidationError(f"need n >= 4 samples, got {n}")
+    inv = np.empty((2, n))
+    for i, B in enumerate(transfer(pot, np.array([s], dtype=complex), np.linspace(t_a, t_b, n))):
+        hb = hermite_biehler(B)
+        inv[:, i] = 1.0 / abs(hb.E[0]) ** 2, 1.0 / abs(hb.Etilde[0]) ** 2
+    w_stats, wt_stats = ((float(np.mean(v)), float(np.max(v) / np.min(v) - 1.0)) for v in inv)
+    return w_stats, wt_stats, complex(hb.E[0]), complex(hb.Etilde[0])
+
+
 def estimate_w(
     pot: SampledPotential,
     s: float,
@@ -234,22 +252,10 @@ def estimate_w(
     spread certifies the modulus has stabilized (exact once the potential
     vanishes on the window).
     """
-    t_a, t_b = float(t_window[0]), float(t_window[1])
-    if not (0.0 <= t_a < t_b):
-        raise ValidationError(f"need 0 <= t_a < t_b, got window ({t_a}, {t_b})")
-    clip_to_support(pot, t_b, "window end")
-    if n < 4:
-        raise ValidationError(f"need n >= 4 samples, got {n}")
     if component not in ("E", "Etilde"):
         raise ValidationError(f"component must be 'E' or 'Etilde', got {component!r}")
-    ts = np.linspace(t_a, t_b, n)
-    vals = np.empty(n)
-    for i, B in enumerate(transfer(pot, np.array([s], dtype=complex), ts)):
-        hb = hermite_biehler(B)
-        vals[i] = 1.0 / abs((hb.E if component == "E" else hb.Etilde)[0]) ** 2
-    w_hat = float(np.mean(vals))
-    spread = float(np.max(vals) / np.min(vals) - 1.0)
-    return w_hat, spread
+    w_stats, wt_stats, _, _ = _window_sweep(pot, s, t_window, n)
+    return w_stats if component == "E" else wt_stats
 
 
 # ---------------------------------------------------------------------------

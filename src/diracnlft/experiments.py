@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .debranges import estimate_w
+from .debranges import _window_sweep
 from .errors import DiracNLFTError, NumericalError, ValidationError
 from .nlft import nlft_forward
 from .potential import SampledPotential, clip_to_support
-from .propagator import hermite_biehler, transfer
 
 __all__ = [
     "ConvergenceTable",
@@ -181,13 +180,10 @@ def limit_identities(
     spread 0.05 or more the report is marked ``inconclusive`` rather than
     failing.
     """
-    w_hat, w_spread = estimate_w(pot, s, t_window, 8, component="E")
-    wt_hat, wt_spread = estimate_w(pot, s, t_window, 8, component="Etilde")
+    (w_hat, w_spread), (wt_hat, wt_spread), E, Et = _window_sweep(pot, s, t_window, 8)
     inner = 1.0 / w_hat + 1.0 / wt_hat
     abs_a_pred = 0.5 * np.sqrt(inner + 2.0)
     abs_b_pred = 0.5 * np.sqrt(max(inner - 2.0, 0.0))
-    T_end = float(t_window[1])
-    hb = hermite_biehler(transfer(pot, float(s), T_end))  # |a|, |b| = |E +- i Etilde| / 2
     status = "ok" if max(w_spread, wt_spread) < 0.05 else "inconclusive"
     return LimitReport(
         s=float(s),
@@ -195,10 +191,10 @@ def limit_identities(
         w_tilde_hat=wt_hat,
         abs_a_pred=float(abs_a_pred),
         abs_b_pred=float(abs_b_pred),
-        abs_a_obs=float(abs(hb.E + 1j * hb.Etilde) / 2.0),
-        abs_b_obs=float(abs(hb.E - 1j * hb.Etilde) / 2.0),
-        abs_E_obs=float(abs(hb.E)),
-        abs_Etilde_obs=float(abs(hb.Etilde)),
+        abs_a_obs=abs(E + 1j * Et) / 2.0,  # |a|, |b| = |E +- i Etilde| / 2 at the window end
+        abs_b_obs=abs(E - 1j * Et) / 2.0,
+        abs_E_obs=abs(E),
+        abs_Etilde_obs=abs(Et),
         status=status,
         w_spread=float(w_spread),
         w_tilde_spread=float(wt_spread),

@@ -119,6 +119,9 @@ class SampledPotential:
     h: float
     cells: tuple
     T: float = None  # type: ignore[assignment]
+    # the propagator's cell plan of the last interval it covered; no part of
+    # the value (not compared, hashed or printed)
+    _plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.h, (int, float)) and self.h > 0 and math.isfinite(self.h)):

@@ -56,6 +56,13 @@ and maps them back, exactly; other complex batches would fold nothing.
 Sweeps.  For a list of times one running product goes from each time to
 the next (each stretch is covered and chunked on its own), and the drift
 check runs once, on the determinant at the last time.
+
+Cell plans.  A potential keeps the coalesced cover of the last interval it
+was propagated over, read-only, with the largest ``|Im z|`` at which no
+cell of it needs a chunk.  Newton runs, contours and quadrature levels
+repeat one interval, so they pay the cover once; below that bound the cover
+is used as it is, above it it is chunked as it would be afresh.  One plan
+per potential, outside its value (not compared, hashed or printed).
 """
 
 from __future__ import annotations
@@ -285,14 +292,27 @@ def _prepared_cells(pot: SampledPotential, t1: float, t2: float, z: np.ndarray):
 
     Coalescing equal-value neighbours is exact (one generator); chunks are
     capped so |l| * width stays small enough that each per-cell determinant
-    is computed at full precision.
+    is computed at full precision.  The coalesced cover comes from the
+    potential's cell plan (module docstring).
     """
-    qs, ws = cell_cover(pot, t1, t2, coalesce=True)
+    plan = pot._plan
+    if plan is None or plan[0] != t1 or plan[1] != t2:
+        qs, ws = cell_cover(pot, t1, t2, coalesce=True)
+        aq = np.abs(qs)
+        free = float(np.min(_CHUNK_CAP / ws - aq, initial=np.inf)) * (1.0 - 1e-12)
+        if np.any(ws * (aq + free) / _CHUNK_CAP > 1.0):  # the margin did not hold
+            free = -1.0
+        for a in (qs, ws, aq):
+            a.flags.writeable = False
+        plan = (t1, t2, qs, ws, aq, free)
+        object.__setattr__(pot, "_plan", plan)
+    _, _, qs, ws, aq, free = plan
     if len(qs) == 0:
         return qs, ws
     im_max = float(np.max(np.abs(np.imag(np.asarray(z, dtype=complex)))))
-    scale = np.abs(qs) + im_max
-    n = np.maximum(1, np.ceil(ws * scale / _CHUNK_CAP).astype(int))
+    if im_max <= free:
+        return qs, ws
+    n = np.maximum(1, np.ceil(ws * (aq + im_max) / _CHUNK_CAP).astype(int))
     if np.any(n > 1):
         qs = np.repeat(qs, n)
         ws = np.repeat(ws / n, n)

@@ -5,9 +5,11 @@ come from fixed-step RK4 integration of the defining ODE, theta from a
 SciPy adaptive integration of its own evolution law, the phase and modulus
 of E on the real axis from RK4 on their polar flow, and windings from a
 dense fixed-grid contour sum.  Test modules compute expectations through
-these, then assert the package agrees.  The last section keeps plain
-complex-ufunc, full-matrix formulations of the cell coefficients and the
-kernels as references for the package's leaner evaluation of them.
+these, then assert the package agrees.  The last sections keep a cover
+chunked afresh on every call, as reference for the propagator's cached cell
+plans, and plain complex-ufunc, full-matrix formulations of the cell
+coefficients and the kernels as references for the package's leaner
+evaluation of them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from diracnlft.potential import SampledPotential
+from diracnlft.potential import SampledPotential, cell_cover
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +217,23 @@ def dense_box_ring(re_lo, re_hi, im_lo, im_hi, n_per_edge: int) -> np.ndarray:
 def hilbert_pair_lorentzian(x: np.ndarray):
     """u = 1/(1+x^2) has Hilbert transform x/(1+x^2)."""
     return 1.0 / (1.0 + x * x), x / (1.0 + x * x)
+
+
+# ---------------------------------------------------------------------------
+# propagated cells, built afresh on every call
+# ---------------------------------------------------------------------------
+
+
+def prepared_cells_afresh(pot: SampledPotential, t1: float, t2: float, z, cap: float):
+    """The coalesced cover of [t1, t2], each cell cut into
+    ``ceil(w (|q| + max |Im z|) / cap)`` equal chunks, with nothing kept
+    between calls."""
+    qs, ws = cell_cover(pot, t1, t2, coalesce=True)
+    if len(qs) == 0:
+        return qs, ws
+    im_max = float(np.max(np.abs(np.imag(np.asarray(z, dtype=complex)))))
+    n = np.maximum(1, np.ceil(ws * (np.abs(qs) + im_max) / cap).astype(int))
+    return np.repeat(qs, n), np.repeat(ws / n, n)
 
 
 # ---------------------------------------------------------------------------

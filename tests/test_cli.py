@@ -186,6 +186,20 @@ def test_transform_reruns_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_one_parser_serves_every_run(tmp_path, capsys):
+    # in-process callers run main once per job: the parser is built once,
+    # and a usage error or other flags leave no trace in later runs
+    cli._build_parser.cache_clear()
+    cfg = _write_cfg(tmp_path, "c.json", dict(BOX_CFG, nz=17))
+    out = [tmp_path / f"{k}.csv" for k in range(3)]
+    assert main(["transform", "--config", cfg, "--out", str(out[0])]) == 0
+    assert main(["transform", "--config", cfg, "--nz", "9", "--nonsense"]) == 1
+    assert main(["transform", "--config", cfg, "--nz", "9", "--out", str(out[1])]) == 0
+    assert main(["transform", "--config", cfg, "--out", str(out[2])]) == 0
+    assert out[2].read_bytes() == out[0].read_bytes() != out[1].read_bytes()
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_transform_symmetric_grid_writes_mirror_rows(tmp_path):
     # zmin = -zmax: the grid is exactly symmetric, a(-x) = conj a(x) and
     # b(-x) = conj b(x) hold to the last bit, and a rerun writes the same bytes

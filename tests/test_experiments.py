@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from diracnlft import debranges
+from diracnlft.debranges import estimate_w
 from diracnlft.errors import RangeError, ValidationError
 from diracnlft.experiments import (
     box_sample_points,
@@ -134,6 +136,18 @@ def test_limits_exact_past_compact_support(bump_pot):
     assert rep.abs_a_pred**2 - rep.abs_b_pred**2 == pytest.approx(1.0, abs=1e-12)
     # the density estimates underlie the observed moduli
     assert rep.abs_E_obs == pytest.approx(1.0 / np.sqrt(rep.w_hat), rel=1e-9)
+
+
+def test_limit_identities_runs_one_sweep(bump_pot, monkeypatch):
+    calls, propagate = [], debranges.transfer
+    monkeypatch.setattr(debranges, "transfer",
+                        lambda *a, **k: calls.append(a) or propagate(*a, **k))
+    rep = limit_identities(bump_pot, 0.5, (40.0, 71.0))
+    assert len(calls) == 1  # E, Etilde and the window end from one sweep
+    monkeypatch.undo()
+    assert (rep.w_hat, rep.w_spread) == estimate_w(bump_pot, 0.5, (40.0, 71.0), 8)
+    assert (rep.w_tilde_hat, rep.w_tilde_spread) == estimate_w(
+        bump_pot, 0.5, (40.0, 71.0), 8, component="Etilde")
 
 
 def test_limits_inconclusive_inside_support(tall_bump_pot):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -9,6 +10,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diracnlft import propagator, resonance
 from diracnlft.errors import (
     InvariantViolation,
     OverflowRangeError,
@@ -16,8 +18,9 @@ from diracnlft.errors import (
     RangeError,
 )
 from diracnlft.nlft import nlft_forward
-from diracnlft.potential import SampledPotential
+from diracnlft.potential import SampledPotential, potential_to_dict
 from diracnlft.propagator import (
+    _CHUNK_CAP,
     _SERIES_DERIV,
     _SERIES_EVAL,
     _TREE_BUDGET,
@@ -42,6 +45,7 @@ from oracles import (
     fd2_of_derivative,
     free_rotation,
     oracle_transfer,
+    prepared_cells_afresh,
     s_derivatives_by_series,
 )
 
@@ -646,3 +650,140 @@ def test_theta_derivatives_match_fd():
     assert abs(th - theta(transfer(pot, z))) < 1e-14
     assert abs(th_z - fd_z) < 1e-9 * max(1.0, abs(th_z))
     assert abs(th_zz - fd_zz) < 1e-8 * max(1.0, abs(th_zz))
+
+
+# ---------------------------------------------------------------------------
+# cell plans: the potential keeps the cover of its last interval
+# ---------------------------------------------------------------------------
+
+
+def _plan_pot(seed, h=0.25, n=12):
+    """Rough cells from few values, so neighbours coalesce.  At h = 0.25 a
+    lone 9.0 cell chunks from |Im z| = 1 on, two coalesced ones at any z."""
+    rng = np.random.default_rng(seed)
+    return SampledPotential(h=h, cells=tuple(rng.choice([0.0, -0.4, 1.1, 9.0], n)))
+
+
+def _chunk_edge(pot, t1, t2):
+    """Smallest |Im z| >= 0 at which chunking afresh cuts some cell of the
+    cover of [t1, t2] (bisection over the float64 bit patterns)."""
+    qs, ws = prepared_cells_afresh(pot, t1, t2, 0.0, _CHUNK_CAP)
+    cuts = lambda im: len(prepared_cells_afresh(pot, t1, t2, 1j * im, _CHUNK_CAP)[0]) > len(qs)
+    if not len(qs) or cuts(0.0):
+        return 0.0
+    lo, hi = 0, int(np.float64(2.0 * _CHUNK_CAP / ws.max()).view(np.int64))
+    while hi - lo > 1:  # cuts(lo) is false, cuts(hi) true
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if cuts(float(np.int64(mid).view(np.float64))) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+@given(seed=st.integers(0, 10_000), span=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.3)),
+       where=st.sampled_from(["ulp_below", "at", "ulp_above", "below", "far", "real"]))
+@example(seed=0, span=(0.0, 1.0), where="at")
+@settings(max_examples=300, deadline=None)
+def test_warm_plan_matches_cover_chunked_afresh(seed, span, where):
+    rng = np.random.default_rng(seed)
+    values = [0.0, *rng.uniform(-9.0, 9.0, 3)]
+    pot = SampledPotential(h=float(rng.uniform(0.05, 0.6)),
+                           cells=tuple(rng.choice(values, int(rng.integers(1, 30)))))
+    t1, t2 = sorted(u * pot.T for u in span)
+    _prepared_cells(pot, 0.0, pot.T * 0.5, 0.0)  # a plan for another interval first
+    _prepared_cells(pot, t1, t2, 0.0)  # the plan read below
+    edge = _chunk_edge(pot, t1, t2)
+    im = {"ulp_below": np.nextafter(edge, -1.0), "at": edge,
+          "ulp_above": np.nextafter(edge, 2 * edge), "below": edge * (1 - 1e-12),
+          "far": 3.0 * edge + 1.0, "real": 0.0}[where]
+    for im in (im, pot._plan[-1]):  # and the plan's own no-chunk bound
+        z = np.array([0.3 + 1j * max(im, 0.0), -1.2 - 0.5j * max(im, 0.0)])
+        for got, ref in zip(_prepared_cells(pot, t1, t2, z),
+                            prepared_cells_afresh(pot, t1, t2, z, _CHUNK_CAP)):
+            np.testing.assert_array_equal(got, ref)
+            assert got.dtype == ref.dtype
+
+
+def _fresh(pot):
+    return SampledPotential(h=pot.h, cells=pot.cells, T=pot.T)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("z", [
+    1.3 + 0.4j,
+    np.array([-2.0, -0.5, 0.0, 0.7, 3.1]),
+    np.array([0.4 + 0.3j, -1.0 - 2.0j, 2.5 + 0.1j]),  # |Im z| 2 chunks the 9.0 cells
+], ids=["scalar", "real_batch", "complex_batch"])
+@pytest.mark.parametrize("t, t1", [(None, 0.0), ([0.8, 1.9, 3.0], 0.0), (2.6, 0.55)],
+                         ids=["whole", "sweep", "sub_interval"])
+def test_transfer_on_a_warm_plan_equals_a_fresh_potential(order, z, t, t1):
+    warm = _plan_pot(6)  # no chunk below |Im z| = 1
+    for other in (0.2 + 0.1j, z):  # warm with another z, then with this one
+        transfer(warm, other, t, order=order, t1=t1)
+    got = transfer(warm, z, t, order=order, t1=t1)
+    ref = transfer(_fresh(warm), z, t, order=order, t1=t1)
+    for g, r in zip(*(x if isinstance(x, list) else [x] for x in (got, ref))):
+        np.testing.assert_array_equal(g.jet, r.jet)
+        np.testing.assert_array_equal(g.det_tracked, r.det_tracked)
+
+
+def test_threads_sharing_a_potential_get_the_serial_bits():
+    # each thread swaps the shared plan for its own interval; none may read
+    # another's cover, and a plan lost to a race is only rebuilt
+    pot = _fresh(_plan_pot(6))
+    cases = [(t, z) for t in (1.0, 2.0, pot.T) for z in (0.4 + 0.3j, 0.5 + 2.0j)]
+    ref = {c: transfer(_fresh(pot), c[1], c[0], order=1).jet for c in cases}
+    start = threading.Barrier(6, timeout=30)
+
+    def worker(k):
+        start.wait()
+        return all(np.array_equal(transfer(pot, z, t, order=1).jet, ref[t, z])
+                   for t, z in (cases[(i + k) % len(cases)] for i in range(60)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads finely
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(worker, k) for k in range(6)]
+            assert all(f.result(timeout=60) for f in futures)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_newton_run_builds_one_cover(monkeypatch):
+    pot = _fresh(_plan_pot(3, h=0.05, n=40))
+    t = pot.T
+    z = resonance.find_zeros(pot, t, resonance.Box(1.5, 3.0))[0][0]
+    covers, evals, cover, propagate = [], [], propagator.cell_cover, resonance.transfer
+    monkeypatch.setattr(propagator, "cell_cover",
+                        lambda *a, **k: covers.append(a) or cover(*a, **k))
+    monkeypatch.setattr(resonance, "transfer",
+                        lambda *a, **k: evals.append(a) or propagate(*a, **k))
+    pot = _fresh(pot)
+    z_newton, _, res = resonance._newton(pot, t, z + 0.05 - 0.02j)
+    assert abs(z_newton - z) < 1e-10 and res < 1e-10
+    assert len(evals) >= 3  # several propagations, one cover
+    assert len(covers) == 1
+
+
+def test_potential_keeps_one_plan():
+    pot = _fresh(_plan_pot(5))
+    for k in range(1, 101):
+        transfer(pot, 0.7 + 0.1j, k * pot.T / 100)
+    assert set(vars(pot)) == {"h", "cells", "T", "_plan"}
+    t1, t2, *arrays = pot._plan
+    assert (t1, t2) == (0.0, pot.T)
+    for a in (x for x in arrays if isinstance(x, np.ndarray)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+def test_plan_is_no_part_of_the_value():
+    pot, twin = _fresh(_plan_pot(6)), _fresh(_plan_pot(6))
+    before = (repr(pot), hash(pot), potential_to_dict(pot))
+    transfer(pot, 0.3 + 0.2j)
+    assert pot._plan is not None and twin._plan is None
+    assert pot == twin and hash(pot) == hash(twin)
+    assert (repr(pot), hash(pot), potential_to_dict(pot)) == before == (
+        repr(twin), hash(twin), potential_to_dict(twin))
+    assert "_plan" not in repr(pot)
+    assert dataclasses.replace(pot)._plan is None
