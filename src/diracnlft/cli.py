@@ -1,9 +1,10 @@
 """Command-line driver: every module behind reproducible subcommands.
 
-Config-first: a JSON config carries the potential, grids, and tolerances;
-flags override individual fields.  All output files embed the tool version
-and a sha256 of the effective config, and identical configs produce
-byte-identical files (no timestamps anywhere).
+Config-first: a JSON config carries the potential, grids and tolerances;
+flags override single keys.  ``_KEYS`` declares every key each subcommand
+reads, with its kind and default; any other key is a usage error.  All output
+files embed the tool version and a sha256 of the effective config, and
+identical configs produce byte-identical files (no timestamps anywhere).
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical non-convergence,
 3 invariant violation.  ``NLFT_LOG={error,warn,info,debug}`` tunes logging.
@@ -65,12 +66,12 @@ def _setup_logging() -> None:
 
 
 @contextlib.contextmanager
-def _reading(what: str, path):
-    """An unreadable or malformed JSON file becomes a UsageError."""
+def _file(what: str, path):
+    """An unreadable or unwritable file, or malformed JSON, becomes a UsageError."""
     try:
         yield
     except OSError as exc:
-        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+        raise UsageError(f"cannot {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"malformed JSON in {path}: {exc.msg} (line {exc.lineno} column {exc.colno})"
@@ -78,9 +79,11 @@ def _reading(what: str, path):
 
 
 def _load_config(args) -> dict:
+    """The config file merged with the given flags, ``format`` and ``seed``
+    set: the dict that ``config_sha256`` hashes (less ``output``)."""
     cfg: dict = {}
     if args.config:
-        with _reading("config", args.config), open(args.config, "r", encoding="utf-8") as fh:
+        with _file("read config", args.config), open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise UsageError("config root must be a JSON object")
@@ -89,100 +92,121 @@ def _load_config(args) -> dict:
             cfg["output" if key == "out" else key] = val
     cfg.setdefault("format", "csv")
     cfg.setdefault("seed", 0)
-    if cfg["format"] not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {cfg['format']!r}")
-    tols = _require(cfg, "tolerances", _object, {})
-    for name in tols:
-        if name not in ("unimodular", "parseval"):
-            raise UsageError(f"unknown tolerance {name!r}: expected unimodular or parseval")
-        if not (_require(tols, name) > 0):
-            raise UsageError(f"tolerance {name!r} must be > 0, got {tols[name]}")
     return cfg
 
 
-def _require(cfg: dict, key: str, kind=float, default=None):
-    """``kind(cfg[key])``, or ``kind(default)`` when the key is absent; a
-    missing key without a default, or a value that ``kind`` refuses, is a
-    UsageError."""
-    if key not in cfg and default is None:
-        raise UsageError(f"config key {key!r} is required for this command")
-    try:
-        return kind(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"config key {key!r}: {exc}") from exc
+def _kind(test, expected: str, convert=None):
+    """A config value kind: ``convert(val)`` (or ``val``) once ``test(val)``
+    holds, else a ValueError that says what was ``expected``."""
+    def check(val):
+        if not test(val):
+            raise ValueError(f"expected {expected}, got {val!r}")
+        return convert(val) if convert else val
+    check.expected = expected
+    return check
 
 
-def _numbers(val) -> list:
-    if not isinstance(val, list) or not all(type(v) in (int, float) for v in val):
-        raise ValueError(f"expected a JSON list of numbers, got {val!r}")
-    return val
+_numbers = _kind(lambda v: isinstance(v, list) and all(type(x) in (int, float) for x in v),
+                 "a JSON list of numbers")
+# a JSON integer, or a float with an integral value; bool is not a number here
+_integer = _kind(lambda v: type(v) is int or type(v) is float and v.is_integer(),
+                 "a JSON integer", int)
+_count = _kind(lambda v: _integer(v) >= 2, "an integer >= 2", int)
+_pair = _kind(lambda v: len(_numbers(v)) == 2, "a JSON list of 2 numbers")
+_positive = _kind(lambda v: float(v) > 0, "a number > 0", float)
+_format = _kind(lambda v: v in ("csv", "json"), "csv or json")
+_potential = _kind(lambda v: isinstance(v, (dict, str)), "a spec object or a file path")
 
 
-def _integer(val) -> int:
-    # a JSON integer, or a float with an integral value; bool is not a number here
-    if not (type(val) is int or type(val) is float and val.is_integer()):
-        raise ValueError(f"expected a JSON integer, got {val!r}")
-    return int(val)
+# The keys each subcommand reads: ``key: (kind, default)``, or a sub-table
+# for a nested object.  The default is a value, None (absent: the command
+# works it out, e.g. T -> the potential's horizon) or _REQUIRED.
+_REQUIRED = object()
+_COMMON = {"output": (str, None), "format": (_format, "csv"), "seed": (_integer, 0)}
+_POTENTIAL = {**_COMMON, "potential": (_potential, _REQUIRED), "h": (float, None),
+              "T": (float, None)}
+_KEYS = {
+    "transform": {**_POTENTIAL, "zmin": (float, None), "zmax": (float, None), "nz": (_count, None),
+                  "grid": {"zmin": (float, -10.0), "zmax": (float, 10.0), "nz": (_count, 201)},
+                  "tolerances": {"unimodular": (_positive, 1e-8)}},
+    "verify": _COMMON,
+    "resonances": {**_POTENTIAL, "t": (float, None), "s": (float, 0.0), "C": (float, None),
+                   "box": {"half_width": (float, 2.0), "grid_n": (_integer, 16)},
+                   "t1": (float, None), "dt": (float, 1e-2)},
+    "eigenvalues": {**_POTENTIAL, "kind": (str, "NN"), "x0": (float, _REQUIRED),
+                    "t0": (float, _REQUIRED), "t1": (float, _REQUIRED), "dt": (float, 1e-2),
+                    "pre_tol": (float, 1e-6)},
+    "kernels": {**_POTENTIAL, "t": (float, None), "s": (float, 0.0), "C": (float, 4.0),
+                "box": {"grid_n": (_integer, 16)}, "w_window": (_pair, None)},
+    "converge": {**_POTENTIAL, "s_list": (_numbers, None), "s": (float, 0.0), "C": (float, 4.0),
+                 "T_list": (_numbers, _REQUIRED), "box_samples": (_integer, 16)},
+    "parseval": {**_POTENTIAL, "tolerances": {"parseval": (_positive, 1e-2)}},
+}
 
 
-def _object(val) -> dict:
-    if not isinstance(val, dict):
-        raise ValueError(f"expected a JSON object, got {val!r}")
-    return val
+def _typed(cfg: dict, keys: dict, where: str) -> dict:
+    """``cfg`` typed by the key table ``keys``, defaults filled in, nested
+    objects typed by their sub-tables.  An unknown key, a missing required one
+    or a value its kind refuses is a UsageError; ``where`` names the object."""
+    if not isinstance(cfg, dict):
+        raise UsageError(f"the {where} config must be a JSON object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise UsageError(f"unknown key(s) {', '.join(map(repr, unknown))} in the {where} "
+                         f"config; allowed: {', '.join(sorted(keys))}")
+    typed = {}
+    for key, spec in keys.items():
+        if isinstance(spec, dict):  # a nested object
+            typed[key] = _typed(cfg.get(key, {}), spec, f"{where} {key}")
+        elif key in cfg:
+            try:
+                typed[key] = spec[0](cfg[key])
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from exc
+        elif spec[1] is _REQUIRED:
+            raise UsageError(f"config key {key!r} is required for {where}")
+        else:
+            typed[key] = spec[1]
+    return typed
 
 
-def _build_potential(cfg: dict):
-    if "potential" not in cfg:
-        raise UsageError("config must supply 'potential' (spec object or file path)")
+def _or(val, default):
+    return default if val is None else val
+
+
+def _build_potential(cfg: dict) -> SampledPotential:
+    """The configured potential; an absent ``T`` becomes its horizon."""
     pspec = cfg["potential"]
-    if isinstance(pspec, str):
-        with _reading("potential", pspec):
-            pot = load_potential(pspec)
-        if "T" in cfg:
-            clip_to_support(pot, _require(cfg, "T"), "T")
-        return pot
-    if not isinstance(pspec, dict):
-        raise UsageError("'potential' must be an object or a file path")
-    if set(pspec) - {"family", "params"}:
-        raise UsageError(f"inline potential takes 'family' and 'params' only, got {sorted(pspec)}")
-    return potential_from_dict({**pspec, "h": _require(cfg, "h"), "T": _require(cfg, "T")})
-
-
-def _real_grid(cfg: dict) -> np.ndarray:
-    grid = _require(cfg, "grid", _object, {})
-    zmin = _require(cfg, "zmin", float, _require(grid, "zmin", float, -10.0))
-    zmax = _require(cfg, "zmax", float, _require(grid, "zmax", float, 10.0))
-    nz = _require(cfg, "nz", _integer, _require(grid, "nz", _integer, 201))
-    if nz < 2:
-        raise UsageError(f"nz must be >= 2, got {nz}")
-    if not (zmax > zmin):
-        raise UsageError(f"need zmax > zmin, got [{zmin}, {zmax}]")
-    return symmetric_grid(zmax, nz) if zmin == -zmax else np.linspace(zmin, zmax, nz)
-
-
-def _meta(cfg: dict) -> dict:
-    hashed = {k: v for k, v in cfg.items() if k != "output"}
-    return {"config_sha256": config_hash(hashed), "seed": cfg.get("seed", 0)}
-
-
-def _write(cfg: dict, stem: str, cols, rows, meta=None, fields=None, body=None) -> str:
-    """Write a subcommand's output to ``cfg["output"]`` (default
-    ``stem.<format>``) and return the path.
-
-    CSV gets ``cols`` and ``rows`` under a ``meta`` header (default: the
-    config meta).  JSON gets ``body`` if given, else ``fields`` plus one
-    object per row under ``"rows"``; a key of ``fields`` is left out of the
-    JSON meta, since the body carries it.
-    """
-    meta = _meta(cfg) if meta is None else meta
-    path = _require(cfg, "output", str, f"{stem}.{cfg['format']}")
-    if cfg["format"] == "csv":
-        write_csv(path, cols, rows, meta)
+    if isinstance(pspec, dict):  # sampled here: h and T are required
+        if set(pspec) - {"family", "params"}:
+            raise UsageError("inline potential takes 'family' and 'params' only, "
+                             f"got {sorted(pspec)}")
+        given = {k: cfg[k] for k in ("h", "T") if cfg[k] is not None}
+        pot = potential_from_dict({**pspec, **given})
+    elif cfg["h"] is not None:
+        raise UsageError("config key 'h' is for an inline potential, not a file")
     else:
-        fields = fields or {}
-        if body is None:
-            body = {**fields, "rows": [dict(zip(cols, r)) for r in rows]}
-        write_json(path, body, {k: v for k, v in meta.items() if k not in fields})
+        with _file("read potential", pspec):
+            pot = load_potential(pspec)
+        if cfg["T"] is not None:
+            clip_to_support(pot, cfg["T"], "T")
+    cfg["T"] = _or(cfg["T"], pot.T)
+    return pot
+
+
+def _write(cfg: dict, meta: dict, stem: str, cols, rows, fields=None, body=None) -> str:
+    """Write ``rows`` under ``cols`` and a ``meta`` header (CSV), or ``body``
+    (default: ``fields`` and the rows as objects; the meta less ``fields``)
+    (JSON), to ``cfg["output"]`` or ``stem.<format>``; return the path."""
+    path = _or(cfg["output"], f"{stem}.{cfg['format']}")
+    with _file("write", path):
+        if cfg["format"] == "csv":
+            write_csv(path, cols, rows, meta)
+        else:
+            fields = fields or {}
+            if body is None:
+                body = {**fields, "rows": [dict(zip(cols, r)) for r in rows]}
+            write_json(path, body, {k: v for k, v in meta.items() if k not in fields})
     return path
 
 
@@ -191,16 +215,19 @@ def _write(cfg: dict, stem: str, cols, rows, meta=None, fields=None, body=None) 
 # ---------------------------------------------------------------------------
 
 
-def cmd_transform(cfg: dict) -> int:
+def cmd_transform(cfg: dict, meta: dict) -> int:
     pot = _build_potential(cfg)
-    T = _require(cfg, "T", float, pot.T)
-    grid = _real_grid(cfg)
+    T = cfg["T"]
+    zmin, zmax, nz = (_or(cfg[key], cfg["grid"][key]) for key in ("zmin", "zmax", "nz"))
+    if not (zmax > zmin):
+        raise UsageError(f"need zmax > zmin, got [{zmin}, {zmax}]")
+    grid = symmetric_grid(zmax, nz) if zmin == -zmax else np.linspace(zmin, zmax, nz)
     sd = nlft_forward(pot, T=T, grid=grid)
     defects = sd.real_axis_defects()
     det_defect = float(np.max(sd.det_drift))
     print(f"max | |a|^2 - |b|^2 - 1 | = {defects['unimodular']:.6e}")
     print(f"max | det M - 1 |        = {det_defect:.6e}")
-    tol = _require(_require(cfg, "tolerances", _object, {}), "unimodular", float, 1e-8)
+    tol = cfg["tolerances"]["unimodular"]
     if defects["unimodular"] > tol:
         raise InvariantViolation(
             f"unimodularity defect {defects['unimodular']:.3e} exceeds {tol}"
@@ -210,13 +237,12 @@ def cmd_transform(cfg: dict) -> int:
         for z, a, b, r, la in zip(sd.grid, sd.a, sd.b, sd.r, sd.log_abs_a)
     ]
     cols = ("T", "re_z", "im_z", "re_a", "im_a", "re_b", "im_b", "re_r", "im_r", "log_abs_a")
-    path = _write(cfg, "scattering", cols, rows, fields={"T": T})
+    path = _write(cfg, meta, "scattering", cols, rows, fields={"T": T})
     log.info("wrote %d scattering rows to %s", len(rows), path)
     return 0
 
 
-def _verify_suite(cfg: dict) -> list:
-    seed = _require(cfg, "seed", _integer, 0)
+def _verify_suite(seed: int) -> list:
     rng = np.random.default_rng(seed)
     checks = []
     real_grid = symmetric_grid(10.0, 33)
@@ -252,12 +278,12 @@ def _verify_suite(cfg: dict) -> list:
     return checks
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(cfg: dict, meta: dict) -> int:
     corrupt = os.environ.get("NLFT_TEST_CORRUPT_PROPAGATOR")
     if corrupt:
         log.warning("corruption hook active: eps=%s", corrupt)
     with corrupted_propagator(float(corrupt or 0.0)):
-        checks = _verify_suite(cfg)
+        checks = _verify_suite(cfg["seed"])
     all_pass = all(defect <= tol for _, defect, tol in checks)
     payload = {
         "checks": [
@@ -266,72 +292,55 @@ def cmd_verify(cfg: dict) -> int:
             for name, defect, tol in checks
         ],
         "all_pass": bool(all_pass),
-        "seed": cfg.get("seed", 0),
+        "seed": meta["seed"],
     }
-    write_json(_require(cfg, "output", str, "verify.json"), payload, _meta(cfg))
+    _write({**cfg, "format": "json"}, meta, "verify", (), [], body=payload)
     for name, defect, tol in checks:
         status = "PASS" if defect <= tol else "FAIL"
         print(f"{status} {name}: max defect {defect:.3e} (tolerance {tol:g})")
     return 0 if all_pass else 3
 
 
-def _box_from(cfg: dict, t: float) -> Box:
-    box_cfg = _require(cfg, "box", _object, {})
-    s = _require(cfg, "s", float, _require(box_cfg, "s", float, 0.0))
-    grid_n = _require(box_cfg, "grid_n", _integer, 16)
-    if "C" in cfg or "C" in box_cfg:
-        return Box.scaled(s, _require(cfg, "C", float, box_cfg.get("C")), t, grid_n)
-    return Box(s=s, half_width=_require(box_cfg, "half_width", float, 2.0), grid_n=grid_n)
-
-
-def cmd_resonances(cfg: dict) -> int:
+def cmd_resonances(cfg: dict, meta: dict) -> int:
     pot = _build_potential(cfg)
-    t = _require(cfg, "t", float, _require(cfg, "T", float, pot.T))
-    box = _box_from(cfg, t)
+    t, s, grid_n = _or(cfg["t"], cfg["T"]), cfg["s"], cfg["box"]["grid_n"]
+    if cfg["C"] is None:
+        box = Box(s=s, half_width=cfg["box"]["half_width"], grid_n=grid_n)
+    else:
+        box = Box.scaled(s, cfg["C"], t, grid_n)
     zeros = find_zeros(pot, t, box)
     cols = ("t", "re_z", "im_z", "re_theta_z", "im_theta_z", "residual", "label")
     rows = []
-    if zeros and "t1" in cfg:
-        dt = _require(cfg, "dt", float, 1e-2)
-        t1 = _require(cfg, "t1")
+    if zeros and cfg["t1"] is not None:
         for z0, _ in zeros:
-            rows += track_rows(track_resonance(pot, z0, t, t1, dt))
+            rows += track_rows(track_resonance(pot, z0, t, cfg["t1"], cfg["dt"]))
     else:
         th = theta(transfer(pot, np.array([z for z, _ in zeros]), t)) if zeros else []
         for (z, tz), thv in zip(zeros, th):
             rows.append((t, z.real, z.imag, tz.real, tz.imag, abs(thv), ""))
-    path = _write(cfg, "resonance", cols, rows)
+    path = _write(cfg, meta, "resonance", cols, rows)
     print(f"{len(zeros)} zero(s) in box; {len(rows)} row(s) written to {path}")
     return 0
 
 
-def cmd_eigenvalues(cfg: dict) -> int:
+def cmd_eigenvalues(cfg: dict, meta: dict) -> int:
     pot = _build_potential(cfg)
-    kind = _require(cfg, "kind", str, "NN")
-    x0 = _require(cfg, "x0")
-    t0 = _require(cfg, "t0")
-    t1 = _require(cfg, "t1")
-    dt = _require(cfg, "dt", float, 1e-2)
-    track = track_eigenvalue(pot, kind, x0, t0, t1, dt,
-                             pre_tol=_require(cfg, "pre_tol", float, 1e-6))
+    kind = cfg["kind"]
+    track = track_eigenvalue(pot, kind, cfg["x0"], cfg["t0"], cfg["t1"], cfg["dt"],
+                             pre_tol=cfg["pre_tol"])
     cols = ("t", "x", "residual")
     rows = [(ti, xi, res) for (ti, xi), res in zip(track.samples, track.residuals)]
     fields = {"kind": track.kind, "monotone": track.monotone, "status": track.status}
-    _write(cfg, "eigen", cols, rows, meta={**_meta(cfg), **fields}, fields=fields)
+    _write(cfg, {**meta, **fields}, "eigen", cols, rows, fields=fields)
     print(f"{kind} track: {len(rows)} samples, monotone={track.monotone}, "
           f"status={track.status}")
     return 0
 
 
-def cmd_kernels(cfg: dict) -> int:
+def cmd_kernels(cfg: dict, meta: dict) -> int:
     pot = _build_potential(cfg)
-    t = _require(cfg, "t", float, _require(cfg, "T", float, pot.T))
-    s = _require(cfg, "s", float, 0.0)
-    C = _require(cfg, "C", float, 4.0)
-    grid_n = _require(_require(cfg, "box", _object, {}), "grid_n", _integer, 16)
-    window = _require(cfg, "w_window", _numbers, [0.9 * min(t, pot.T), min(t, pot.T)])
-    if len(window) != 2:
-        raise UsageError(f"config key 'w_window' must hold 2 numbers, got {window!r}")
+    t, s, C, grid_n = _or(cfg["t"], cfg["T"]), cfg["s"], cfg["C"], cfg["box"]["grid_n"]
+    window = _or(cfg["w_window"], [0.9 * min(t, pot.T), min(t, pot.T)])
     w_hat, spread = estimate_w(pot, s, (float(window[0]), float(window[1])), 8)
     probe = kernel_probe(pot, s, t, C, w_hat=w_hat, grid_n=grid_n)
     try:
@@ -343,23 +352,19 @@ def cmd_kernels(cfg: dict) -> int:
     cols = ("t", "s", "C", "w_hat", "gap", "fit_kind", "re_alpha", "im_alpha",
             "x", "y", "residual")
     row = (t, s, C, w_hat, probe.gap, fit_kind, alpha.real, alpha.imag, x, y, residual)
-    _write(cfg, "kernels", cols, [row], meta={**_meta(cfg), "w_spread": spread})
+    _write(cfg, {**meta, "w_spread": spread}, "kernels", cols, [row])
     print(f"gap = {probe.gap:.6e}, w_hat = {w_hat:.6f} (spread {spread:.2e}), "
           f"fit = {fit_kind}")
     return 0
 
 
-def cmd_converge(cfg: dict) -> int:
+def cmd_converge(cfg: dict, meta: dict) -> int:
     pot = _build_potential(cfg)
-    s_list = _require(cfg, "s_list", _numbers, [_require(cfg, "s", float, 0.0)])
-    C = _require(cfg, "C", float, 4.0)
-    table = run_convergence(
-        pot, s_list, _require(cfg, "T_list", _numbers), C,
-        box_samples=_require(cfg, "box_samples", _integer, 16),
-    )
+    table = run_convergence(pot, _or(cfg["s_list"], [cfg["s"]]), cfg["T_list"], cfg["C"],
+                            box_samples=cfg["box_samples"])
     rows = [(s, T, table.err[i, j]) for i, s in enumerate(table.s_list)
             for j, T in enumerate(table.T_list)]
-    _write(cfg, "converge", ("s", "T", "err"), rows, body=table.to_dict())
+    _write(cfg, meta, "converge", ("s", "T", "err"), rows, body=table.to_dict())
     meds = table.median_err()
     print("median e(s, T) per horizon:",
           ", ".join(f"{T:g}: {m:.3e}" for T, m in zip(table.T_list, meds)))
@@ -368,13 +373,11 @@ def cmd_converge(cfg: dict) -> int:
     return 0
 
 
-def cmd_parseval(cfg: dict) -> int:
+def cmd_parseval(cfg: dict, meta: dict) -> int:
     pot = _build_potential(cfg)
-    T = _require(cfg, "T", float, pot.T)
-    tol = _require(_require(cfg, "tolerances", _object, {}), "parseval", float, 1e-2)
-    rep = parseval_check(pot, T=T, tol=tol)
+    rep = parseval_check(pot, T=cfg["T"], tol=cfg["tolerances"]["parseval"])
     payload = dataclasses.asdict(rep)
-    _write(cfg, "parseval", tuple(payload), [tuple(payload.values())], body=payload)
+    _write(cfg, meta, "parseval", tuple(payload), [tuple(payload.values())], body=payload)
     print(f"lhs = {rep.lhs:.8f}, rhs = {rep.rhs:.8f}, rel_err = {rep.rel_err:.3e}")
     return 0
 
@@ -383,15 +386,8 @@ def cmd_parseval(cfg: dict) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "transform": cmd_transform,
-    "verify": cmd_verify,
-    "resonances": cmd_resonances,
-    "eigenvalues": cmd_eigenvalues,
-    "kernels": cmd_kernels,
-    "converge": cmd_converge,
-    "parseval": cmd_parseval,
-}
+# every subcommand of the key table, run by its cmd_<name> function
+_COMMANDS = {name: globals()[f"cmd_{name}"] for name in _KEYS}
 
 
 @functools.cache  # in-process callers run main once per job; parsing keeps no state
@@ -422,8 +418,11 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             raise UsageError("a subcommand is required "
                              f"(one of: {', '.join(_COMMANDS)})")
-        cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg)
+        raw = _load_config(args)
+        cfg = _typed(raw, _KEYS[args.command], args.command)
+        hashed = {k: v for k, v in raw.items() if k != "output"}
+        meta = {"config_sha256": config_hash(hashed), "seed": raw["seed"]}
+        return _COMMANDS[args.command](cfg, meta)
     except UsageError as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -128,6 +128,8 @@ def run_convergence(
         raise ValidationError(f"need C > 0, got {C}")
     if T_arr[0] <= 0:
         raise ValidationError(f"horizons must be > 0, got {T_arr[0]}")
+    if len(set(T_arr)) < len(T_arr):
+        raise ValidationError(f"horizons must be distinct, got {list(T_list)}")
     T_ref = T_arr[-1]
     clip_to_support(pot, T_ref, "largest horizon")
     ns, nT = len(s_arr), len(T_arr)

@@ -119,6 +119,9 @@ _CHUNK_CAP = 2.5
 _TREE_BUDGET = 4096
 # Max |q| * width of a cell inside a multi-cell tree block (module docstring).
 _TREE_CELL = 0.25
+# Largest |Re z| or |Im z| propagated: z^2 and the order-2 jet's 4 z^2 stay
+# far from overflow (a real double reaches 1.8e308).
+_Z_LIMIT = 1e150
 # Elements per matrix entry (times product-rule terms) from which jet products
 # run entry by entry instead of broadcast: keeps temporaries <= 64 KiB.
 _ENTRYWISE_MIN = 1024
@@ -309,7 +312,7 @@ def _prepared_cells(pot: SampledPotential, t1: float, t2: float, z: np.ndarray):
     _, _, qs, ws, aq, free = plan
     if len(qs) == 0:
         return qs, ws
-    im_max = float(np.max(np.abs(np.imag(np.asarray(z, dtype=complex)))))
+    im_max = float(np.abs(np.imag(np.asarray(z, dtype=complex))).max(initial=0.0))
     if im_max <= free:
         return qs, ws
     n = np.maximum(1, np.ceil(ws * (aq + im_max) / _CHUNK_CAP).astype(int))
@@ -441,8 +444,14 @@ def _advance(z: np.ndarray, jet: np.ndarray, det: np.ndarray, qs, ws):
 
 
 def _check_range(z: np.ndarray, t: float) -> None:
-    im_max = float(np.max(np.abs(z.imag))) if z.size else 0.0
-    if im_max * t > WORK_RANGE_LIMIT:
+    # np.maximum and max keep a NaN, and NaN fails every comparison
+    im = np.abs(z.imag)
+    part = np.maximum(np.abs(z.real), im)
+    if not float(part.max(initial=0.0)) <= _Z_LIMIT:
+        raise RangeError(f"frequency z = {z[~(part <= _Z_LIMIT)][0]} is not finite or "
+                         f"exceeds |Re z|, |Im z| <= {_Z_LIMIT:g}")
+    im_max = float(im.max(initial=0.0))
+    if not im_max * t <= WORK_RANGE_LIMIT:
         raise OverflowRangeError(
             f"|Im z| * t = {im_max * t:.3g} exceeds the supported working range "
             f"{WORK_RANGE_LIMIT}; split the evaluation or shrink the box"
@@ -450,8 +459,8 @@ def _check_range(z: np.ndarray, t: float) -> None:
 
 
 def _check_drift(det: np.ndarray) -> None:
-    drift = float(np.max(np.abs(det - 1.0))) if det.size else 0.0
-    if drift > DET_DRIFT_ABORT:
+    drift = float(np.abs(det - 1.0).max(initial=0.0))
+    if not drift <= DET_DRIFT_ABORT:
         raise InvariantViolation(
             f"tracked determinant drifted by {drift:.3g} (> {DET_DRIFT_ABORT}); "
             "the cell propagators are numerically corrupt"
@@ -479,7 +488,8 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
         sequence ``t``.
 
     Raises:
-        RangeError: ``order`` outside 0..2, or times below ``t1`` or unsorted.
+        RangeError: ``order`` outside 0..2, times below ``t1`` or unsorted, or
+            a ``z`` that is not finite or has a part past ``1e150``.
         OverflowRangeError: ``|Im z| (t - t1)`` exceeds ``WORK_RANGE_LIMIT``.
         InvariantViolation: the tracked determinant drifted beyond
             ``DET_DRIFT_ABORT`` over the sweep.
@@ -488,7 +498,7 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
         raise RangeError(f"derivative order must be 0, 1 or 2, got {order}")
     sweep = np.ndim(t) == 1
     ts = [float(u) for u in t] if sweep else [pot.T if t is None else float(t)]
-    if any(b < a for a, b in zip([t1] + ts, ts)):
+    if not all(b >= a for a, b in zip([t1] + ts, ts)):  # NaN fails too
         raise RangeError(f"propagation times must be sorted and >= {t1}, got {t}")
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_range(zs, max(ts, default=t1) - t1)

@@ -24,11 +24,12 @@ from .errors import (
     BoundaryNearZeroError,
     DerivativeDegenerateError,
     InvariantViolation,
+    OverflowRangeError,
     PreconditionError,
     ValidationError,
 )
 from .potential import SampledPotential, integral
-from .propagator import symmetric_grid, theta, theta_derivs, transfer
+from .propagator import WORK_RANGE_LIMIT, symmetric_grid, theta, theta_derivs, transfer
 
 __all__ = [
     "ZERO_RESIDUAL_TOL",
@@ -73,8 +74,10 @@ class Box:
     grid_n: int = 16
 
     def __post_init__(self):
-        if not (self.half_width > 0):
-            raise ValidationError(f"half_width must be > 0, got {self.half_width}")
+        if not (self.half_width > 0 and math.isfinite(self.half_width)):
+            raise ValidationError(f"half_width must be finite and > 0, got {self.half_width}")
+        if not math.isfinite(self.s):
+            raise ValidationError(f"s must be finite, got {self.s}")
         if self.grid_n < 8:
             raise ValidationError(f"grid_n must be >= 8, got {self.grid_n}")
 
@@ -340,9 +343,15 @@ def find_zeros(pot: SampledPotential, t: float, box: Box):
     Raises:
         BoundaryNearZeroError: a zero sits numerically on the initial
             boundary (caller should shift/shrink the box).
+        OverflowRangeError: the box reaches past the working range at t.
     """
     if t <= 0:
         raise ValidationError(f"need t > 0, got {t}")
+    if not box.half_width * t <= WORK_RANGE_LIMIT:  # the top edge is Im z = half_width
+        raise OverflowRangeError(
+            f"box half_width * t = {box.half_width * t:.3g} exceeds the supported working "
+            f"range {WORK_RANGE_LIMIT}; shrink the box"
+        )
     raw: list = []
     _collect_zeros(pot, t, box.rect, box.grid_n, 0, raw)
     # dedupe (quadrisection borders can hand the same zero to two children)

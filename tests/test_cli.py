@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ ZERO_CFG = {"potential": {"family": "zero", "params": {}}, "h": 0.05, "T": 2.0}
     ("kernels", {"box": 3}, "box"),
     ("transform", {"grid": [1, 2]}, "grid"),
     ("transform", {"nz": "many"}, "nz"),
-    ("verify", {"tolerances": {"unimodular": "abc"}}, "unimodular"),
+    ("transform", {"tolerances": {"unimodular": "abc"}}, "unimodular"),
     ("transform", {"nz": 10.9}, "nz"),
     ("transform", {"nz": True}, "nz"),
     ("resonances", {"box": {"grid_n": 8.5}}, "grid_n"),
@@ -83,8 +84,9 @@ ZERO_CFG = {"potential": {"family": "zero", "params": {}}, "h": 0.05, "T": 2.0}
         "tolerance_word", "nz_fraction", "nz_bool", "grid_n_fraction", "box_samples_bool",
         "seed_fraction", "tolerance_name_typo"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, command, extra, key):
-    # each of these ended in a Python traceback, or was silently truncated, before
-    cfg = _write_cfg(tmp_path, "c.json", {**ZERO_CFG, **extra})
+    # each of these ended in a Python traceback, or was silently truncated, before;
+    # verify reads no potential, so its config carries none
+    cfg = _write_cfg(tmp_path, "c.json", {**({} if command == "verify" else ZERO_CFG), **extra})
     out = tmp_path / "o.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -137,6 +139,105 @@ def test_flag_overrides_config_key(tmp_path, flag, key, cfg_val, flag_val):
     assert cfg[key] == flag_val and type(cfg[key]) is type(flag_val)
     # only flags that were given reach the config; --config itself does not
     assert set(cfg) == {key, "format", "seed"}
+
+
+# ---------------------------------------------------------------------------
+# the key table: every key a subcommand reads is declared once
+# ---------------------------------------------------------------------------
+
+# a config each subcommand accepts
+VALID = {
+    "transform": dict(BOX_CFG, nz=9),
+    "verify": {},
+    "resonances": dict(ZERO_CFG),
+    "eigenvalues": dict(ZERO_CFG, x0=np.pi, t0=1.0, t1=1.1),
+    "kernels": dict(ZERO_CFG, box={"grid_n": 8}),
+    "converge": dict(ZERO_CFG, T_list=[1.0, 2.0]),
+    "parseval": dict(BOX_CFG),
+}
+
+
+def _unread_key_cases():
+    """Per subcommand: a misspelt key at the top level and in each nested
+    object it declares, and a flag it does not read; then the reproductions
+    that exited 0 before the key table."""
+    cases = []
+    for command, keys in cli._KEYS.items():
+        cases.append(pytest.param(command, {"outptu": "x.csv"}, [], "outptu", id=f"{command}-top"))
+        for name, sub in keys.items():
+            if isinstance(sub, dict):
+                typo = next(iter(sub)) + "x"
+                cases.append(pytest.param(command, {name: {typo: 1.0}}, [], typo,
+                                          id=f"{command}-{name}"))
+        flag = next(key for key in ("T", "zmin", "s") if key not in keys)
+        cases.append(pytest.param(command, {}, [f"--{flag}", "1.0"], flag, id=f"{command}-flag"))
+    return cases + [
+        pytest.param("transform", {"nzz": 5, "grid": {"nz": 11}}, [], "nzz", id="nzz"),
+        pytest.param("transform", {"grid": {"nz": 11, "zmaxx": 3}}, [], "zmaxx", id="zmaxx"),
+        pytest.param("kernels", {"box": {"C": 9, "s": 2, "half_width": 0.1}}, [], "half_width",
+                     id="kernels_box"),
+        pytest.param("resonances", {}, ["--nz", "7", "--zmin", "3"], "zmin", id="resonances_nz"),
+        pytest.param("resonances", {"box": {"C": 6.0}}, [], "C", id="retired_box_C"),
+    ]
+
+
+@pytest.mark.parametrize("command,extra,flags,key", _unread_key_cases())
+def test_unread_key_is_usage_error(tmp_path, capsys, command, extra, flags, key):
+    cfg = _write_cfg(tmp_path, "c.json", {**VALID[command], **extra})
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"'{key}'" in err and "allowed:" in err
+    assert not out.exists()
+
+
+def test_h_with_a_potential_file_is_usage_error(tmp_path, capsys):
+    ppath = tmp_path / "pot.json"
+    save_potential(SampledPotential(h=0.1, cells=(1.0,) * 5), ppath)
+    cfg = _write_cfg(tmp_path, "c.json", {"potential": str(ppath), "h": 0.05})
+    assert main(["transform", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'h'" in err
+
+
+@pytest.mark.parametrize("command", ["transform", "verify"])
+def test_output_in_missing_directory_is_usage_error(tmp_path, capsys, command):
+    # a FileNotFoundError traceback before
+    cfg = _write_cfg(tmp_path, "c.json", VALID[command])
+    out = tmp_path / "missing" / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and str(out) in err
+    assert "Traceback" not in err and not out.parent.exists()
+
+
+def _table_rows(keys, prefix=""):
+    """(key, kind, default) of each key of a key table, nested ones dotted."""
+    for key, spec in keys.items():
+        if isinstance(spec, dict):
+            yield from _table_rows(spec, f"{prefix}{key}.")
+            continue
+        kind, default = spec
+        text = ("required" if default is cli._REQUIRED else "—" if default is None
+                else json.dumps(default))
+        yield prefix + key, {float: "a number", str: "a string"}.get(kind) or kind.expected, text
+
+
+def test_readme_key_table_matches_the_key_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or not line.startswith("| `"):
+            continue
+        key, kind, default, commands = cells
+        names = cli._KEYS if commands == "every subcommand" else commands.split(", ")
+        documented |= {(command, key, kind, default) for command in names}
+    declared = {(command, *row) for command, keys in cli._KEYS.items()
+                for row in _table_rows(keys)}
+    assert documented == declared
 
 
 # ---------------------------------------------------------------------------

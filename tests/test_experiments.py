@@ -108,6 +108,8 @@ def test_convergence_validation(bump_pot):
         run_convergence(bump_pot, [0.0], [2.0], -1.0)
     with pytest.raises(RangeError):
         run_convergence(bump_pot, [0.0], [bump_pot.T + 10.0], 1.0)
+    with pytest.raises(ValidationError, match="distinct"):  # one horizon written twice
+        run_convergence(bump_pot, [0.0], [0.5, 0.5], 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from diracnlft import propagator, resonance
 from diracnlft.errors import (
+    DiracNLFTError,
     InvariantViolation,
     OverflowRangeError,
     PoleProximityError,
@@ -19,6 +20,7 @@ from diracnlft.errors import (
 )
 from diracnlft.nlft import nlft_forward
 from diracnlft.potential import SampledPotential, potential_to_dict
+from diracnlft.resonance import find_zeros
 from diracnlft.propagator import (
     _CHUNK_CAP,
     _SERIES_DERIV,
@@ -406,6 +408,72 @@ def test_scalar_z_matches_wide_batch(nz, order):
     if order:
         aug = transfer_derivative(pot, z0, order=order)
         assert abs(aug.dA - wide[1, 0, 0, -1]) <= 1e-12 * np.max(np.abs(wide[1, ..., -1]))
+
+
+# ---------------------------------------------------------------------------
+# special values: a NaN, an infinity or a huge value never passes a check
+# ---------------------------------------------------------------------------
+
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324,
+                            2.2250738585072014e-308, -0.0, 0.0, 1.0])
+_SPECIAL_POT = SampledPotential(h=0.1, cells=(1.0, -0.5, 0.25) * 4)
+
+
+def _special_call(entry, a, b):
+    """The arrays one entry point returns for the special values ``a``, ``b``."""
+    pot = _SPECIAL_POT
+    if entry == "transfer":
+        m = transfer(pot, complex(a, b), 1.0, 2)
+        return m.jet, m.det_tracked
+    if entry == "theta":
+        return (theta(transfer(pot, complex(a, b), 1.0)),)
+    if entry == "find_zeros":
+        return [v for pair in find_zeros(pot, 1.0, resonance.Box(a, b)) for v in pair]
+    sd = nlft_forward(pot, pot.T, np.array([a, b]))
+    return sd.a, sd.b, sd.r
+
+
+@pytest.mark.parametrize("entry", ["transfer", "theta", "find_zeros", "nlft_forward"])
+@given(a=_SPECIAL, b=_SPECIAL)
+@settings(max_examples=150, deadline=None)
+def test_special_floats_give_finite_values_or_a_package_error(entry, a, b):
+    # a RuntimeWarning is an error in this suite, so numpy may not see them either
+    try:
+        values = _special_call(entry, a, b)
+    except DiracNLFTError:
+        return
+    assert all(np.all(np.isfinite(v)) for v in values)
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(0.0, math.nan), math.inf, 1e200, 1e200 + 1j],
+                         ids=["nan", "nan_i", "inf", "huge", "huge_complex"])
+def test_non_finite_or_huge_frequency_is_refused_by_value(z):
+    # these returned NaN entries and a NaN tracked det with no error before
+    pot = SampledPotential(h=0.1, cells=(1.0,) * 10)
+    with pytest.raises(RangeError, match="frequency z = .*(nan|inf|e\\+200)"):
+        transfer(pot, z, 1.0)
+    with pytest.raises(RangeError):
+        transfer(pot, np.array([0.5, z, 2.0]), 1.0)
+
+
+def test_nan_fails_the_monitors():
+    pot = SampledPotential(h=0.1, cells=(1.0,) * 10)
+    with corrupted_propagator(math.nan), pytest.raises(InvariantViolation, match="nan"):
+        transfer(pot, 0.5)
+    with pytest.raises(RangeError):  # a NaN time is not sorted after t1
+        transfer(pot, 0.5, math.nan)
+    with pytest.raises(OverflowRangeError):  # |Im z| t = 0 * inf is NaN
+        transfer(pot, 0.5, math.inf)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_empty_batch_gives_an_empty_transfer(order):
+    # numpy's zero-size reduction error came out of the cell plan before
+    pot = SampledPotential(h=0.1, cells=tuple(np.linspace(-1.0, 1.0, 10)))
+    empty = np.array([], dtype=complex)
+    for m in (transfer(pot, empty, 1.0, order), *transfer(pot, empty, [0.5, 1.0], order)):
+        assert m.jet.shape == (order + 1, 2, 2, 0) and m.det_tracked.shape == (0,)
+        assert theta(m).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
