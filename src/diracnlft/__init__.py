@@ -7,6 +7,8 @@ tracking in the upper half-plane, reproducing-kernel universality probes,
 and long-horizon convergence experiments.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     AliasingError,
     BoundaryNearZeroError,
@@ -88,5 +90,3 @@ from .experiments import (
     limit_identities,
     run_convergence,
 )
-
-__version__ = "0.1.0"

@@ -24,20 +24,16 @@ import sys
 import numpy as np
 
 from .debranges import estimate_w, hb_fit, kernel_probe
-from .errors import (
-    DiracNLFTError,
-    InvariantViolation,
-    NumericalError,
-    PreconditionError,
-    UsageError,
-)
+from .errors import DiracNLFTError, InvariantViolation, PreconditionError, UsageError
 from .experiments import run_convergence
 from .nlft import nlft_forward, parseval_check
 from .potential import (
     PotentialSpec, SampledPotential, clip_to_support, load_potential, potential_from_dict,
     sample,
 )
-from .propagator import corrupted_propagator, hermite_biehler, symmetric_grid, theta, transfer
+from .propagator import (
+    _Z_LIMIT, corrupted_propagator, hermite_biehler, symmetric_grid, theta, transfer,
+)
 from .reporting import config_hash, write_csv, write_json
 from .resonance import Box, find_zeros, track_eigenvalue, track_resonance, track_rows
 from .riccati import riccati_evolve_moebius, riccati_evolve_rk
@@ -111,7 +107,8 @@ _numbers = _kind(lambda v: isinstance(v, list) and all(type(x) in (int, float) f
 # a JSON integer, or a float with an integral value; bool is not a number here
 _integer = _kind(lambda v: type(v) is int or type(v) is float and v.is_integer(),
                  "a JSON integer", int)
-_count = _kind(lambda v: _integer(v) >= 2, "an integer >= 2", int)
+_count = _kind(lambda v: 2 <= _integer(v) <= 65536, "an integer from 2 to 65536", int)
+_frequency = _kind(lambda v: abs(float(v)) <= _Z_LIMIT, f"a number of size <= {_Z_LIMIT:g}", float)
 _pair = _kind(lambda v: len(_numbers(v)) == 2, "a JSON list of 2 numbers")
 _positive = _kind(lambda v: float(v) > 0, "a number > 0", float)
 _format = _kind(lambda v: v in ("csv", "json"), "csv or json")
@@ -126,8 +123,10 @@ _COMMON = {"output": (str, None), "format": (_format, "csv"), "seed": (_integer,
 _POTENTIAL = {**_COMMON, "potential": (_potential, _REQUIRED), "h": (float, None),
               "T": (float, None)}
 _KEYS = {
-    "transform": {**_POTENTIAL, "zmin": (float, None), "zmax": (float, None), "nz": (_count, None),
-                  "grid": {"zmin": (float, -10.0), "zmax": (float, 10.0), "nz": (_count, 201)},
+    "transform": {**_POTENTIAL, "zmin": (_frequency, None), "zmax": (_frequency, None),
+                  "nz": (_count, None),
+                  "grid": {"zmin": (_frequency, -10.0), "zmax": (_frequency, 10.0),
+                           "nz": (_count, 201)},
                   "tolerances": {"unimodular": (_positive, 1e-8)}},
     "verify": _COMMON,
     "resonances": {**_POTENTIAL, "t": (float, None), "s": (float, 0.0), "C": (float, None),
@@ -161,7 +160,7 @@ def _typed(cfg: dict, keys: dict, where: str) -> dict:
         elif key in cfg:
             try:
                 typed[key] = spec[0](cfg[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
         elif spec[1] is _REQUIRED:
             raise UsageError(f"config key {key!r} is required for {where}")
@@ -228,7 +227,7 @@ def cmd_transform(cfg: dict, meta: dict) -> int:
     print(f"max | |a|^2 - |b|^2 - 1 | = {defects['unimodular']:.6e}")
     print(f"max | det M - 1 |        = {det_defect:.6e}")
     tol = cfg["tolerances"]["unimodular"]
-    if defects["unimodular"] > tol:
+    if not defects["unimodular"] <= tol:  # NaN fails too
         raise InvariantViolation(
             f"unimodularity defect {defects['unimodular']:.3e} exceeds {tol}"
         )
@@ -423,21 +422,9 @@ def main(argv=None) -> int:
         hashed = {k: v for k, v in raw.items() if k != "output"}
         meta = {"config_sha256": config_hash(hashed), "seed": raw["seed"]}
         return _COMMANDS[args.command](cfg, meta)
-    except UsageError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InvariantViolation as exc:
-        log.error("invariant violation: %s", exc)
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        log.error("numerical failure: %s", exc)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except DiracNLFTError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except DiracNLFTError as exc:  # one stderr line, labelled by its branch
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -56,7 +56,6 @@ class KernelProbe:
     s: float
     C: float
     lambda_grid: np.ndarray
-    z_grid: np.ndarray
     K_values: np.ndarray
     S_values: np.ndarray
     gap: float
@@ -210,7 +209,7 @@ def kernel_probe(
     dev = S / w_hat
     gap = float(np.max(np.abs(np.subtract(K, dev, out=dev))) / t)
     return KernelProbe(
-        t=t, s=s, C=C, lambda_grid=pts, z_grid=pts,
+        t=t, s=s, C=C, lambda_grid=pts,
         K_values=K, S_values=S, gap=gap, w_hat=w_hat,
     )
 
@@ -238,24 +237,16 @@ def _window_sweep(pot: SampledPotential, s: float, t_window: tuple, n: int):
     return w_stats, wt_stats, complex(hb.E[0]), complex(hb.Etilde[0])
 
 
-def estimate_w(
-    pot: SampledPotential,
-    s: float,
-    t_window: tuple,
-    n: int,
-    component: str = "E",
-):
-    """Estimate w(s) (or the dual from Etilde) by sampling 1/|E(t, s)|^2.
+def estimate_w(pot: SampledPotential, s: float, t_window: tuple, n: int):
+    """Estimate w(s) by sampling 1/|E(t, s)|^2.
 
     Returns ``(w_hat, spread)`` where w_hat is the average over ``n``
     sample times in the window and spread is ``max/min - 1``; a vanishing
     spread certifies the modulus has stabilized (exact once the potential
-    vanishes on the window).
+    vanishes on the window).  The dual density, from Etilde, is part of
+    :func:`~diracnlft.experiments.limit_identities`.
     """
-    if component not in ("E", "Etilde"):
-        raise ValidationError(f"component must be 'E' or 'Etilde', got {component!r}")
-    w_stats, wt_stats, _, _ = _window_sweep(pot, s, t_window, n)
-    return w_stats if component == "E" else wt_stats
+    return _window_sweep(pot, s, t_window, n)[0]
 
 
 # ---------------------------------------------------------------------------

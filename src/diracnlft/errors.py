@@ -1,6 +1,7 @@
 """Exception hierarchy shared by the whole package.
 
-Three top-level branches, matching the CLI exit-code contract:
+Three top-level branches, matching the CLI exit-code contract; each carries
+its ``exit_code`` and the ``label`` of the one stderr line the CLI prints:
 
 * :class:`UsageError`      -> exit code 1 (bad arguments, bad config, out-of-range requests)
 * :class:`NumericalError`  -> exit code 2 (a computation could not be completed reliably)
@@ -30,7 +31,8 @@ __all__ = [
 
 
 class DiracNLFTError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package (raised as one of
+    the three branches below, never as itself)."""
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +42,8 @@ class DiracNLFTError(Exception):
 
 class UsageError(DiracNLFTError):
     """Bad CLI arguments or unusable configuration."""
+
+    exit_code, label = 1, "error"
 
 
 class ValidationError(UsageError):
@@ -57,6 +61,8 @@ class RangeError(UsageError):
 
 class NumericalError(DiracNLFTError):
     """A computation could not be completed to the requested accuracy."""
+
+    exit_code, label = 2, "numerical failure"
 
 
 class OverflowRangeError(NumericalError):
@@ -118,3 +124,5 @@ class FitError(NumericalError):
 class InvariantViolation(DiracNLFTError):
     """A structural identity (determinant, modulus bound, ...) failed
     beyond its documented tolerance."""
+
+    exit_code, label = 3, "invariant violation"

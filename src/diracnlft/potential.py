@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,7 @@ FAMILIES = tuple(_FAMILY_PARAMS)
 _DECAY_FAMILIES = ("powerlaw", "damped_cosine")
 
 _BOUNDARY_RTOL = 1e-9  # slack when deciding whether t sits on a cell boundary
+_MAX_CELLS = 10**6  # most cells sample() makes
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,8 @@ class PotentialSpec:
                 f"which reads {list(_FAMILY_PARAMS[self.family])}"
             )
         for key, val in self.params.items():
-            if not isinstance(val, (int, float)) or not math.isfinite(val):
+            # math.isfinite(10**400) would raise; |val| <= max is exact for ints
+            if not (isinstance(val, (int, float)) and abs(val) <= sys.float_info.max):
                 raise ValidationError(f"parameter {key!r} must be a finite real, got {val!r}")
         if self.family in _DECAY_FAMILIES:
             p = self.params.get("p")
@@ -124,20 +127,20 @@ class SampledPotential:
     _plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.h, (int, float)) and self.h > 0 and math.isfinite(self.h)):
+        if not (isinstance(self.h, (int, float)) and 0 < self.h <= sys.float_info.max):
             raise ValidationError(f"cell width h must be positive and finite, got {self.h!r}")
         object.__setattr__(self, "h", float(self.h))
-        cells = tuple(float(c) for c in self.cells)
+        try:
+            cells = tuple(float(c) for c in self.cells)
+            T = len(cells) * self.h if self.T is None else float(self.T)
+        except (TypeError, ValueError, OverflowError) as exc:  # "x", [1], 10**400
+            raise ValidationError(f"cells and T must be finite reals: {exc}") from exc
         if len(cells) == 0:
             raise ValidationError("a potential needs at least one cell")
         if not all(math.isfinite(c) for c in cells):
             raise ValidationError("cells must be finite reals")
         object.__setattr__(self, "cells", cells)
         n = len(cells)
-        T = self.T
-        if T is None:
-            T = n * self.h
-        T = float(T)
         hi = n * self.h
         lo = (n - 1) * self.h
         slack = _BOUNDARY_RTOL * max(1.0, hi)
@@ -147,10 +150,6 @@ class SampledPotential:
                 f"(need {lo} < T <= {hi})"
             )
         object.__setattr__(self, "T", min(T, hi))
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
 
     def cell_widths(self) -> np.ndarray:
         """Width of every cell; the last may be shorter than ``h``."""
@@ -181,15 +180,15 @@ def sample(spec: PotentialSpec, h: float, T: float) -> SampledPotential:
     Args:
         spec: family description.
         h: cell width, finite and > 0.
-        T: support horizon, finite and >= h.
+        T: support horizon, finite and >= h, with at most 10**6 cells.
 
     Returns:
         The sampled potential with ``pot.T == T``.
     """
     if not (0 < h < math.inf):
         raise ValidationError(f"h must be finite and > 0, got {h}")
-    if not (h <= T < math.inf):
-        raise ValidationError(f"need a finite T >= h, got T={T}, h={h}")
+    if not (h <= T and T / h <= _MAX_CELLS):  # inf and NaN fail too
+        raise ValidationError(f"need a finite T >= h and T / h <= {_MAX_CELLS}, got T={T}, h={h}")
     n = int(math.ceil(T / h - _BOUNDARY_RTOL))
     starts = h * np.arange(n)
     ends = np.minimum(starts + h, T)

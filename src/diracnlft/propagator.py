@@ -61,8 +61,9 @@ Cell plans.  A potential keeps the coalesced cover of the last interval it
 was propagated over, read-only, with the largest ``|Im z|`` at which no
 cell of it needs a chunk.  Newton runs, contours and quadrature levels
 repeat one interval, so they pay the cover once; below that bound the cover
-is used as it is, above it it is chunked as it would be afresh.  One plan
-per potential, outside its value (not compared, hashed or printed).
+is used as it is, above it it is chunked as it would be afresh.  The plan
+also keeps the cover's sum of ``|q| * width``, which bounds the growth of M.
+One plan per potential, outside its value (not compared, hashed or printed).
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ WORK_RANGE_LIMIT = 50.0
 #: Tracked-determinant drift that aborts a propagation as numerically rotten.
 DET_DRIFT_ABORT = 1e-8
 
+# Largest sum of |q| * width propagated: entries of M reach e^(sum + |Im z| t), and
+# products of two (|a|^2, A D) stay finite: half the float64 exponent range, less 50.
+_GROWTH_LIMIT = math.log(np.finfo(float).max) / 2.0 - WORK_RANGE_LIMIT
+
 #: Relative floor under which 1/E (and theta) is considered at a pole.
 POLE_FLOOR = 1e-14
 
@@ -122,6 +127,9 @@ _TREE_CELL = 0.25
 # Largest |Re z| or |Im z| propagated: z^2 and the order-2 jet's 4 z^2 stay
 # far from overflow (a real double reaches 1.8e308).
 _Z_LIMIT = 1e150
+# Longest span propagated, and the bound on |z| * span: (z w)^2 and the order-2
+# series' w^5 stay finite (no physical horizon comes near either).
+_SPAN_LIMIT = 1e50
 # Elements per matrix entry (times product-rule terms) from which jet products
 # run entry by entry instead of broadcast: keeps temporaries <= 64 KiB.
 _ENTRYWISE_MIN = 1024
@@ -194,10 +202,6 @@ class Transfer:
     def det_drift(self):
         """|tracked det - 1|: the conditioning-safe determinant residual."""
         return abs(self.det_tracked - 1.0)
-
-    def matrix(self) -> np.ndarray:
-        """M as a complex array of shape ``(2, 2)`` (``(2, 2, nz)`` for a batch)."""
-        return self.jet[0].copy()
 
 
 @dataclass(frozen=True)
@@ -290,36 +294,46 @@ def _deriv_series(x, w, order: int):
 # ---------------------------------------------------------------------------
 
 
-def _prepared_cells(pot: SampledPotential, t1: float, t2: float, z: np.ndarray):
-    """Cell cover of [t1, t2], coalesced then re-chunked for conditioning.
+def _prepared_cells(pot: SampledPotential, t1: float, t2: float, z: np.ndarray,
+                    grown: float = 0.0):
+    """Cell cover of [t1, t2], coalesced then re-chunked for conditioning, and
+    ``grown`` plus its sum of ``|q| * width`` (refused past ``_GROWTH_LIMIT``).
 
     Coalescing equal-value neighbours is exact (one generator); chunks are
     capped so |l| * width stays small enough that each per-cell determinant
-    is computed at full precision.  The coalesced cover comes from the
-    potential's cell plan (module docstring).
+    is computed at full precision.  The coalesced cover and its sum come
+    from the potential's cell plan (module docstring).
     """
     plan = pot._plan
     if plan is None or plan[0] != t1 or plan[1] != t2:
         qs, ws = cell_cover(pot, t1, t2, coalesce=True)
         aq = np.abs(qs)
-        free = float(np.min(_CHUNK_CAP / ws - aq, initial=np.inf)) * (1.0 - 1e-12)
-        if np.any(ws * (aq + free) / _CHUNK_CAP > 1.0):  # the margin did not hold
-            free = -1.0
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            mass = float(np.sum(aq * ws))
+            free = float(np.min(_CHUNK_CAP / ws - aq, initial=np.inf)) * (1.0 - 1e-12)
+            if np.any(ws * (aq + free) / _CHUNK_CAP > 1.0):  # the margin did not hold
+                free = -1.0
         for a in (qs, ws, aq):
             a.flags.writeable = False
-        plan = (t1, t2, qs, ws, aq, free)
+        plan = (t1, t2, qs, ws, aq, mass, free)
         object.__setattr__(pot, "_plan", plan)
-    _, _, qs, ws, aq, free = plan
+    _, _, qs, ws, aq, mass, free = plan
+    grown += mass
+    if not grown <= _GROWTH_LIMIT:
+        raise OverflowRangeError(
+            f"sum of |q| * width up to t = {t2} is {grown:.3g}, past {_GROWTH_LIMIT:.0f}: "
+            "entries of the transfer matrix would overflow float64"
+        )
     if len(qs) == 0:
-        return qs, ws
+        return qs, ws, grown
     im_max = float(np.abs(np.imag(np.asarray(z, dtype=complex))).max(initial=0.0))
     if im_max <= free:
-        return qs, ws
+        return qs, ws, grown
     n = np.maximum(1, np.ceil(ws * (aq + im_max) / _CHUNK_CAP).astype(int))
     if np.any(n > 1):
         qs = np.repeat(qs, n)
         ws = np.repeat(ws / n, n)
-    return qs, ws
+    return qs, ws, grown
 
 
 def _cell_jets(q, w, z: np.ndarray, zz: np.ndarray, order: int, out: np.ndarray,
@@ -447,7 +461,8 @@ def _check_range(z: np.ndarray, t: float) -> None:
     # np.maximum and max keep a NaN, and NaN fails every comparison
     im = np.abs(z.imag)
     part = np.maximum(np.abs(z.real), im)
-    if not float(part.max(initial=0.0)) <= _Z_LIMIT:
+    z_max = float(part.max(initial=0.0))
+    if not z_max <= _Z_LIMIT:
         raise RangeError(f"frequency z = {z[~(part <= _Z_LIMIT)][0]} is not finite or "
                          f"exceeds |Re z|, |Im z| <= {_Z_LIMIT:g}")
     im_max = float(im.max(initial=0.0))
@@ -456,6 +471,9 @@ def _check_range(z: np.ndarray, t: float) -> None:
             f"|Im z| * t = {im_max * t:.3g} exceeds the supported working range "
             f"{WORK_RANGE_LIMIT}; split the evaluation or shrink the box"
         )
+    if not (t <= _SPAN_LIMIT and z_max * t <= _Z_LIMIT):
+        raise RangeError(f"a span of {t:.3g} at |z| up to {z_max:.3g} exceeds "
+                         f"span <= {_SPAN_LIMIT:g}, |z| * span <= {_Z_LIMIT:g}")
 
 
 def _check_drift(det: np.ndarray) -> None:
@@ -488,9 +506,11 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
         sequence ``t``.
 
     Raises:
-        RangeError: ``order`` outside 0..2, times below ``t1`` or unsorted, or
-            a ``z`` that is not finite or has a part past ``1e150``.
-        OverflowRangeError: ``|Im z| (t - t1)`` exceeds ``WORK_RANGE_LIMIT``.
+        RangeError: ``order`` outside 0..2, times below ``t1`` or unsorted, a
+            ``z`` not finite or with a part past ``1e150``, or ``t - t1`` past
+            ``1e50`` (or ``|z| (t - t1)`` past ``1e150``).
+        OverflowRangeError: ``|Im z| (t - t1)`` exceeds ``WORK_RANGE_LIMIT``,
+            or the sum of ``|q| * width`` over ``[t1, t]`` exceeds ~305.
         InvariantViolation: the tracked determinant drifted beyond
             ``DET_DRIFT_ABORT`` over the sweep.
     """
@@ -508,9 +528,10 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
                  if lower.any() or mirror else (zs, None))
     jet = np.zeros((order + 1, 2, 2) + fold.shape, dtype=complex)
     jet[0, 0, 0] = jet[0, 1, 1] = 1.0
-    det, steps = np.ones(fold.shape, dtype=complex), []
+    det, steps, grown = np.ones(fold.shape, dtype=complex), [], 0.0
     for a, b in zip([t1] + ts, ts):
-        jet, det = _advance(fold, jet, det, *_prepared_cells(pot, a, b, fold))
+        qs, ws, grown = _prepared_cells(pot, a, b, fold, grown)
+        jet, det = _advance(fold, jet, det, qs, ws)
         steps.append((b, jet, det))
     _check_drift(det)
     out = []
@@ -528,6 +549,8 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
 
 def symmetric_grid(X: float, n: int) -> np.ndarray:
     """``linspace(-X, X, n)`` made exactly symmetric: ``transfer`` folds its ±x pairs."""
+    if not abs(X) <= _Z_LIMIT:  # linspace would overflow; transfer refuses such z anyway
+        raise RangeError(f"grid end X = {X} is not finite or exceeds {_Z_LIMIT:g}")
     x = np.linspace(-X, X, n)
     return 0.5 * (x - x[::-1])
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 
-__all__ = ["TOOL_VERSION", "config_hash", "format_float", "write_csv", "write_json"]
+from . import __version__
 
-TOOL_VERSION = "0.1.0"
+__all__ = ["config_hash", "format_float", "write_csv", "write_json"]
 
 
 def config_hash(cfg: dict) -> str:
@@ -24,15 +23,11 @@ def config_hash(cfg: dict) -> str:
 
 
 def format_float(v) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return "%.17g" % v
-    return str(v)
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
 def _meta_lines(meta: dict) -> list:
-    lines = [f"# tool: diracnlft {TOOL_VERSION}"]
+    lines = [f"# tool: diracnlft {__version__}"]
     for key in sorted(meta):
         lines.append(f"# {key}: {meta[key]}")
     return lines
@@ -50,7 +45,7 @@ def write_csv(path: str, columns, rows, meta: dict | None = None) -> None:
 
 def write_json(path: str, payload: dict, meta: dict | None = None) -> None:
     """Write a payload dict with an embedded ``meta`` block."""
-    doc = {"meta": {"tool": f"diracnlft {TOOL_VERSION}", **(meta or {})}}
+    doc = {"meta": {"tool": f"diracnlft {__version__}", **(meta or {})}}
     doc.update(payload)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=True)

@@ -56,6 +56,8 @@ THETA_Z_FLOOR_SCALE = 1e-8
 #: Tracked zeros must keep Im z above this floor.
 IM_FLOOR = 1e-12
 
+# Most predictor-corrector steps one track may take.
+_MAX_STEPS = 1_000_000
 _MAX_CONTOUR_REFINES = 48
 _MAX_QUAD_DEPTH = 40
 _NEWTON_MAX_ITER = 60
@@ -78,8 +80,8 @@ class Box:
             raise ValidationError(f"half_width must be finite and > 0, got {self.half_width}")
         if not math.isfinite(self.s):
             raise ValidationError(f"s must be finite, got {self.s}")
-        if self.grid_n < 8:
-            raise ValidationError(f"grid_n must be >= 8, got {self.grid_n}")
+        if not 8 <= self.grid_n <= 64:
+            raise ValidationError(f"grid_n must be from 8 to 64, got {self.grid_n}")
 
     @classmethod
     def scaled(cls, s: float, C: float, t: float, grid_n: int = 16) -> "Box":
@@ -150,14 +152,6 @@ class EigenTrack:
     monotone: bool
     status: str  # completed | newton_diverged | derivative_degenerate
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s[0] for s in self.samples])
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([s[1] for s in self.samples])
-
 
 @dataclass(frozen=True)
 class MotionSegment:
@@ -209,7 +203,7 @@ def _newton(pot, t, z0, level=None, bounds=None, pre_tol=math.inf):
         if best is None and res > pre_tol:
             raise PreconditionError(
                 f"|theta(t0, z0) - {0 if level is None else level.real:g}| = {res:.3g} "
-                f"exceeds pre_tol {pre_tol:g}: not a starting point of this track"
+                f"exceeds the start tolerance {pre_tol:g}: not a starting point of this track"
             )
         if best is None or res < best[2]:
             best = (z, th_z, res)
@@ -381,8 +375,9 @@ def _march(pot, z0, t0, t1, dt, pre_tol, level, build):
     a :class:`DerivativeDegenerateError` leaves with the partial track as
     ``.track`` (status ``derivative_degenerate``).
     """
-    if dt <= 0 or t1 <= t0:
-        raise ValidationError(f"need t1 > t0 and dt > 0, got [{t0}, {t1}], dt={dt}")
+    if not (dt > 0 and t1 > t0 and (t1 - t0) / dt <= _MAX_STEPS):  # NaN fails too
+        raise ValidationError(f"need t1 > t0, dt > 0 and at most {_MAX_STEPS} steps, "
+                              f"got [{t0}, {t1}], dt={dt}")
     samples: list = []
     residuals: list = []
     status = "completed"
@@ -395,6 +390,8 @@ def _march(pot, z0, t0, t1, dt, pre_tol, level, build):
         residuals.append(res)
         t = t0
         while t < t1 - 1e-12:
+            if abs(th_z) < THETA_Z_FLOOR_SCALE * max(t, 1e-6):  # the predictor divides by it
+                raise DerivativeDegenerateError(f"|theta_z| {abs(th_z):.3g} under floor at t = {t}")
             step = min(dt, t1 - t)
             t_next = t + step
             if level is None:  # f averaged over [t, t_next]
@@ -424,7 +421,6 @@ def track_resonance(
     t0: float,
     t1: float,
     dt: float,
-    pre_tol: float = 1e-6,
 ) -> ResonanceTrack:
     """Follow a zero of theta from (t0, z0) to t1 with steps of dt.
 
@@ -437,14 +433,14 @@ def track_resonance(
     ``.track``) signals a degenerate ``theta_z``.
 
     Raises:
-        PreconditionError: theta(t0, z0) is not a zero within ``pre_tol``.
+        PreconditionError: theta(t0, z0) is not a zero within 1e-6.
     """
     def build(samples, residuals, status):
         return ResonanceTrack(
             samples=tuple(samples), residuals=tuple(residuals), status=status, dt=dt
         )
 
-    return _march(pot, z0, t0, t1, dt, pre_tol, None, build)
+    return _march(pot, z0, t0, t1, dt, 1e-6, None, build)
 
 
 _EIGEN_TARGET = {"NN": 1.0 + 0.0j, "ND": -1.0 + 0.0j}

@@ -1,12 +1,21 @@
 import json
+import math
+import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import diracnlft
 from diracnlft import cli
 from diracnlft.cli import main
 from diracnlft.potential import SampledPotential, save_potential
@@ -261,6 +270,14 @@ def test_transform_writes_csv_and_summary(tmp_path, capsys):
         "log_abs_a",
     ]
     assert len(lines) - header_idx - 1 == 33
+
+
+def test_pyproject_version_is_the_package_version():
+    # the headers print diracnlft.__version__; pyproject.toml repeats it (read
+    # with a regex: Python 3.10 has no tomllib)
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match and match.group(1) == diracnlft.__version__
 
 
 def test_transform_json_roundtrip(tmp_path):
@@ -638,3 +655,115 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+# ---------------------------------------------------------------------------
+# one stderr line per failure, and a property test over malformed configs
+# ---------------------------------------------------------------------------
+
+CONST_CFG = {"potential": {"family": "constant", "params": {"q": 1.0}}, "h": 0.5, "T": 1.0,
+             "grid": {"zmin": -2.0, "zmax": 2.0, "nz": 5}}
+
+
+@pytest.mark.parametrize("extra, code, label", [
+    ({"nzz": 5}, 1, "error"),
+    ({"potential": {"family": "constant", "params": {"q": 800.0}}}, 2, "numerical failure"),
+    ({"tolerances": {"unimodular": 1e-300}}, 3, "invariant violation"),
+], ids=["usage", "numerical", "invariant"])
+def test_each_failure_prints_one_stderr_line(tmp_path, extra, code, label):
+    # a separate process, so the log goes to stderr as it does for a user
+    cfg = _write_cfg(tmp_path, "c.json", {**CONST_CFG, **extra})
+    env = {k: v for k, v in os.environ.items() if k != "NLFT_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracnlft.cli", "transform", "--config", cfg,
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == code
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"{label}: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
+# a config per subcommand that runs in milliseconds and exits 0
+_BASE_CFGS = {
+    "transform": CONST_CFG,
+    "resonances": {"potential": {"family": "constant", "params": {"q": 1.0}}, "h": 0.5,
+                   "T": 3.0, "C": 6.0, "box": {"grid_n": 8}, "t1": 3.1, "dt": 0.05},
+    "eigenvalues": {"potential": {"family": "constant", "params": {"q": 0.0}}, "h": 0.5,
+                    "T": 2.0, "kind": "NN", "x0": math.pi, "t0": 2.0, "t1": 2.1, "dt": 0.05},
+}
+# special floats, huge integers and wrong JSON types; output also gets paths
+# it cannot write
+_ODD = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e300, 5e-324, -0.0, 0, 10**400,
+        2**63, "x", "1.5", [1.0], {}, None, True]
+_UNWRITABLE = ["missing/out.csv", "."]
+
+
+def _key_paths(keys, prefix=()):
+    for key, spec in keys.items():
+        if isinstance(spec, dict):
+            yield from _key_paths(spec, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _mutated(cfg, path, value):
+    """A copy of ``cfg`` with the key at ``path`` set to ``value`` (no change
+    where an earlier mutation replaced an enclosing object)."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node.get(key, {}), dict) else {}
+    node[path[-1]] = value
+    return cfg
+
+
+@st.composite
+def _odd_configs(draw):
+    command = draw(st.sampled_from(sorted(_BASE_CFGS)))
+    paths = [*_key_paths(cli._KEYS[command]), ("potential", "params", "q")]
+    cfg = _BASE_CFGS[command]
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(paths))
+        values = st.sampled_from(_ODD + (_UNWRITABLE if path == ("output",) else []))
+        if path[-1] == "q":  # amplitudes around and past the growth bound, up to 1e300
+            values |= st.sampled_from([305.0, 400.0, 1e6]) | st.floats(-1e300, 1e300)
+        cfg = _mutated(cfg, path, draw(values))
+    return command, cfg
+
+
+def _data_rows(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
+@given(case=_odd_configs())
+@settings(max_examples=120, deadline=None)
+def test_malformed_configs_exit_cleanly(tmp_path_factory, case):
+    # every run exits 0..3 without a traceback (or a RuntimeWarning, an error
+    # in this suite); a failure prints one stderr line, a success finite rows
+    command, cfg = case
+    work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    (work / "c.json").write_text(json.dumps(cfg))
+    err, cwd = StringIO(), os.getcwd()
+    os.chdir(work)  # relative outputs, e.g. a str()-ed odd value, land here
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = main([command, "--config", "c.json"])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        return
+    for out in work.rglob("*"):
+        if out.is_file() and out.name != "c.json":
+            for row in _data_rows(out):
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # a label column
+                    assert math.isfinite(value), (out.name, row)

@@ -14,7 +14,13 @@ from diracnlft.debranges import (
     kernel_probe,
     kernel_sinc,
 )
-from diracnlft.errors import PreconditionError, RangeError, ValidationError
+from diracnlft.errors import (
+    OverflowRangeError,
+    PreconditionError,
+    RangeError,
+    ValidationError,
+)
+from diracnlft.experiments import limit_identities
 from diracnlft.potential import SampledPotential
 from diracnlft.propagator import transfer, transfer_derivative_batch
 from diracnlft.resonance import Box
@@ -248,7 +254,8 @@ def test_estimate_w_free(free_pot):
 
 def test_estimate_w_past_support_is_exact(bump_pot):
     w, spread = estimate_w(bump_pot, 0.5, (40.0, 71.0), 8)
-    wt, spread_t = estimate_w(bump_pot, 0.5, (40.0, 71.0), 8, component="Etilde")
+    rep = limit_identities(bump_pot, 0.5, (40.0, 71.0))  # the dual density, from Etilde
+    wt, spread_t = rep.w_tilde_hat, rep.w_tilde_spread
     # |E(t, s)| freezes once the potential has ended
     assert spread < 1e-12 and spread_t < 1e-12
     assert w == pytest.approx(0.5852682, rel=1e-5)
@@ -262,8 +269,6 @@ def test_estimate_w_validation(bump_pot):
         estimate_w(bump_pot, 0.5, (3.0, 2.0), 8)
     with pytest.raises(ValidationError):
         estimate_w(bump_pot, 0.5, (1.0, 2.0), 3)
-    with pytest.raises(ValidationError):
-        estimate_w(bump_pot, 0.5, (1.0, 2.0), 8, component="F")
     with pytest.raises(RangeError):
         estimate_w(bump_pot, 0.5, (1.0, bump_pot.T + 5.0), 8)
 
@@ -305,6 +310,11 @@ def test_probe_default_w_past_the_support():
 def test_probe_validation(bump_pot):
     with pytest.raises(ValidationError):
         kernel_probe(bump_pot, 0.5, 8.0, 4.0, w_hat=-1.0)
+    # |Im z| t reaches C on the grid; C = 1e308 overflowed its linspace before
+    with pytest.raises(OverflowRangeError, match="working range"):
+        kernel_probe(bump_pot, 0.5, 1.0, 50.5)
+    with pytest.raises(RangeError, match="grid end"):
+        kernel_probe(bump_pot, 0.5, 1.0, 1e308)
 
 
 # ---------------------------------------------------------------------------

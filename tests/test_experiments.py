@@ -11,6 +11,7 @@ from diracnlft.experiments import (
 )
 from diracnlft.nlft import nlft_forward
 from diracnlft.potential import PotentialSpec, sample
+from diracnlft.propagator import hermite_biehler, transfer
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +149,9 @@ def test_limit_identities_runs_one_sweep(bump_pot, monkeypatch):
     assert len(calls) == 1  # E, Etilde and the window end from one sweep
     monkeypatch.undo()
     assert (rep.w_hat, rep.w_spread) == estimate_w(bump_pot, 0.5, (40.0, 71.0), 8)
-    assert (rep.w_tilde_hat, rep.w_tilde_spread) == estimate_w(
-        bump_pot, 0.5, (40.0, 71.0), 8, component="Etilde")
+    ts = np.linspace(40.0, 71.0, 8)
+    inv = [1.0 / abs(hermite_biehler(transfer(bump_pot, 0.5, t)).Etilde) ** 2 for t in ts]
+    assert rep.w_tilde_hat == pytest.approx(np.mean(inv), rel=1e-12)
 
 
 def test_limits_inconclusive_inside_support(tall_bump_pot):

@@ -71,7 +71,7 @@ def test_sampling_is_midpoint_rule():
 def test_partial_final_cell_midpoint():
     spec = PotentialSpec(family="constant", params={"q": 1.0})
     pot = sample(spec, h=0.4, T=1.0)  # cells at [0,.4),[.4,.8),[.8,1.0)
-    assert pot.n_cells == 3
+    assert len(pot.cells) == 3
     assert pot.T == 1.0
     assert np.isclose(pot.cell_widths().sum(), 1.0)
 
@@ -81,6 +81,34 @@ def test_partial_final_cell_midpoint():
 def test_sample_refuses_non_finite_width_or_horizon(h, T):
     with pytest.raises(ValidationError):
         sample(PotentialSpec(family="constant", params={"q": 1.0}), h=h, T=T)
+
+
+def test_sample_refuses_more_than_a_million_cells():
+    # T / h = 1e10 allocated its cell grid (80 GB) before; 1e308 overflowed
+    spec = PotentialSpec(family="constant", params={"q": 1.0})
+    for h, T in ((1e-10, 1.0), (0.5, 1e308)):
+        with pytest.raises(ValidationError, match="T / h"):
+            sample(spec, h=h, T=T)
+    assert len(sample(spec, h=1e-6, T=1.0).cells) == 10**6
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"h": 0.1, "cells": ("x", 1.0)},
+    {"h": 0.1, "cells": (10**400,)},
+    {"h": 10**400, "cells": (1.0,)},
+    {"h": 0.1, "cells": (1.0,), "T": "x"},
+    {"h": 0.1, "cells": (1.0,), "T": 10**400},
+], ids=["cell_word", "cell_huge_int", "h_huge_int", "T_word", "T_huge_int"])
+def test_unconvertible_values_are_a_validation_error(kwargs):
+    # a potential file with such a value ended in a ValueError or OverflowError
+    # traceback before
+    with pytest.raises(ValidationError):
+        SampledPotential(**kwargs)
+
+
+def test_spec_refuses_a_param_past_the_float_range():
+    with pytest.raises(ValidationError, match="finite real"):  # an OverflowError before
+        PotentialSpec(family="constant", params={"q": 10**400})
 
 
 def test_horizon_validation():
@@ -212,7 +240,7 @@ def test_spec_form_json(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     pot = load_potential(path)
-    assert pot.n_cells == 10
+    assert len(pot.cells) == 10
     assert np.allclose(pot.cells, 0.7)
 
 

@@ -18,6 +18,7 @@ from diracnlft.errors import (
     PoleProximityError,
     RangeError,
 )
+from diracnlft.debranges import kernel_probe
 from diracnlft.nlft import nlft_forward
 from diracnlft.potential import SampledPotential, potential_to_dict
 from diracnlft.resonance import find_zeros
@@ -52,10 +53,6 @@ from oracles import (
 )
 
 
-def _mat(m):
-    return m.matrix() if hasattr(m, "matrix") else m
-
-
 # ---------------------------------------------------------------------------
 # single-cell closed forms
 # ---------------------------------------------------------------------------
@@ -71,7 +68,7 @@ def test_cell_matches_matrix_exponential():
     ]:
         G = np.array([[q, -z], [z, -q]], dtype=complex)
         expected = scipy.linalg.expm(w * G)
-        got = transfer(SampledPotential(h=w, cells=(q,)), z).matrix()
+        got = transfer(SampledPotential(h=w, cells=(q,)), z).jet[0]
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-13), (q, w, z)
 
 
@@ -82,7 +79,7 @@ def test_cell_series_branch_is_continuous():
         q = np.sqrt(z * z + scale * 1e-6)  # x = scale * 1e-6 * w^2 with w=1
         G = np.array([[q, -z], [z, -q]], dtype=complex)
         expected = scipy.linalg.expm(G)
-        got = transfer(SampledPotential(h=1.0, cells=(float(q),)), z).matrix()
+        got = transfer(SampledPotential(h=1.0, cells=(float(q),)), z).jet[0]
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-14)
 
 
@@ -126,7 +123,7 @@ def test_large_cell_is_chunked_correctly():
     pot = SampledPotential(h=w, cells=(q,))
     G = np.array([[q, -z], [z, -q]], dtype=complex)
     expected = scipy.linalg.expm(w * G)
-    got = _mat(transfer(pot, z))
+    got = transfer(pot, z).jet[0]
     assert np.allclose(got, expected, rtol=1e-11, atol=1e-12)
 
 
@@ -140,7 +137,7 @@ def test_matches_rk4_oracle_real_and_complex():
     pot = SampledPotential(h=0.05, cells=tuple(rng.uniform(-1.5, 1.5, 40)))
     worst = 0.0
     for z in (0.0, 3.7, -12.0, 1.0 + 0.5j, -2.0 + 1.5j, 0.3 - 0.8j):
-        got = _mat(transfer(pot, z))
+        got = transfer(pot, z).jet[0]
         # the RK4 oracle's own error goes like (|z| dt)^4, so resolve in |z|
         ref = oracle_transfer(pot, z, pot.T, steps_per_cell=int(64 * (1 + abs(z))))
         worst = max(worst, float(np.max(np.abs(got - ref))))
@@ -151,7 +148,7 @@ def test_free_potential_is_a_rotation():
     pot = SampledPotential(h=0.5, cells=(0.0,) * 8)
     for z in (0.7, -3.0, 1.0 + 0.2j):
         for t in (0.9, 4.0):
-            got = _mat(transfer(pot, z, t=t))
+            got = transfer(pot, z, t=t).jet[0]
             assert np.allclose(got, free_rotation(t, z), rtol=0, atol=1e-14)
 
 
@@ -166,8 +163,8 @@ def test_propagation_beyond_support_extends_by_zero():
     pot = SampledPotential(h=0.1, cells=tuple(rng.uniform(-1, 1, 10)))
     z = 1.3 + 0.4j
     t = 5.0
-    direct = _mat(transfer(pot, z, t=t))
-    composed = free_rotation(t - pot.T, z) @ _mat(transfer(pot, z))
+    direct = transfer(pot, z, t=t).jet[0]
+    composed = free_rotation(t - pot.T, z) @ transfer(pot, z).jet[0]
     assert np.allclose(direct, composed, rtol=1e-13, atol=1e-14)
 
 
@@ -304,7 +301,7 @@ def test_derivative_order_validation():
 def _sequential(pot, z, t, order, eps=0.0, t1=0.0):
     """Jet and tracked det of M(t, z) on [t1, t] multiplying the same cells one
     at a time (``eps``: the corruption hook's skew)."""
-    qs, ws = _prepared_cells(pot, t1, t, z)
+    qs, ws, _ = _prepared_cells(pot, t1, t, z)
     jet = np.zeros((order + 1, 2, 2, z.size), dtype=complex)
     jet[0, 0, 0] = jet[0, 1, 1] = 1.0
     det = np.ones(z.size, dtype=complex)
@@ -416,12 +413,14 @@ def test_scalar_z_matches_wide_batch(nz, order):
 
 _SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324,
                             2.2250738585072014e-308, -0.0, 0.0, 1.0])
-_SPECIAL_POT = SampledPotential(h=0.1, cells=(1.0, -0.5, 0.25) * 4)
+# cell values: the special ones, and large ones around and past the growth bound
+_SPECIAL_Q = _SPECIAL | st.sampled_from([300.0, 800.0, -1e6, 1e300])
 
 
-def _special_call(entry, a, b):
-    """The arrays one entry point returns for the special values ``a``, ``b``."""
-    pot = _SPECIAL_POT
+def _special_call(entry, a, b, q):
+    """The arrays one entry point returns for the special values ``a``, ``b``
+    on a potential with a cell of value ``q``."""
+    pot = SampledPotential(h=0.1, cells=(1.0, q, 0.25) * 4)
     if entry == "transfer":
         m = transfer(pot, complex(a, b), 1.0, 2)
         return m.jet, m.det_tracked
@@ -429,17 +428,21 @@ def _special_call(entry, a, b):
         return (theta(transfer(pot, complex(a, b), 1.0)),)
     if entry == "find_zeros":
         return [v for pair in find_zeros(pot, 1.0, resonance.Box(a, b)) for v in pair]
+    if entry == "kernel_probe":
+        probe = kernel_probe(pot, a, 1.0, b, grid_n=8)
+        return probe.K_values, probe.gap, probe.w_hat
     sd = nlft_forward(pot, pot.T, np.array([a, b]))
     return sd.a, sd.b, sd.r
 
 
-@pytest.mark.parametrize("entry", ["transfer", "theta", "find_zeros", "nlft_forward"])
-@given(a=_SPECIAL, b=_SPECIAL)
+@pytest.mark.parametrize("entry", ["transfer", "theta", "find_zeros", "nlft_forward",
+                                   "kernel_probe"])
+@given(a=_SPECIAL, b=_SPECIAL, q=_SPECIAL_Q)
 @settings(max_examples=150, deadline=None)
-def test_special_floats_give_finite_values_or_a_package_error(entry, a, b):
+def test_special_floats_give_finite_values_or_a_package_error(entry, a, b, q):
     # a RuntimeWarning is an error in this suite, so numpy may not see them either
     try:
-        values = _special_call(entry, a, b)
+        values = _special_call(entry, a, b, q)
     except DiracNLFTError:
         return
     assert all(np.all(np.isfinite(v)) for v in values)
@@ -454,6 +457,26 @@ def test_non_finite_or_huge_frequency_is_refused_by_value(z):
         transfer(pot, z, 1.0)
     with pytest.raises(RangeError):
         transfer(pot, np.array([0.5, z, 2.0]), 1.0)
+
+
+def test_growth_past_the_float_range_is_refused():
+    # A = nan with only RuntimeWarnings before; det_tracked stayed 1
+    with pytest.raises(OverflowRangeError, match="is 800, past 305"):
+        transfer(SampledPotential(h=0.5, cells=(800.0, 800.0)), 0.5, 1.0)
+    # a sweep sums over its stretches: each adds 100, three pass and four do not
+    pot = SampledPotential(h=0.5, cells=(100.0,) * 8)
+    assert len(transfer(pot, 0.5, [1.0, 2.0, 3.0])) == 3
+    with pytest.raises(OverflowRangeError, match="is 400"):
+        transfer(pot, 0.5, [1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("z, t", [(0.5, 1e60), (1e149, 100.0), (0.0, 1e308)],
+                         ids=["long_span", "large_z_span", "huge_span"])
+def test_span_past_the_range_is_refused(z, t):
+    # (z w)^2 and the order-2 series' w^5 overflowed with a RuntimeWarning before
+    pot = SampledPotential(h=0.5, cells=(1.0, 1.0))
+    with pytest.raises(RangeError, match="span"):
+        transfer(pot, z, t, order=2)
 
 
 def test_nan_fails_the_monitors():
@@ -599,7 +622,7 @@ def test_real_axis_transfer_matches_rk4_oracle(z):
     cells = rng.uniform(-1.5, 1.5, 12)
     cells[5] = 0.9  # z = +-0.9 meets m = 0 in this cell
     pot = SampledPotential(h=0.05, cells=tuple(cells))
-    got = transfer(pot, z).matrix()
+    got = transfer(pot, z).jet[0]
     ref = oracle_transfer(pot, z, pot.T, steps_per_cell=int(256 * (1 + abs(z))))
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -46,6 +46,8 @@ def test_box_validation_and_membership():
         Box(0.0, 0.0)
     with pytest.raises(ValidationError):
         Box(0.0, 1.0, grid_n=4)
+    with pytest.raises(ValidationError):  # its contour, or a probe's grid_n^4 kernel
+        Box(0.0, 1.0, grid_n=65)
     box = Box(1.0, 0.5)
     assert box.contains(1.2 + 0.3j)
     assert not box.contains(1.2 + 0.6j)
@@ -253,14 +255,19 @@ def test_track_requires_a_zero(const_pot):
         track_resonance(const_pot, CONST_ZERO, 3.0, 2.0, dt=0.01)
     with pytest.raises(ValidationError):
         track_resonance(const_pot, CONST_ZERO, 3.0, 4.0, dt=0.0)
+    # more than 10**6 steps, or none that can be counted: these never ended
+    for t1, dt in ((4.0, 1e-9), (4.0, 5e-324), (float("nan"), 0.01), (1e300, 0.01)):
+        with pytest.raises(ValidationError, match="steps"):
+            track_resonance(const_pot, CONST_ZERO, 3.0, t1, dt=dt)
 
 
-def test_track_accepts_loose_seed_with_pre_tol(const_pot):
-    rough = CONST_ZERO + 1e-4 + 1e-4j
-    with pytest.raises(PreconditionError):
-        track_resonance(const_pot, rough, 3.0, 3.1, dt=0.01, pre_tol=1e-8)
-    track = track_resonance(const_pot, rough, 3.0, 3.1, dt=0.01, pre_tol=1e-2)
-    assert abs(track.zs[0] - CONST_ZERO) < 1e-9  # polished back onto the zero
+def test_track_start_tolerance_is_fixed(const_pot):
+    # a start within |theta| <= 1e-6 is polished back onto the zero; a rougher
+    # one is not a starting point of the track
+    with pytest.raises(PreconditionError, match="start tolerance 1e-06"):
+        track_resonance(const_pot, CONST_ZERO + 1e-4 + 1e-4j, 3.0, 3.1, dt=0.01)
+    track = track_resonance(const_pot, CONST_ZERO + 1e-8 + 1e-8j, 3.0, 3.1, dt=0.01)
+    assert abs(track.zs[0] - CONST_ZERO) < 1e-9
 
 
 def test_track_is_stationary_past_support(tall_bump_pot):
@@ -317,7 +324,7 @@ def test_free_nn_points_follow_exact_law(free_pot):
     track = track_eigenvalue(free_pot, "NN", np.pi, 2.0, 3.0, dt=0.05)
     assert track.status == "completed"
     assert track.monotone
-    xs, ts = track.xs, track.times
+    ts, xs = np.array(track.samples).T
     assert np.max(np.abs(xs - 2.0 * np.pi / ts)) < 1e-12
     assert abs(xs[-1] - 2.0 * np.pi / 3.0) < 1e-12
 
@@ -327,7 +334,8 @@ def test_free_nd_points_follow_exact_law(free_pot):
     x0 = -np.pi * 2.5 / 2.0
     track = track_eigenvalue(free_pot, "ND", x0, 2.0, 3.0, dt=0.05)
     assert track.monotone
-    assert np.max(np.abs(track.xs + np.pi * 2.5 / track.times)) < 1e-12
+    ts, xs = np.array(track.samples).T
+    assert np.max(np.abs(xs + np.pi * 2.5 / ts)) < 1e-12
 
 
 def test_eigenvalue_monotone_for_constant_potential(const_pot):
@@ -350,6 +358,10 @@ def test_eigenvalue_validation(const_pot):
         track_eigenvalue(const_pot, "XX", 1.0, 2.0, 3.0, dt=0.1)
     with pytest.raises(PreconditionError):
         track_eigenvalue(const_pot, "NN", 0.77, 2.0, 3.0, dt=0.1, pre_tol=1e-10)
+    # at t0 = 5e-324 theta = 1 holds at any x, and theta_z is 0: the predictor
+    # divided by it (ZeroDivisionError) before
+    with pytest.raises(DerivativeDegenerateError):
+        track_eigenvalue(const_pot, "NN", np.pi, 5e-324, 0.1, dt=0.05)
 
 
 # ---------------------------------------------------------------------------
