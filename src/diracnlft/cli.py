@@ -102,15 +102,18 @@ def _kind(test, expected: str, convert=None):
     return check
 
 
+# bool is not a number here, nor is a JSON string
+_number = _kind(lambda v: type(v) in (int, float), "a JSON number", float)
 _numbers = _kind(lambda v: isinstance(v, list) and all(type(x) in (int, float) for x in v),
                  "a JSON list of numbers")
-# a JSON integer, or a float with an integral value; bool is not a number here
+# a JSON integer, or a float with an integral value
 _integer = _kind(lambda v: type(v) is int or type(v) is float and v.is_integer(),
                  "a JSON integer", int)
 _count = _kind(lambda v: 2 <= _integer(v) <= 65536, "an integer from 2 to 65536", int)
-_frequency = _kind(lambda v: abs(float(v)) <= _Z_LIMIT, f"a number of size <= {_Z_LIMIT:g}", float)
+_frequency = _kind(lambda v: abs(_number(v)) <= _Z_LIMIT, f"a number of size <= {_Z_LIMIT:g}",
+                   float)
 _pair = _kind(lambda v: len(_numbers(v)) == 2, "a JSON list of 2 numbers")
-_positive = _kind(lambda v: float(v) > 0, "a number > 0", float)
+_positive = _kind(lambda v: _number(v) > 0, "a number > 0", float)
 _format = _kind(lambda v: v in ("csv", "json"), "csv or json")
 _potential = _kind(lambda v: isinstance(v, (dict, str)), "a spec object or a file path")
 
@@ -120,8 +123,8 @@ _potential = _kind(lambda v: isinstance(v, (dict, str)), "a spec object or a fil
 # works it out, e.g. T -> the potential's horizon) or _REQUIRED.
 _REQUIRED = object()
 _COMMON = {"output": (str, None), "format": (_format, "csv"), "seed": (_integer, 0)}
-_POTENTIAL = {**_COMMON, "potential": (_potential, _REQUIRED), "h": (float, None),
-              "T": (float, None)}
+_POTENTIAL = {**_COMMON, "potential": (_potential, _REQUIRED), "h": (_number, None),
+              "T": (_number, None)}
 _KEYS = {
     "transform": {**_POTENTIAL, "zmin": (_frequency, None), "zmax": (_frequency, None),
                   "nz": (_count, None),
@@ -129,16 +132,18 @@ _KEYS = {
                            "nz": (_count, 201)},
                   "tolerances": {"unimodular": (_positive, 1e-8)}},
     "verify": _COMMON,
-    "resonances": {**_POTENTIAL, "t": (float, None), "s": (float, 0.0), "C": (float, None),
-                   "box": {"half_width": (float, 2.0), "grid_n": (_integer, 16)},
-                   "t1": (float, None), "dt": (float, 1e-2)},
-    "eigenvalues": {**_POTENTIAL, "kind": (str, "NN"), "x0": (float, _REQUIRED),
-                    "t0": (float, _REQUIRED), "t1": (float, _REQUIRED), "dt": (float, 1e-2),
-                    "pre_tol": (float, 1e-6)},
-    "kernels": {**_POTENTIAL, "t": (float, None), "s": (float, 0.0), "C": (float, 4.0),
+    "resonances": {**_POTENTIAL, "t": (_number, None), "s": (_number, 0.0),
+                   "C": (_number, None),
+                   "box": {"half_width": (_number, 2.0), "grid_n": (_integer, 16)},
+                   "t1": (_number, None), "dt": (_number, 1e-2)},
+    "eigenvalues": {**_POTENTIAL, "kind": (str, "NN"), "x0": (_number, _REQUIRED),
+                    "t0": (_number, _REQUIRED), "t1": (_number, _REQUIRED), "dt": (_number, 1e-2),
+                    "pre_tol": (_number, 1e-6)},
+    "kernels": {**_POTENTIAL, "t": (_number, None), "s": (_number, 0.0), "C": (_number, 4.0),
                 "box": {"grid_n": (_integer, 16)}, "w_window": (_pair, None)},
-    "converge": {**_POTENTIAL, "s_list": (_numbers, None), "s": (float, 0.0), "C": (float, 4.0),
-                 "T_list": (_numbers, _REQUIRED), "box_samples": (_integer, 16)},
+    "converge": {**_POTENTIAL, "s_list": (_numbers, None), "s": (_number, 0.0),
+                 "C": (_number, 4.0), "T_list": (_numbers, _REQUIRED),
+                 "box_samples": (_integer, 16)},
     "parseval": {**_POTENTIAL, "tolerances": {"parseval": (_positive, 1e-2)}},
 }
 

@@ -47,6 +47,9 @@ _DIAG_SWITCH = 1e-6
 #: |t (z - conj lam)| below this evaluates the sinc by series.
 _SINC_SERIES = 1e-4
 
+#: Bytes of kernel entries evaluated per block of rows.
+_KERNEL_BLOCK = 1 << 19
+
 
 @dataclass(frozen=True)
 class KernelProbe:
@@ -57,7 +60,6 @@ class KernelProbe:
     C: float
     lambda_grid: np.ndarray
     K_values: np.ndarray
-    S_values: np.ndarray
     gap: float
     w_hat: float
 
@@ -134,27 +136,42 @@ def _sinc(t, re, im):
     return out
 
 
-def _kernel_matrix(pot, t, pts):
-    """K(t, lam_i, z_j) over one point set (rows index lam, cols index z).
+def _confluent(pts, i, j):
+    """The pairs among the candidates ``(i, j)`` whose offset
+    ``d = conj(lam_i) - z_j`` is under the confluent switch, and their offsets."""
+    d = np.conj(pts[i]) - pts[j]
+    keep = np.abs(d) < _DIAG_SWITCH * (1.0 + np.abs(pts[j]))
+    return i[keep], j[keep], d[keep]
 
-    Uses A(conj p) = conj A(p) (real potential) so a single batch at
-    ``pts`` supplies values and the confluent branch; the numerator is
-    ``P - P^H`` for ``P = A(z_j) C(conj lam_i)``, so K is exactly Hermitian.
-    The batch carries the z-derivatives the confluent branch needs: order 0
-    when no entry is confluent, order 1 when every confluent offset
-    ``d = conj(lam_i) - z_j`` is exactly 0 (the second-order term is then
-    0; the case of every probe grid, whose rows are exactly conjugate), and
-    order 2 otherwise.
+
+def _kernel_matrix(pot, t, pts, pairs, unit, dev=None):
+    """K(t, lam_i, z_j) over one point set (rows index lam, cols index z), and
+    ``max |K - dev|`` over it (0 without ``dev``).
+
+    ``pairs`` lists every pair ``(i, j)`` that may be confluent
+    (:func:`_confluent` tests them).  Uses A(conj p) = conj A(p) (real
+    potential) so a single batch at ``pts`` supplies values and the confluent
+    branch.  The batch carries the z-derivatives the confluent branch needs:
+    order 0 when no entry is confluent, order 1 when every confluent offset
+    is exactly 0 (the second-order term is then 0; the case of every probe
+    grid, whose rows are exactly conjugate), and order 2 otherwise.
+
+    K is Hermitian (K(lam, z) = conj K(z, lam)), so only the entries
+    ``i <= j`` are evaluated, in blocks of rows (a multiple of ``unit`` each,
+    about ``_KERNEL_BLOCK`` bytes), and each block is mirrored into the lower
+    triangle.  An entry is ``(P_ij - conj P_ji) / (pi (conj lam_i - z_j))`` for
+    ``P_ij = A(z_j) C(conj lam_i)``.  ``dev(r0, r1, block)`` gives
+    ``max |block - ref|`` for the block ``K[r0:r1, r0:]`` and the same block
+    of the matrix K is compared with.
     """
-    denom = np.conj(pts)[:, None] - pts
-    i, j = np.nonzero(np.abs(denom) < _DIAG_SWITCH * (1.0 + np.abs(pts)))
-    d, denom[i, j] = denom[i, j], 1.0
+    i, j, d = _confluent(pts, *pairs)
     order = 2 if d.any() else 1 if len(d) else 0
     m = transfer(pot, pts, t, order=order)
-    K = m.A * np.conj(m.C)[:, None]  # A(z_j) C(conj lam_i)
-    K -= np.conj(K.T)
-    denom *= np.pi
-    K /= denom
+    # row-major pair order, which the row blocks search; it also fixes the
+    # layout of the confluent arrays (numpy may evaluate a product of large
+    # temporaries in place with its operands swapped, moving the last bit)
+    by_row = np.lexsort((j, i))
+    i, j, d = i[by_row], j[by_row], d[by_row]
     if order:
         # confluent branch: numerator N(conj lam) = A(z) C(.) - C(z) A(.)
         # vanishes at conj lam = z, so K -> (N' + N'' (conj lam - z)/2) / pi
@@ -163,8 +180,37 @@ def _kernel_matrix(pot, t, pts):
         N = A * m.dC[j] - C * m.dA[j]
         if order == 2:
             N += 0.5 * (A * m.d2C[j] - C * m.d2A[j]) * d
-        K[i, j] = N / np.pi
-    return K
+        N = N / np.pi
+    A, C = m.A, m.C
+    n = len(pts)
+    K = np.empty((n, n), dtype=complex)
+    gap, r0 = np.float64(0.0), 0
+    while r0 < n:
+        r1 = min(n, r0 + unit * max(1, _KERNEL_BLOCK // (16 * unit * (n - r0))))
+        B = K[r0:r1, r0:]
+        np.multiply(A[r0:], np.conj(C[r0:r1])[:, None], out=B)
+        den = A[r0:r1, None] * np.conj(C[r0:])
+        B -= np.conjugate(den, out=den)
+        np.subtract(np.conj(pts[r0:r1])[:, None], pts[r0:], out=den)
+        lo, hi = np.searchsorted(i, (r0, r1))
+        inside = j[lo:hi] >= r0
+        bi, bj = i[lo:hi][inside] - r0, j[lo:hi][inside] - r0
+        den[bi, bj] = 1.0
+        den *= np.pi
+        B /= den
+        if order:
+            B[bi, bj] = N[lo:hi][inside]
+        w = r1 - r0
+        np.conjugate(B[:, w:].T, out=K[r1:, r0:r1])
+        D = B[:, :w]
+        np.copyto(D, np.conj(D.T), where=np.tri(w, k=-1, dtype=bool))
+        # K(lam, lam) is real; the order-2 confluent form leaves rounding in
+        # its imaginary part
+        np.fill_diagonal(D.imag, 0.0)
+        if dev is not None:
+            gap = np.maximum(gap, dev(r0, r1, B))
+        r0 = r1
+    return K, gap
 
 
 def kernel_K(pot: SampledPotential, t: float, lam: complex, z: complex) -> complex:
@@ -177,7 +223,21 @@ def kernel_K(pot: SampledPotential, t: float, lam: complex, z: complex) -> compl
     """
     if t <= 0:
         raise ValidationError(f"kernel_K needs t > 0, got {t}")
-    return complex(_kernel_matrix(pot, t, np.array([lam, z], dtype=complex))[0, 1])
+    pts = np.array([lam, z], dtype=complex)
+    return complex(_kernel_matrix(pot, t, pts, np.indices((2, 2)).reshape(2, -1), 1)[0][0, 1])
+
+
+def _grid_pairs(pts, n):
+    """The pairs of an n x n tensor grid (point ``r * n + c`` at
+    ``u[c] + i y[r]``) that may be confluent: the offset of a pair is
+    ``(u[c_i] - u[c_j]) - i (y[r_i] + y[r_j])``, so both parts lie under the
+    largest threshold of :func:`_confluent`."""
+    cut = np.max(_DIAG_SWITCH * (1.0 + np.abs(pts)))
+    g = pts.reshape(n, n)
+    u, y = g.real[0], g.imag[:, 0]
+    ci, cj = np.nonzero(np.abs(u[:, None] - u) < cut)
+    ri, rj = np.nonzero(np.abs(y[:, None] + y) < cut)
+    return (ri[:, None] * n + ci).ravel(), (rj[:, None] * n + cj).ravel()
 
 
 def kernel_probe(
@@ -188,7 +248,7 @@ def kernel_probe(
     w_hat: float | None = None,
     grid_n: int = 16,
 ) -> KernelProbe:
-    """Tabulate K and S over the full square Q(s, C/t) and score the gap.
+    """Tabulate K over the full square Q(s, C/t) and score its gap to S / w_hat.
 
     ``w_hat`` defaults to an 8-sample estimate over the trailing tenth of
     [0, min(t, pot.T)], as in the fits (past the support |E(t, s)| is
@@ -200,18 +260,25 @@ def kernel_probe(
         raise ValidationError(f"need w_hat > 0, got {w_hat}")
     box = Box.scaled(s, C, t, grid_n)
     pts = box.tensor_grid()
-    K = _kernel_matrix(pot, t, pts)
-    # entry (r_i, c_i, r_j, c_j): z_j - conj lam_i = (x[c_j] - x[c_i]) + i (x[r_i] + x[r_j])
+    # entry (r_i, c_i, r_j, c_j): z_j - conj lam_i = (x[c_j] - x[c_i]) + i (x[r_i] + x[r_j]),
+    # so S / w_hat comes from a table over the distinct values of both parts
+    # (not over index distances: equal distances need not give equal floats)
     x = box.axis
-    re = x[None, None, None, :] - x[None, :, None, None]
-    im = x[:, None, None, None] + x[None, None, :, None]
-    S = _sinc(t, re, im).reshape(K.shape)
-    dev = S / w_hat
-    gap = float(np.max(np.abs(np.subtract(K, dev, out=dev))) / t)
-    return KernelProbe(
-        t=t, s=s, C=C, lambda_grid=pts,
-        K_values=K, S_values=S, gap=gap, w_hat=w_hat,
-    )
+    re, re_at = np.unique(x - x[:, None], return_inverse=True)
+    im, im_at = np.unique(x + x[:, None], return_inverse=True)
+    re_at, im_at = re_at.reshape(grid_n, grid_n), im_at.reshape(grid_n, grid_n)
+    table = _sinc(t, re[None, :], im[:, None]) / w_hat
+
+    def sinc_gap(r0, r1, block):
+        a, b = r0 // grid_n, r1 // grid_n
+        # both with axes (r_i, r_j, c_i, c_j)
+        block = block.reshape(b - a, grid_n, grid_n - a, grid_n).transpose(0, 2, 1, 3)
+        dev = np.take(table[im_at[a:b, a:]], re_at, axis=2)
+        return np.max(np.abs(np.subtract(block, dev, out=dev)))
+
+    K, gap = _kernel_matrix(pot, t, pts, _grid_pairs(pts, grid_n), grid_n, sinc_gap)
+    return KernelProbe(t=t, s=s, C=C, lambda_grid=pts, K_values=K, gap=float(gap / t),
+                       w_hat=w_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,19 @@ def _meta_lines(meta: dict) -> list:
 
 
 def write_csv(path: str, columns, rows, meta: dict | None = None) -> None:
-    """Write rows (iterables matching ``columns``) with a comment header."""
+    """Write rows (iterables matching ``columns``) with a comment header.
+
+    A row of floats only is formatted by one ``%`` operation, with the text
+    :func:`format_float` gives each value; other rows value by value.
+    """
     lines = _meta_lines(meta or {})
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
+    floats = ",".join(["%.17g"] * len(columns))
+    for row in map(tuple, rows):
+        if len(row) == len(columns) and all(isinstance(v, float) for v in row):
+            lines.append(floats % row)
+        else:
+            lines.append(",".join(map(format_float, row)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

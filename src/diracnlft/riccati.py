@@ -16,7 +16,7 @@ The pair must agree; the test suite enforces it.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .errors import InstabilityError, OverflowRangeError, RangeError, ValidationError
 from .potential import SampledPotential, cell_cover, clip_to_support
@@ -30,6 +30,9 @@ __all__ = [
 #: RK trajectories with Im z >= 0 must stay in the closed unit disk; this
 #: much overshoot means the step size is too coarse for the potential.
 _RK_DISK_GUARD = 1.1
+
+#: Most RK4 steps one evolution may take.
+_MAX_RK_STEPS = 1_000_000
 
 
 def _check_horizon(pot: SampledPotential, t: float) -> None:
@@ -66,6 +69,7 @@ def riccati_evolve_rk(
     cell edge (where f jumps).
 
     Raises:
+        ValidationError: ``dt_max`` is not > 0, or needs more than 1e6 steps.
         InstabilityError: |theta| exceeded 1.1 although Im z >= 0 (the exact
             flow stays in the closed disk there), i.e. the step is too coarse.
     """
@@ -82,8 +86,12 @@ def riccati_evolve_rk(
     two_iz = 2j * zc
     guard = zc.imag >= 0.0
     qs, ws = cell_cover(pot, 0.0, float(t))
-    for q, w in zip(qs, ws):
-        n = max(1, math.ceil(w / dt_max))
+    with np.errstate(over="ignore"):  # a subnormal dt_max: infinitely many steps
+        steps = np.maximum(1.0, np.ceil(ws / dt_max))
+    if not steps.sum() <= _MAX_RK_STEPS:  # NaN fails too
+        raise ValidationError(f"dt_max = {dt_max} needs {steps.sum():.3g} RK4 steps, "
+                              f"more than {_MAX_RK_STEPS}")
+    for q, w, n in zip(qs, ws, steps.astype(int)):
         dt = w / n
         for _ in range(n):
             k1 = two_iz * th + q * (1.0 - th * th)

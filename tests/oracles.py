@@ -9,7 +9,10 @@ these, then assert the package agrees.  The last sections keep a cover
 chunked afresh on every call, as reference for the propagator's cached cell
 plans, and plain complex-ufunc, full-matrix formulations of the cell
 coefficients and the kernels as references for the package's leaner
-evaluation of them.
+evaluation of them.  The full-matrix kernel assembly (``kernel_matrix_full``,
+``probe_full``) propagates with the package's ``transfer`` and evaluates its
+elementwise ``_sinc``: it pins how the matrices are assembled, which the
+package does over the upper triangle in row blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import math
 
 import numpy as np
 
+from diracnlft.debranges import _sinc
 from diracnlft.potential import SampledPotential, cell_cover
+from diracnlft.propagator import transfer
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +304,40 @@ def kernel_matrix_by_where(pts, A, C, dA, dC, d2A, d2C) -> np.ndarray:
     n1 = Az * dC[None, :] - Cz * dA[None, :]
     n2 = Az * d2C[None, :] - Cz * d2A[None, :]
     return np.where(near, (n1 + 0.5 * n2 * denom) / np.pi, K)
+
+
+def kernel_matrix_full(pot: SampledPotential, t: float, pts: np.ndarray) -> np.ndarray:
+    """K(t, lam_i, z_j) over one point set as full matrices: one scan of all
+    pairs for the confluent ones, one propagation at the order they need,
+    ``P - P^H`` for ``P = A(z_j) C(conj lam_i)`` over the quotient's
+    denominator, then the confluent entries from the z-derivatives."""
+    denom = np.conj(pts)[:, None] - pts
+    i, j = np.nonzero(np.abs(denom) < 1e-6 * (1.0 + np.abs(pts)))
+    d, denom[i, j] = denom[i, j], 1.0
+    order = 2 if d.any() else 1 if len(d) else 0
+    m = transfer(pot, pts, t, order=order)
+    K = m.A * np.conj(m.C)[:, None]
+    K -= np.conj(K.T)
+    denom *= np.pi
+    K /= denom
+    if order:
+        A, C = m.A[j], m.C[j]
+        N = A * m.dC[j] - C * m.dA[j]
+        if order == 2:
+            N += 0.5 * (A * m.d2C[j] - C * m.d2A[j]) * d
+        K[i, j] = N / np.pi
+    return K
+
+
+def probe_full(pot: SampledPotential, t: float, axis: np.ndarray, pts: np.ndarray,
+               w_hat: float) -> tuple:
+    """``(K, S, gap)`` of a kernel probe over its grid, as full matrices: K
+    from :func:`kernel_matrix_full`, S from the sinc at every entry
+    ``(r_i, c_i, r_j, c_j)`` of the 4-d grid broadcast of ``axis``, and
+    ``gap = max |K - S / w_hat| / t``."""
+    K = kernel_matrix_full(pot, t, pts)
+    x = axis
+    re = x[None, None, None, :] - x[None, :, None, None]
+    im = x[:, None, None, None] + x[None, None, :, None]
+    S = _sinc(t, re, im).reshape(K.shape)
+    return K, S, float(np.max(np.abs(K - S / w_hat)) / t)

@@ -19,6 +19,7 @@ import diracnlft
 from diracnlft import cli
 from diracnlft.cli import main
 from diracnlft.potential import SampledPotential, save_potential
+from diracnlft.reporting import format_float, write_csv
 
 BOX_CFG = {
     "potential": {"family": "box", "params": {"q": 1.0, "t0": 1.0}},
@@ -230,7 +231,7 @@ def _table_rows(keys, prefix=""):
         kind, default = spec
         text = ("required" if default is cli._REQUIRED else "—" if default is None
                 else json.dumps(default))
-        yield prefix + key, {float: "a number", str: "a string"}.get(kind) or kind.expected, text
+        yield prefix + key, "a string" if kind is str else kind.expected, text
 
 
 def test_readme_key_table_matches_the_key_table():
@@ -338,6 +339,22 @@ def test_transform_symmetric_grid_writes_mirror_rows(tmp_path):
         np.testing.assert_array_equal(even, even[::-1])
     for odd in (re_z, im_a, im_b, im_r):
         np.testing.assert_array_equal(odd, -odd[::-1])
+
+
+def test_csv_rows_print_as_format_float(tmp_path):
+    # a row of floats goes through one format, any other row value by value;
+    # both print each value as format_float does (a bool as True, not 1)
+    rows = [
+        (math.nan, math.inf, -math.inf, -0.0, np.float64(0.1), 1e-300),
+        (np.float64(np.nan), np.float64(-np.inf), -1.0, 3.0, 7.0, 5e-324),
+        (1, True, "x", np.float64(-0.0), math.inf, False),
+        (2.0, 3.0),
+    ]
+    path = tmp_path / "r.csv"
+    write_csv(str(path), list("abcdef"), rows, {"k": 1})
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    assert lines[1:] == [",".join(format_float(v) for v in row) for row in rows]
+    assert lines[3] == "1,True,x,-0,inf,False"
 
 
 def test_transform_unimodular_tolerance_trips(tmp_path):
@@ -694,10 +711,11 @@ _BASE_CFGS = {
     "eigenvalues": {"potential": {"family": "constant", "params": {"q": 0.0}}, "h": 0.5,
                     "T": 2.0, "kind": "NN", "x0": math.pi, "t0": 2.0, "t1": 2.1, "dt": 0.05},
 }
-# special floats, huge integers and wrong JSON types; output also gets paths
-# it cannot write
+# special floats, huge integers and wrong JSON types (strings and booleans
+# among them, which a number key refuses); output also gets paths it cannot write
 _ODD = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e300, 5e-324, -0.0, 0, 10**400,
-        2**63, "x", "1.5", [1.0], {}, None, True]
+        2**63, "x", "1.5", "2", [1.0], {}, None, True, False]
+_NUMBER_KINDS = (cli._number, cli._frequency, cli._positive, cli._integer, cli._count)
 _UNWRITABLE = ["missing/out.csv", "."]
 
 
@@ -757,6 +775,14 @@ def test_malformed_configs_exit_cleanly(tmp_path_factory, case):
     assert code in (0, 1, 2, 3)
     if code:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+    for path in _key_paths(cli._KEYS[command]):  # a number key refuses strings and booleans
+        value, spec = cfg, cli._KEYS[command]
+        for key in path:
+            value = value.get(key) if isinstance(value, dict) else None
+            spec = spec[key]
+        if isinstance(value, (str, bool)) and spec[0] in _NUMBER_KINDS:
+            assert code == 1, (path, value)
+    if code:
         return
     for out in work.rglob("*"):
         if out.is_file() and out.name != "c.json":

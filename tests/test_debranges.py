@@ -1,7 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracnlft import debranges
 from diracnlft.debranges import (
@@ -25,7 +28,8 @@ from diracnlft.potential import SampledPotential
 from diracnlft.propagator import transfer, transfer_derivative_batch
 from diracnlft.resonance import Box
 
-from oracles import kernel_matrix_by_where, kernel_sinc_by_where
+import oracles
+from oracles import kernel_matrix_by_where, kernel_matrix_full, kernel_sinc_by_where, probe_full
 
 TALL_ZERO = 2.4517263992197713 + 0.8301314959136796j
 
@@ -150,20 +154,19 @@ def test_kernel_confluent_switch_continuity(const_pot):
 @pytest.mark.parametrize("grid_n", [8, 9, 16, 17])
 def test_kernel_matrix_matches_full_matrix_reference(grid_n):
     # odd grid_n: the real row puts confluent entries on the diagonal
-    from diracnlft.debranges import _kernel_matrix
-
     rng = np.random.default_rng(30 + grid_n)
     pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, 300)))
     t = pot.T
     pts = Box(0.7, 4.0 / t, grid_n=grid_n).tensor_grid()
     pts = np.concatenate([pts, pts[:3]])  # duplicates: more confluent entries
-    K = _kernel_matrix(pot, t, pts)
+    K, _ = debranges._kernel_matrix(pot, t, pts, np.indices((len(pts),) * 2).reshape(2, -1), 1)
     state = transfer_derivative_batch(pot, pts, t, order=2)
     ref = kernel_matrix_by_where(pts, state.A, state.C, state.dA, state.dC, state.d2A, state.d2C)
     near = np.abs(np.conj(pts)[:, None] - pts) < 1e-6 * (1.0 + np.abs(pts))
     assert np.count_nonzero(near) >= len(pts)  # every point meets its conjugate partner
     assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
     np.testing.assert_array_equal(K, np.conj(K.T))  # exactly Hermitian
+    np.testing.assert_array_equal(K, kernel_matrix_full(pot, t, pts))
 
 
 @pytest.mark.parametrize("grid_n", [8, 9, 16, 17, 24])
@@ -171,18 +174,19 @@ def test_kernel_matrix_matches_full_matrix_reference(grid_n):
 def test_probe_kernel_at_order_1_is_the_order_2_kernel(monkeypatch, s, grid_n):
     # probe rows are exactly conjugate, so every confluent offset is exactly 0
     # and one order-1 propagation gives the order-2 kernel bit for bit
-    import diracnlft.debranges as db
-
     rng = np.random.default_rng(40 + grid_n)
     pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, 300)))
     t, C = pot.T, 4.0
     orders = _record_orders(monkeypatch)
     probe = kernel_probe(pot, s, t, C, w_hat=1.0, grid_n=grid_n)
     assert orders == [1]
-    pts = Box(s, C / t, grid_n).tensor_grid()
+    box = Box(s, C / t, grid_n)
+    pts = box.tensor_grid()
     np.testing.assert_array_equal(probe.lambda_grid, pts)
-    monkeypatch.setattr(db, "transfer", lambda *a, order, **k: transfer(*a, order=2, **k))
-    np.testing.assert_array_equal(probe.K_values, db._kernel_matrix(pot, t, pts))
+    monkeypatch.setattr(oracles, "transfer", lambda *a, order, **k: transfer(*a, order=2, **k))
+    K, _, gap = probe_full(pot, t, box.axis, pts, 1.0)
+    np.testing.assert_array_equal(probe.K_values, K)
+    assert probe.gap == gap
     # both branches of the full-matrix reference: the confluent one (with its
     # second-order term) exactly, the direct quotient up to its rounding
     m = transfer(pot, pts, t, order=2)
@@ -190,9 +194,54 @@ def test_probe_kernel_at_order_1_is_the_order_2_kernel(monkeypatch, s, grid_n):
     near = np.abs(np.conj(pts)[:, None] - pts) < 1e-6 * (1.0 + np.abs(pts))
     np.testing.assert_array_equal(probe.K_values[near], ref[near])
     assert np.max(np.abs(probe.K_values - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # the sinc from the grid factors moves by rounding only
-    S = kernel_sinc_by_where(t, pts[:, None], pts[None, :])
-    assert np.max(np.abs(probe.S_values - S)) <= 1e-14 * np.max(np.abs(S))
+
+
+_HERMITIAN_POT = SampledPotential(
+    h=0.02, cells=tuple(np.random.default_rng(44).uniform(-0.8, 0.8, 60)))
+
+
+@given(grid_n=st.integers(8, 33), s=st.sampled_from([0.0]) | st.floats(-3.0, 3.0),
+       half_width=st.sampled_from([4.0 / 2.4, 0.5]) | st.floats(1e-9, 2e-6),
+       w_hat=st.floats(0.5, 2.0))
+@example(grid_n=9, s=0.0, half_width=1e-6, w_hat=1.0)  # spacing under the switch
+@example(grid_n=32, s=0.7, half_width=3e-7, w_hat=1.3)
+@settings(max_examples=15, deadline=None)
+def test_probe_is_the_upper_triangle_of_the_full_matrices(grid_n, s, half_width, w_hat):
+    # the probe evaluates K over i <= j only and mirrors it: its upper triangle
+    # is the full-matrix reference bit for bit, and it is exactly Hermitian
+    # with a real diagonal.  Boxes finer than the confluent switch take the
+    # order-2 branch, where the reference's lower triangle and diagonal differ
+    # from the mirror by the truncation of the confluent form
+    pot, t = _HERMITIAN_POT, _HERMITIAN_POT.T
+    probe = kernel_probe(pot, s, t, half_width * t, w_hat=w_hat, grid_n=grid_n)
+    box = Box.scaled(s, half_width * t, t, grid_n)
+    K, _, gap = probe_full(pot, t, box.axis, box.tensor_grid(), w_hat)
+    got = probe.K_values
+    np.testing.assert_array_equal(got, np.conj(got.T))
+    upper = np.triu_indices(len(K), 1)
+    np.testing.assert_array_equal(got[upper], K[upper])
+    np.testing.assert_array_equal(got.diagonal(), K.diagonal().real)
+    if np.array_equal(K, np.conj(K.T)):  # every box coarser than the switch
+        np.testing.assert_array_equal(got, K)
+        assert probe.gap == gap
+    else:
+        assert probe.gap == pytest.approx(gap, rel=1e-14)
+
+
+def test_probe_holds_one_kernel_matrix():
+    # K and its gap come from row blocks of the upper triangle: the traced
+    # peak stays near the one (grid_n^2)^2 complex matrix it returns
+    rng = np.random.default_rng(45)
+    pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, 300)))
+    one = (32 * 32) ** 2 * 16
+    tracemalloc.start()
+    try:
+        probe = kernel_probe(pot, 0.7, pot.T, 4.0, w_hat=1.0, grid_n=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probe.K_values.nbytes == one
+    assert peak <= 1.5 * one
 
 
 def test_kernel_order_follows_the_confluent_offsets(monkeypatch, const_pot):

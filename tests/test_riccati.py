@@ -71,6 +71,15 @@ def test_horizon_guard():
         riccati_evolve_rk(pot, 1.0, pot.T, dt_max=0.0)
 
 
+@pytest.mark.parametrize("dt_max", [1e-9, 5e-324, float("nan")])
+def test_rk_step_count_is_bounded(dt_max):
+    # ten 0.1-wide cells: 1e-9 asks for 1e9 steps (hours), 5e-324 for infinitely
+    # many; both are refused before the first step
+    pot = SampledPotential(h=0.1, cells=(0.5,) * 10)
+    with pytest.raises(ValidationError, match="dt_max"):
+        riccati_evolve_rk(pot, 0.3 + 0.1j, pot.T, dt_max=dt_max)
+
+
 @given(
     seed=st.integers(0, 500),
     x=st.floats(-10, 10),
