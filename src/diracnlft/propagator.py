@@ -13,7 +13,9 @@ product of exact cell propagators
     P(q, w, z) = cosh(l w) I + sinh(l w)/l * G,   G = [[q, -z], [z, -q]],
 
 with ``l^2 = q^2 - z^2``.  Everything is evaluated through even functions of
-``l`` (functions of ``m = l^2``), so no square-root branch ever matters.
+``l`` (functions of ``m = l^2``), so no square-root branch ever matters.  A
+cell entry with ``|m w^2| < 5e-2`` (every entry of a fine cover at moderate
+``|z|``) takes Taylor series in ``m w^2``, any other the closed forms.
 
 The running matrix starts at the identity; its columns are the
 frequency-domain solutions with Neumann-type (A, C) and Dirichlet-type
@@ -112,11 +114,13 @@ _GROWTH_LIMIT = math.log(np.finfo(float).max) / 2.0 - WORK_RANGE_LIMIT
 #: Relative floor under which 1/E (and theta) is considered at a pole.
 POLE_FLOOR = 1e-14
 
-# Taylor switch for the raw coefficients (4 terms in m w^2 below this).
-_SERIES_EVAL = 1e-6
-# Taylor switch for the m-derivative recurrences (5 terms below this), which
-# cancel more strongly (closed d2s/dm2 off by 2e-8 at 1e-3, 1e-11 at 5e-2).
-_SERIES_DERIV = 5e-2
+# Taylor switch of the cell coefficients: |m w^2| below it takes the series, where
+# the closed forms cancel (closed d2s/dm2 off by 2e-8 at 1e-3, 1e-11 at 5e-2).
+_SERIES = 5e-2
+# Taylor coefficients in x = m w^2 of s/w, (ds/dm)/w^3, (d2s/dm2)/w^5: (k+1)...(k+j) /
+# (2k+2j+1)! for k = 5..0 (first left out < 3e-18), 0-d arrays (fast on short blocks).
+_TAYLOR = {f: [[np.array(math.perm(k + j, j) / math.factorial(2 * (k + j) + 1), f)
+                for k in range(5, -1, -1)] for j in range(3)] for f in "dD"}
 # Max |l| * width per propagated chunk; keeps the per-cell determinant
 # conditioned (error ~ eps * exp(2 * cap)) while coalesced cells stay exact.
 _CHUNK_CAP = 2.5
@@ -235,58 +239,63 @@ def _coeffs(m: np.ndarray, w, order: int):
     ``m = l^2``, plus ``ds/dm`` (order >= 1) and ``d2s/dm2`` (order >= 2).
     ``w`` is a width or an array of widths broadcasting against ``m`` (one
     per row of cells).  ``dc/dm = w s / 2`` and ``d2c/dm2 = w (ds/dm) / 2``
-    are exact identities applied by the caller.  A real ``m`` stays real:
-    ``l = sqrt(|m|)``, hyperbolic where ``m > 0``, circular where ``m < 0``.
-    The closed forms are overwritten by series near ``m w^2 = 0``, where
-    they cancel.
+    are exact identities applied by the caller.  An entry takes the series
+    if its own ``x = m w^2`` has ``|x| < _SERIES``, else the closed forms;
+    a mixed block runs each on its gathered entries.  A real ``m`` stays real.
     """
     x = m * (w * w)
-    ax = np.abs(x)
-    small = ax < _SERIES_DERIV if order else None
-    closed = order and not small.all()  # else fine cells: the series alone
-    with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 takes the series
-        if m.dtype.kind == "c":  # cosh and sinh of a + ib from real ufuncs of a and b
-            lam = np.sqrt(m)
-            lw = lam * w
-            ch, sh, co, si = np.cosh(lw.real), np.sinh(lw.real), np.cos(lw.imag), np.sin(lw.imag)
-            c, s = np.empty_like(lw), np.empty_like(lw)
-            for out, (re, im) in ((c, (ch, sh)), (s, (sh, ch))):
-                np.multiply(re, co, out=out.real)
-                np.multiply(im, si, out=out.imag)
-        else:
-            lam = np.sqrt(np.abs(m))
-            lw, pos = lam * w, m > 0
-            c, s = np.empty_like(lw), np.empty_like(lw)
-            for sel, fc, fs in ((pos, np.cosh, np.sinh), (~pos, np.cos, np.sin)):
-                fc(lw, out=c, where=sel)
-                fs(lw, out=s, where=sel)
-        s /= lam
-        if closed:
-            sm = (w * c - s) / (2.0 * m)
-            smm = (w * (0.5 * w * s) - 3.0 * sm) / (2.0 * m) if order >= 2 else None
-    tiny = ax < _SERIES_EVAL
-    if tiny.any():
-        xs, ws = x[tiny], np.broadcast_to(w, m.shape)[tiny]
-        c[tiny] = 1.0 + xs * (0.5 + xs * (1.0 / 24.0 + xs * (1.0 / 720.0)))
-        s[tiny] = ws * (1.0 + xs * (1.0 / 6.0 + xs * (1.0 / 120.0 + xs * (1.0 / 5040.0))))
-    if order == 0:
-        return c, s, None, None
-    if not closed:
-        return (c, s, *_deriv_series(x, w, order))
-    if small.any():
-        series = _deriv_series(x[small], np.broadcast_to(w, m.shape)[small], order)
-        for out, val in zip((sm, smm)[:order], series):
-            out[small] = val
+    small = np.abs(x) < _SERIES
+    n = np.count_nonzero(small)
+    if n in (0, small.size):
+        return _series(x, w, order) if n else _closed(m, w, order)
+    # one width per entry (gathers faster than a broadcast view)
+    w, out = np.full(m.shape, w), [np.empty_like(m) for _ in range(order + 2)]
+    for sel, form, a in ((small, _series, x), (~small, _closed, m)):
+        for o, v in zip(out, form(a[sel], w[sel], order)):
+            o[sel] = v
+    return out + [None] * (2 - order)
+
+
+def _series(x, w, order: int):
+    """``_coeffs`` from Taylor series in ``x = m w^2``: ``s = w S1``, ``ds/dm =
+    w^3 S2``, ``d2s/dm2 = w^5 S3`` and ``c = S1 + 2 x S2`` (the same bits at every
+    order).  No complex product runs in place: numpy rounds an in-place complex
+    product of one entry differently (no FMA), so values would depend on the
+    batch."""
+    ss = []
+    for coefs in _TAYLOR[x.dtype.char][:max(2, order + 1)]:  # Horner's rule
+        acc = coefs[0] * x + coefs[1]
+        for a in coefs[2:]:
+            acc = acc * x if x.dtype.kind == "c" else np.multiply(acc, x, out=acc)
+            acc += a
+        ss.append(acc)
+    c, w3 = (x + x) * ss[1] + ss[0], w * w * w
+    return c, w * ss[0], w3 * ss[1] if order else None, (w3 * w * w) * ss[2] if order >= 2 else None
+
+
+def _closed(m, w, order: int):
+    """``_coeffs`` from ``cosh``/``sinh`` of ``l w`` (``cos``/``sin`` of
+    ``sqrt(-m) w`` where a real ``m < 0``); needs ``m != 0``."""
+    if m.dtype.kind == "c":  # cosh and sinh of a + ib from real ufuncs of a and b
+        lam = np.sqrt(m)
+        lw = lam * w
+        ch, sh, co, si = np.cosh(lw.real), np.sinh(lw.real), np.cos(lw.imag), np.sin(lw.imag)
+        c, s = np.empty_like(lw), np.empty_like(lw)
+        for out, (re, im) in ((c, (ch, sh)), (s, (sh, ch))):
+            np.multiply(re, co, out=out.real)
+            np.multiply(im, si, out=out.imag)
+    else:
+        lam = np.sqrt(np.abs(m))
+        lw, pos = lam * w, m > 0
+        c, s, n = np.empty_like(lw), np.empty_like(lw), np.count_nonzero(pos)
+        for sel, k, fc, fs in ((pos, n, np.cosh, np.sinh), (~pos, pos.size - n, np.cos, np.sin)):
+            if k:  # masks only in a block of both signs
+                fc(lw, out=c, where=sel if k < pos.size else True)
+                fs(lw, out=s, where=sel if k < pos.size else True)
+    s /= lam
+    sm = (w * c - s) / (m + m) if order else None
+    smm = (w * (0.5 * w * s) - 3.0 * sm) / (m + m) if order >= 2 else None
     return c, s, sm, smm
-
-
-def _deriv_series(x, w, order: int):
-    """Five-term series of ``ds/dm`` and (order 2) ``d2s/dm2`` in ``x = m w^2``."""
-    sm = (w**3 / 2.0) * (1.0 / 3.0 + x * (1.0 / 30.0 + x * (
-        1.0 / 840.0 + x * (1.0 / 45360.0 + x * (1.0 / 3991680.0)))))
-    smm = (w**5 / 2.0) * (1.0 / 30.0 + x * (1.0 / 420.0 + x * (
-        1.0 / 15120.0 + x * (1.0 / 997920.0 + x * (1.0 / 103783680.0))))) if order >= 2 else None
-    return sm, smm
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +372,12 @@ def _cell_jets(q, w, z: np.ndarray, zz: np.ndarray, order: int, out: np.ndarray,
     for j in range(order + 1):
         off = np.multiply(ss[j], z, out=out[j, 1, 0])
         if j:
-            off += j * ss[j - 1]
+            off += ss[j - 1] if j == 1 else j * ss[j - 1]
         np.negative(off, out=out[j, 0, 1])
         sq = ss[j] * q
         np.add(cs[j], sq, out=out[j, 0, 0])
         np.subtract(cs[j], sq, out=out[j, 1, 1])
-    return c * c - m * (s * s)
+    return c * c - (s * s) * m  # not m * (s * s): numpy swaps that past 256 KiB
 
 
 def _product_rule(n: int):
@@ -400,7 +409,8 @@ def _jet_mul(X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
                 o += X[0, r, 1] * Y[j, 1, c]
                 for i in range(1, j + 1):
                     k = j - i
-                    o += math.comb(j, i) * (X[i, r, 0] * Y[k, 0, c] + X[i, r, 1] * Y[k, 1, c])
+                    term = X[i, r, 0] * Y[k, 0, c] + X[i, r, 1] * Y[k, 1, c]
+                    o += term if i == j else math.comb(j, i) * term
     return out
 
 

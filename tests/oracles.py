@@ -253,28 +253,29 @@ def coeffs_by_complex_ufuncs(m: np.ndarray, w) -> tuple:
     return np.cosh(lam * w), np.sinh(lam * w) / lam
 
 
-def s_derivatives_by_series(m: np.ndarray, w: float, terms: int = 40) -> tuple:
-    """``ds/dm`` and ``d2s/dm2`` of ``s = sum_k m^k w^(2k+1) / (2k+1)!`` from
-    their Taylor series in extended precision, rounded to double at the end.
+def coeffs_by_series(m: np.ndarray, w: float, terms: int = 40) -> tuple:
+    """``c = cosh(l w)``, ``s = sinh(l w) / l``, ``ds/dm`` and ``d2s/dm2``
+    (``m = l^2``) from their Taylor series in extended precision, rounded to
+    double at the end.
 
-    ``ds/dm = w^3 sum_j (j+1) x^j / (2j+3)!`` and ``d2s/dm2 = w^5 sum_j
-    (j+1)(j+2) x^j / (2j+5)!`` with ``x = m w^2``; 40 terms reach the
-    extended-precision floor for ``|x| <= 10``.
+    With ``x = m w^2``: ``c = sum_j x^j / (2j)!``, ``s = w sum_j x^j /
+    (2j+1)!``, ``ds/dm = w^3 sum_j (j+1) x^j / (2j+3)!`` and ``d2s/dm2 = w^5
+    sum_j (j+1)(j+2) x^j / (2j+5)!``; 40 terms reach the extended-precision
+    floor for ``|x| <= 10``.
     """
     cplx = np.iscomplexobj(m)
     ld = np.clongdouble if cplx else np.longdouble
     w = np.longdouble(w)
     x = np.asarray(m).astype(ld) * (w * w)
-    sm, smm, xj = np.zeros_like(x), np.zeros_like(x), np.ones_like(x)
-    inv3, inv5 = np.longdouble(1) / 6, np.longdouble(1) / 120  # 1/(2j+3)!, 1/(2j+5)!
+    sums, xj = [np.zeros_like(x) for _ in range(4)], np.ones_like(x)
+    inv = [np.longdouble(1) / math.factorial(k) for k in (0, 1, 3, 5)]  # 1/(2j+k)! at j = 0
     for j in range(terms):
-        sm += (j + 1) * inv3 * xj
-        smm += (j + 1) * (j + 2) * inv5 * xj
+        for i, (k, mult) in enumerate(((0, 1), (1, 1), (3, j + 1), (5, (j + 1) * (j + 2)))):
+            sums[i] += mult * inv[i] * xj
+            inv[i] = inv[i] / ((2 * j + k + 1) * (2 * j + k + 2))
         xj = xj * x
-        inv3 = inv3 / ((2 * j + 4) * (2 * j + 5))
-        inv5 = inv5 / ((2 * j + 6) * (2 * j + 7))
     out = complex if cplx else float
-    return (w**3 * sm).astype(out), (w**5 * smm).astype(out)
+    return tuple((scale * v).astype(out) for scale, v in zip((1, w, w**3, w**5), sums))
 
 
 def kernel_sinc_by_where(t: float, lam, z):

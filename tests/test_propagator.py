@@ -21,11 +21,10 @@ from diracnlft.errors import (
 from diracnlft.debranges import kernel_probe
 from diracnlft.nlft import nlft_forward
 from diracnlft.potential import SampledPotential, potential_to_dict
-from diracnlft.resonance import find_zeros
+from diracnlft.resonance import Box, find_zeros
 from diracnlft.propagator import (
     _CHUNK_CAP,
-    _SERIES_DERIV,
-    _SERIES_EVAL,
+    _SERIES,
     _TREE_BUDGET,
     Transfer,
     _blocks,
@@ -49,7 +48,7 @@ from oracles import (
     free_rotation,
     oracle_transfer,
     prepared_cells_afresh,
-    s_derivatives_by_series,
+    coeffs_by_series,
 )
 
 
@@ -73,10 +72,10 @@ def test_cell_matches_matrix_exponential():
 
 
 def test_cell_series_branch_is_continuous():
-    # x = (q^2 - z^2) w^2 crosses the series/closed-form switch near 1e-6
+    # x = (q^2 - z^2) w^2 crosses the series/closed-form switch at _SERIES
     z = 0.5
     for scale in (0.9, 1.1):
-        q = np.sqrt(z * z + scale * 1e-6)  # x = scale * 1e-6 * w^2 with w=1
+        q = np.sqrt(z * z + scale * _SERIES)  # x = scale * _SERIES * w^2 with w=1
         G = np.array([[q, -z], [z, -q]], dtype=complex)
         expected = scipy.linalg.expm(G)
         got = transfer(SampledPotential(h=1.0, cells=(float(q),)), z).jet[0]
@@ -87,12 +86,12 @@ def test_complex_coeffs_match_complex_ufuncs():
     # cosh/sinh of a + ib are assembled from real ufuncs of a and b
     rng = np.random.default_rng(16)
     worst = 0.0
-    for w in (0.002, 0.02, 0.05, 1.0, 2.5):
+    for w in (0.01, 0.02, 0.05, 1.0, 2.5):  # at 0.002 every entry takes the series
         q = rng.uniform(-2.0, 2.0, 4000)
         re = rng.uniform(-60.0, 60.0, 4000) * 10 ** rng.uniform(-3, 0, 4000)
         z = re + 1j * rng.uniform(-0.5, 0.5, 4000)  # Im(l w) up to ~150
         m = q * q - z * z
-        m = m[np.abs(m * w * w) >= _SERIES_EVAL]  # closed forms only
+        m = m[np.abs(m * w * w) >= _SERIES]  # closed forms only
         c, s, _, _ = _coeffs(m, w, 0)
         ref_c, ref_s = coeffs_by_complex_ufuncs(m, w)
         worst = max(worst, np.max(np.abs(c - ref_c) / np.abs(ref_c)),
@@ -102,19 +101,78 @@ def test_complex_coeffs_match_complex_ufuncs():
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_derivative_coeffs_match_extended_precision_series(kind):
-    # m w^2 log-uniform across the series switch, plus points just either side
+    # c, s, ds/dm and d2s/dm2 at m w^2 log-uniform across the series switch, points
+    # just either side of it, and m = 0
     rng = np.random.default_rng(17)
-    x = np.concatenate([10 ** rng.uniform(-4, 0, 4000), _SERIES_DERIV * np.array([0.999, 1.001])])
+    x = np.concatenate([10 ** rng.uniform(-4, 0, 4000), _SERIES * np.array([0.999, 1.001])])
     if kind == "real":
         x = x * rng.choice([-1.0, 1.0], x.size)
     else:
         x = x * np.exp(1j * rng.uniform(-np.pi, np.pi, x.size))
+    # relative error bounds of c, s, ds/dm, d2s/dm2: the series, then the closed forms
+    bounds = {True: (1e-15, 1e-15, 1e-15, 1e-15), False: (2e-15, 2e-15, 1e-13, 2e-11)}
     for w in (0.002, 0.02, 0.5, 2.5):
-        m = x / (w * w)
-        _, _, sm, smm = _coeffs(m, w, 2)
-        ref_sm, ref_smm = s_derivatives_by_series(m, w)
-        assert np.max(np.abs(sm - ref_sm) / np.abs(ref_sm)) <= 1e-13
-        assert np.max(np.abs(smm - ref_smm) / np.abs(ref_smm)) <= 2e-11
+        m = np.append(x / (w * w), 0.0)
+        series = np.abs(m * w * w) < _SERIES
+        for g, r, *bound in zip(_coeffs(m, w, 2), coeffs_by_series(m, w), *bounds.values()):
+            err = np.abs(g - r) / np.abs(r)
+            for side, b in zip((series, ~series), bound):
+                assert np.max(err[side]) <= b, (w, b)
+
+
+def _alone(q, w, z, order):
+    """Jet and determinant of one cell at one frequency, computed on their own."""
+    z = np.array([z])
+    out = np.empty((order + 1, 2, 2, 1), dtype=z.dtype)
+    det = _cell_jets(q, float(w), z, z * z, order, out, 0.0)
+    return out[..., 0], det[0]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_cell_jets_do_not_depend_on_the_batch(kind):
+    # one block of 24 cells x 1500 frequencies (m past numpy's 256 KiB temporary
+    # elision) against each sampled cell and frequency alone, at every order
+    rng = np.random.default_rng(19)
+    q = rng.uniform(-1.5, 1.5, 24)
+    w = rng.choice([0.01, 0.05, 0.5, 3.0], 24)
+    z = rng.uniform(-8.0, 8.0, 1500)
+    if kind == "complex":
+        z = z + 1j * rng.uniform(-1.0, 1.0, z.size)
+    x = (q * q)[:, None] - z * z
+    x *= (w * w)[:, None]
+    assert x.nbytes > 256 * 1024
+    picks = list(zip(rng.integers(0, 24, 60), rng.integers(0, z.size, 60)))
+    series = [abs(x[i, j]) < _SERIES for i, j in picks]
+    assert any(series) and not all(series)
+    for order in (0, 1, 2):
+        block = np.empty((order + 1, 2, 2) + x.shape, dtype=z.dtype)
+        det = _cell_jets(q[:, None], w[:, None], z, z * z, order, block, 0.0)
+        for i, j in picks:
+            jet, d = _alone(q[i], w[i], z[j], order)
+            np.testing.assert_array_equal(jet, block[..., i, j])
+            assert d == det[i, j]
+
+
+@pytest.mark.parametrize("z", [np.array([1.3]), np.array([2.0 + 0.3j, 0.4 + 0.05j, 3.0 + 0.5j])])
+def test_zero_tail_cell_leaves_the_fine_cells_alone(z):
+    # a resonance-like block: fine cells (every entry under the switch) plus one
+    # coarse zero-tail cell, the only one to take the closed forms
+    rng = np.random.default_rng(20)
+    q = np.append(rng.uniform(-1.0, 1.0, 40), 0.0)
+    w = np.append(np.full(40, 0.025), 30.0)
+    for order in (0, 1, 2):
+        jets = []
+        for k in (40, 41):  # without and with the tail cell
+            block = np.empty((order + 1, 2, 2, k) + z.shape, dtype=z.dtype)
+            jets.append((block, _cell_jets(q[:k, None], w[:k, None], z, z * z, order, block, 0.0)))
+        (fine, fine_det), (whole, det) = jets
+        np.testing.assert_array_equal(fine, whole[..., :40, :])
+        np.testing.assert_array_equal(fine_det, det[:40])
+        for j in range(z.size):
+            for i in (0, 17, 40):
+                jet, d = _alone(q[i], w[i], z[j], order)
+                np.testing.assert_array_equal(jet, whole[..., i, j])
+                assert d == det[i, j]
 
 
 def test_large_cell_is_chunked_correctly():
@@ -579,9 +637,8 @@ def test_folded_batch_keeps_its_guards():
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_real_coeffs_match_complex(order):
     w = np.array([[1e-3], [0.05], [1.0], [2.5]])
-    # m w^2 on both sides of both series switches, both signs, and m = 0
-    x = np.array([1e-9, 0.5 * _SERIES_EVAL, 2 * _SERIES_EVAL, 0.5 * _SERIES_DERIV,
-                  2 * _SERIES_DERIV, 0.3, 1.0, 6.0])
+    # m w^2 on both sides of the series switch, both signs, and m = 0
+    x = np.array([1e-9, 1e-6, 0.5 * _SERIES, 2 * _SERIES, 0.3, 1.0, 6.0])
     x = np.concatenate([-x[::-1], [0.0], x])
     m = x / (w * w)
     q = 0.7
@@ -593,6 +650,19 @@ def test_real_coeffs_match_complex(order):
             continue
         assert g.dtype == np.float64
         assert np.all(np.abs(g - r) <= 1e-12 * np.abs(r))
+
+
+def test_entries_do_not_depend_on_the_order_carried():
+    # on kernel-probe grids (the full square Q(s, C/t), half of it below the axis),
+    # A and C are the same bits at orders 0, 1 and 2, and dA and dC at orders 1 and 2
+    rng = np.random.default_rng(21)
+    for _ in range(6):
+        pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, rng.integers(50, 351))))
+        grid_n = int(rng.integers(8, 25))
+        box = Box.scaled(rng.uniform(-3.0, 3.0), rng.uniform(2.0, 6.0), pot.T, grid_n)
+        m0, m1, m2 = (transfer(pot, box.tensor_grid(), pot.T, order=k) for k in range(3))
+        for name, lower in (("A", m0), ("C", m0), ("A", m2), ("C", m2), ("dA", m2), ("dC", m2)):
+            assert getattr(m1, name).tobytes() == getattr(lower, name).tobytes(), name
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 150, _TREE_BUDGET + 905])
