@@ -118,7 +118,8 @@ POLE_FLOOR = 1e-14
 # the closed forms cancel (closed d2s/dm2 off by 2e-8 at 1e-3, 1e-11 at 5e-2).
 _SERIES = 5e-2
 # Taylor coefficients in x = m w^2 of s/w, (ds/dm)/w^3, (d2s/dm2)/w^5: (k+1)...(k+j) /
-# (2k+2j+1)! for k = 5..0 (first left out < 3e-18), 0-d arrays (fast on short blocks).
+# (2k+2j+1)! for k = 5..0 (first left out < 3e-18), as 0-d arrays of the block's
+# dtype: Python floats made the short blocks of a resonance pass ~20 % slower.
 _TAYLOR = {f: [[np.array(math.perm(k + j, j) / math.factorial(2 * (k + j) + 1), f)
                 for k in range(5, -1, -1)] for j in range(3)] for f in "dD"}
 # Max |l| * width per propagated chunk; keeps the per-cell determinant
@@ -259,14 +260,13 @@ def _coeffs(m: np.ndarray, w, order: int):
 def _series(x, w, order: int):
     """``_coeffs`` from Taylor series in ``x = m w^2``: ``s = w S1``, ``ds/dm =
     w^3 S2``, ``d2s/dm2 = w^5 S3`` and ``c = S1 + 2 x S2`` (the same bits at every
-    order).  No complex product runs in place: numpy rounds an in-place complex
-    product of one entry differently (no FMA), so values would depend on the
-    batch."""
+    order).  No product runs in place: numpy rounds an in-place complex product
+    of one entry differently (no FMA), so values would depend on the batch."""
     ss = []
     for coefs in _TAYLOR[x.dtype.char][:max(2, order + 1)]:  # Horner's rule
         acc = coefs[0] * x + coefs[1]
         for a in coefs[2:]:
-            acc = acc * x if x.dtype.kind == "c" else np.multiply(acc, x, out=acc)
+            acc = acc * x
             acc += a
         ss.append(acc)
     c, w3 = (x + x) * ss[1] + ss[0], w * w * w
