@@ -39,7 +39,6 @@ from .potential import (
     save_potential,
 )
 from .propagator import (
-    HermiteBiehlerPair,
     Transfer,
     hermite_biehler,
     symmetric_grid,

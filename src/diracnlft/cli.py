@@ -32,7 +32,7 @@ from .potential import (
     sample,
 )
 from .propagator import (
-    _Z_LIMIT, corrupted_propagator, hermite_biehler, symmetric_grid, theta, transfer,
+    _Z_LIMIT, corrupted_propagator, symmetric_grid, theta, transfer,
 )
 from .reporting import config_hash, write_csv, write_json
 from .resonance import Box, find_zeros, track_eigenvalue, track_resonance, track_rows
@@ -258,8 +258,7 @@ def _verify_suite(seed: int) -> list:
         zs = np.concatenate([real_grid.astype(complex), cplx])
         B = transfer(pot, zs, pot.T)
         det_max = max(det_max, float(np.max(B.det_drift)))
-        hb = hermite_biehler(B)
-        det2i_max = max(det2i_max, float(np.max(np.abs(hb.det2i() - 2j * B.det))))
+        det2i_max = max(det2i_max, float(np.max(np.abs(B.det2i() - 2j * B.det))))
         sd = nlft_forward(pot, grid=real_grid)
         uni_max = max(uni_max, sd.real_axis_defects()["unimodular"])
     checks.append(("determinant_tracked", det_max, 1e-10))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FitError, PreconditionError, ValidationError
 from .potential import SampledPotential, clip_to_support
-from .propagator import hermite_biehler, transfer
+from .propagator import transfer
 from .resonance import Box, find_zeros
 
 __all__ = [
@@ -298,10 +298,10 @@ def _window_sweep(pot: SampledPotential, s: float, t_window: tuple, n: int):
         raise ValidationError(f"need n >= 4 samples, got {n}")
     inv = np.empty((2, n))
     for i, B in enumerate(transfer(pot, np.array([s], dtype=complex), np.linspace(t_a, t_b, n))):
-        hb = hermite_biehler(B)
-        inv[:, i] = 1.0 / abs(hb.E[0]) ** 2, 1.0 / abs(hb.Etilde[0]) ** 2
+        E, Et = B.E[0], B.Etilde[0]
+        inv[:, i] = 1.0 / abs(E) ** 2, 1.0 / abs(Et) ** 2
     w_stats, wt_stats = ((float(np.mean(v)), float(np.max(v) / np.min(v) - 1.0)) for v in inv)
-    return w_stats, wt_stats, complex(hb.E[0]), complex(hb.Etilde[0])
+    return w_stats, wt_stats, complex(E), complex(Et)
 
 
 def estimate_w(pot: SampledPotential, s: float, t_window: tuple, n: int):
@@ -322,7 +322,7 @@ def estimate_w(pot: SampledPotential, s: float, t_window: tuple, n: int):
 
 
 def _E_on(pot, t, pts):
-    return hermite_biehler(transfer(pot, np.asarray(pts, dtype=complex), t)).E
+    return transfer(pot, np.asarray(pts, dtype=complex), t).E
 
 
 def _w_for_fit(pot, s, t):

@@ -87,7 +87,7 @@ class DomainTooSmallError(NumericalError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature failed to converge within its level budget.
+    """Adaptive quadrature failed to converge within its level or node budget.
 
     Carries the partial report (if any) as the ``report`` attribute.
     """

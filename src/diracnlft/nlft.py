@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .potential import SampledPotential, clip_to_support, l2_norm_sq
-from .propagator import Transfer, hermite_biehler, symmetric_grid, transfer
+from .propagator import Transfer, symmetric_grid, transfer
 
 __all__ = [
     "ScatteringData",
@@ -100,10 +100,9 @@ class ParsevalReport:
 
 
 def _scattering(m: Transfer, width: float) -> ScatteringData:
-    hb = hermite_biehler(m)
-    phase = np.exp(1j * width * m.z)
-    a = phase * (hb.E + 1j * hb.Etilde) / 2.0
-    b = phase * (hb.E - 1j * hb.Etilde) / 2.0
+    E, Et, phase = m.E, m.Etilde, np.exp(1j * width * m.z)
+    a = phase * (E + 1j * Et) / 2.0
+    b = phase * (E - 1j * Et) / 2.0
     mod_a = np.abs(a)
     if np.any(mod_a < _A_FLOOR):
         raise NumericalError("|a| underflowed; r = b/a is meaningless here")
@@ -150,6 +149,9 @@ def interval_scattering_grid(pot: SampledPotential, t1: float, t2: float, grid) 
 
 _PARSEVAL_MAX_LEVELS = 26
 _PARSEVAL_X0 = 32.0
+# Most nodes in one batch (the core grid, or both wings): propagation and
+# scattering data peak near 240 bytes a node, so a batch stays under 260 MB.
+_PARSEVAL_MAX_NODES = 2**20
 
 
 def parseval_check(
@@ -165,8 +167,9 @@ def parseval_check(
     until the last tail contribution falls under ``tol * rhs``.
 
     Raises:
-        QuadratureError: level budget exhausted; the partial report rides on
-            the exception's ``report`` attribute.
+        QuadratureError: level budget exhausted, or the next batch would pass
+            2**20 nodes; the partial report (NaN before the first integral)
+            rides on the exception's ``report`` attribute.
     """
     if T is None:
         T = pot.T
@@ -179,17 +182,26 @@ def parseval_check(
     width = T - t1
     scale = max(rhs, 1e-12)
 
-    def nodes(span: float, dx: float) -> int:
-        n = max(3, int(round(span / dx)) + 1)
-        return n + 1 - n % 2  # odd: the core grid holds 0
+    def nodes(span: float, dx: float, batch: int = 1) -> int:
+        """Odd node count over ``span`` (the core grid holds 0), refused before
+        ``batch`` grids of it pass the node budget."""
+        n = max(3, int(round(min(span / dx, _PARSEVAL_MAX_NODES))) + 1)
+        n += 1 - n % 2
+        if batch * n > _PARSEVAL_MAX_NODES:
+            raise QuadratureError(
+                f"the Parseval quadrature at step {dx:.3g} and half-width {X:g} would pass "
+                f"its budget of {_PARSEVAL_MAX_NODES} nodes in one batch; loosen the tolerance",
+                report=_report(cur, rhs, X, levels),
+            )
+        return n
 
     def core(dx: float) -> float:
         xs = symmetric_grid(X, nodes(2.0 * X, dx))
         return float(_trapz(interval_scattering_grid(pot, t1, T, xs).log_abs_a, xs))
 
-    X, levels = _PARSEVAL_X0, 1
+    X, levels, cur = _PARSEVAL_X0, 0, math.nan
     dx = min(0.05, 0.25 / max(width, 1.0))
-    cur = core(dx)
+    cur, levels = core(dx), 1
     # step refinement on the core domain
     while levels < _PARSEVAL_MAX_LEVELS:
         nxt = core(dx / 2.0)
@@ -205,7 +217,7 @@ def parseval_check(
         )
     # domain doubling with exact wing addition
     while levels < _PARSEVAL_MAX_LEVELS:
-        wing = np.linspace(X, 2.0 * X, nodes(X, dx))  # both wings in one batch
+        wing = np.linspace(X, 2.0 * X, nodes(X, dx, batch=2))  # both wings in one batch
         la = interval_scattering_grid(pot, t1, T, np.concatenate([-wing[::-1], wing])).log_abs_a
         tail = float(_trapz(la[:wing.size], -wing[::-1])) + float(_trapz(la[wing.size:], wing))
         levels += 1

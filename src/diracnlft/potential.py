@@ -158,13 +158,6 @@ class SampledPotential:
         w[-1] = self.T - (n - 1) * self.h
         return w
 
-    def value(self, t):
-        """Pointwise value (vectorized); zero outside ``[0, T)``."""
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.floor(t / self.h).astype(int), 0, len(self.cells) - 1)
-        vals = np.asarray(self.cells)[idx]
-        return np.where((t >= 0.0) & (t < self.T), vals, 0.0)
-
 
 # ---------------------------------------------------------------------------
 # construction / sampling

@@ -4,8 +4,8 @@
 :class:`Transfer`: the fundamental solution ``M(t, z) = [[A, B], [C, D]]``
 with its z-derivatives up to order 2, for one frequency or a batch, at one
 time or at each of a sorted list of times (one sweep).  Every consumer reads
-M through the named entries of that result; how M is stored, chunked and
-multiplied stays in this module.
+M through the named entries of that result and the Hermite-Biehler functions
+built from them; how M is stored, chunked and multiplied stays in this module.
 
 For a piecewise-constant potential the fundamental solution is an ordered
 product of exact cell propagators
@@ -89,7 +89,6 @@ __all__ = [
     "WORK_RANGE_LIMIT",
     "DET_DRIFT_ABORT",
     "Transfer",
-    "HermiteBiehlerPair",
     "transfer",
     "transfer_batch",
     "transfer_derivative",
@@ -160,7 +159,7 @@ def corrupted_propagator(eps: float):
 
 
 # ---------------------------------------------------------------------------
-# result types
+# result type
 # ---------------------------------------------------------------------------
 
 
@@ -183,6 +182,7 @@ class Transfer:
     ``d2A``..``d2D`` (None above ``order``): Python complex for a scalar
     ``z``, complex128 arrays for a batch.  ``det_tracked`` is the product of
     the cells' closed-form determinants, accurate where ``A D - B C`` is not.
+    ``E``, ``Etilde``, ``Esharp`` and ``Etildesharp`` are computed on read.
     """
 
     t: float
@@ -208,23 +208,16 @@ class Transfer:
         """|tracked det - 1|: the conditioning-safe determinant residual."""
         return abs(self.det_tracked - 1.0)
 
+    # Hermite-Biehler functions: E = A - iC and Etilde = B - iD are zero-free in
+    # the closed upper half-plane (E strictly, by the determinant identity);
+    # the sharp partners are A + iC and B + iD, and theta = Esharp / E.
+    E = property(lambda self: self.A - 1j * self.C)
+    Etilde = property(lambda self: self.B - 1j * self.D)
+    Esharp = property(lambda self: self.A + 1j * self.C)
+    Etildesharp = property(lambda self: self.B + 1j * self.D)
 
-@dataclass(frozen=True)
-class HermiteBiehlerPair:
-    """First-kind entire functions built from a transfer matrix.
-
-    ``E = A - iC`` and ``Etilde = B - iD`` are zero-free in the closed upper
-    half-plane (E strictly, by the determinant identity); the sharp partners
-    are ``A + iC`` and ``B + iD``.
-    """
-
-    E: complex
-    Etilde: complex
-    Esharp: complex
-    Etildesharp: complex
-
-    def det2i(self) -> complex:
-        """E*Etildesharp - Etilde*Esharp; equals 2i * det M."""
+    def det2i(self):
+        """E Etildesharp - Etilde Esharp; equals 2i det M."""
         return self.E * self.Etildesharp - self.Etilde * self.Esharp
 
 
@@ -455,13 +448,9 @@ def _advance(z: np.ndarray, jet: np.ndarray, det: np.ndarray, qs, ws):
     scratch = np.empty_like(cells)
     running = (np.empty_like(jet), np.empty_like(jet))
     for n, (i, k) in enumerate(_blocks(np.abs(qs) * ws > _TREE_CELL, block)):
-        if k == 1:  # one cell at scalar width, no tree
-            prod = cells[..., 0, :]
-            cell_det = _cell_jets(qs[i], float(ws[i]), z, zz, order, prod, eps)
-        else:
-            prod = cells[..., :k, :]
-            cell_det = _cell_jets(qs[i:i + k, None], ws[i:i + k, None], z, zz, order, prod, eps)
-            prod, cell_det = _tree(prod, scratch[..., :k, :]), np.prod(cell_det, axis=0)
+        prod = cells[..., :k, :]
+        cell_det = _cell_jets(qs[i:i + k, None], ws[i:i + k, None], z, zz, order, prod, eps)
+        prod, cell_det = _tree(prod, scratch[..., :k, :]), np.prod(cell_det, axis=0)
         jet = _jet_mul(prod, jet, running[n % 2])
         det = det * cell_det
     return jet.astype(complex, copy=False), det.astype(complex, copy=False)
@@ -587,14 +576,10 @@ def transfer_derivative_batch(pot: SampledPotential, z, t: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def hermite_biehler(m: Transfer) -> HermiteBiehlerPair:
-    """First-kind entire functions of a transfer matrix (E = A - iC, ...)."""
-    return HermiteBiehlerPair(
-        E=m.A - 1j * m.C,
-        Etilde=m.B - 1j * m.D,
-        Esharp=m.A + 1j * m.C,
-        Etildesharp=m.B + 1j * m.D,
-    )
+def hermite_biehler(m: Transfer) -> Transfer:
+    """``m`` itself: the Hermite-Biehler functions ``E``, ``Etilde``, ``Esharp``
+    and ``Etildesharp`` (and ``det2i()``) are members of :class:`Transfer`."""
+    return m
 
 
 def _pole_checked(A, C):

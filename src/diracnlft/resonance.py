@@ -160,7 +160,6 @@ class MotionSegment:
     t1: float
     t2: float
     label: str  # "V" | "H"
-    mean_direction: complex
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +483,8 @@ def track_eigenvalue(
 
 
 def _motion(track: ResonanceTrack):
-    """Times, velocities (central differences), speeds and V/H labels of
-    the samples of a track ("" in the hysteresis band)."""
+    """Times and V/H labels of the samples of a track ("" in the hysteresis
+    band), from velocities by central differences."""
     n = len(track.samples)
     if n < 3:
         raise PreconditionError("classify_track needs at least 3 samples")
@@ -498,7 +497,7 @@ def _motion(track: ResonanceTrack):
     speed = np.abs(vel)
     ratio = np.where(speed > 0, np.abs(vel.real) / np.where(speed > 0, speed, 1.0), 0.0)
     labels = np.where(ratio <= 0.1, "V", np.where(ratio >= 0.25, "H", ""))
-    return ts, vel, speed, labels
+    return ts, labels
 
 
 def classify_track(track: ResonanceTrack):
@@ -510,24 +509,11 @@ def classify_track(track: ResonanceTrack):
     band stays unlabeled.  Since the per-sample inequalities are summed, the
     segment-averaged criterion holds automatically on every segment.
     """
-    ts, vel, speed, labels = _motion(track)
+    ts, labels = _motion(track)
     # runs of equal labels: samples edges[k] .. edges[k + 1] - 1
     edges = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
-    segments: list[MotionSegment] = []
-    for i, j in zip(edges[:-1], edges[1:]):
-        if not labels[i]:
-            continue
-        units = vel[i:j][speed[i:j] > 0]
-        if units.size:
-            mean = np.sum(units / np.abs(units))
-            direction = mean / abs(mean) if abs(mean) > 0 else 1j
-        else:
-            direction = 1j  # stationary: pure dwell counts as vertical rest
-        segments.append(
-            MotionSegment(t1=float(ts[i]), t2=float(ts[j - 1]), label=str(labels[i]),
-                          mean_direction=complex(direction))
-        )
-    return segments
+    return [MotionSegment(t1=float(ts[i]), t2=float(ts[j - 1]), label=str(labels[i]))
+            for i, j in zip(edges[:-1], edges[1:]) if labels[i]]
 
 
 def track_rows(track: ResonanceTrack) -> list:
@@ -536,6 +522,6 @@ def track_rows(track: ResonanceTrack) -> list:
     sample ("" in the hysteresis band, and for tracks too short to
     classify)."""
     n = len(track.samples)
-    labels = _motion(track)[3] if n >= 3 else [""] * n
+    labels = _motion(track)[1] if n >= 3 else [""] * n
     return [(ti, zi.real, zi.imag, tzi.real, tzi.imag, res, str(lab))
             for (ti, zi, tzi), res, lab in zip(track.samples, track.residuals, labels)]

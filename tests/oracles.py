@@ -69,7 +69,7 @@ def oracle_theta(pot: SampledPotential, z: complex, t: float) -> complex:
 
     def rhs(s, y):
         th = y[0] + 1j * y[1]
-        q = pot.value(np.array([s]))[0] if s < pot.T else 0.0
+        q = pot.cells[min(int(s / pot.h), len(pot.cells) - 1)] if s < pot.T else 0.0
         d = 2j * z * th + q * (1.0 - th * th)
         return [d.real, d.imag]
 

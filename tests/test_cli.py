@@ -703,6 +703,42 @@ def test_each_failure_prints_one_stderr_line(tmp_path, extra, code, label):
     assert not (tmp_path / "o.csv").exists()
 
 
+def _run_capped(tmp_path, command, cfg):
+    """Run ``command`` on ``cfg`` in a child process whose address space is
+    capped at 1 GiB, so a request that allocates without bound fails there at
+    once instead of exhausting the machine."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from diracnlft.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = {k: v for k, v in os.environ.items() if k != "NLFT_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    env["OPENBLAS_NUM_THREADS"] = "1"  # every BLAS thread reserves address space
+    return subprocess.run(
+        [sys.executable, "-c", code, command, "--config", _write_cfg(tmp_path, "c.json", cfg),
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
+@pytest.mark.parametrize("command, cfg, code, label, names", [
+    # the step halves from 1 281 core nodes; the next grid, of 1 310 721, is refused
+    ("parseval", {"potential": {"family": "box", "params": {"q": 0.4, "t0": 1.5}},
+                  "h": 0.02, "T": 1.5, "tolerances": {"parseval": 1e-14}},
+     2, "numerical failure", "budget of 1048576 nodes"),
+    # 10**12 samples would take 16 TB
+    ("converge", {**BOX_CFG, "T_list": [0.5, 1.0], "box_samples": 10**12},
+     1, "error", "n <= 65536 box samples"),
+], ids=["parseval_nodes", "box_samples"])
+def test_size_bounds_refuse_before_allocating(tmp_path, command, cfg, code, label, names):
+    proc = _run_capped(tmp_path, command, cfg)
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"{label}: ")
+    assert names in proc.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
 # a config per subcommand that runs in milliseconds and exits 0
 _BASE_CFGS = {
     "transform": CONST_CFG,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,18 @@ def test_parseval_budget_exhaustion_carries_partial_report(monkeypatch):
     assert isinstance(rep, ParsevalReport)
     assert rep.refinement_levels >= 4
     assert rep.rhs > 0.0
+
+
+def test_parseval_refuses_a_batch_past_the_node_budget():
+    # the real budget: a potential 5000 wide starts at a step of 5e-5, so its
+    # first core grid would hold 1 280 001 nodes; it is refused before any
+    # propagation, with a report that holds no integral yet
+    pot = SampledPotential(h=5000.0, cells=(0.01,))
+    with pytest.raises(QuadratureError, match="budget of 1048576 nodes") as exc_info:
+        parseval_check(pot)
+    rep = exc_info.value.report
+    assert rep.refinement_levels == 0 and math.isnan(rep.lhs)
+    assert rep.rhs == pytest.approx(0.5)
 
 
 def test_parseval_validation():

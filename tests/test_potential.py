@@ -258,9 +258,3 @@ def test_from_dict_names_unknown_keys(doc, key):
     # a misspelt or retired key must not fall back to the family defaults
     with pytest.raises(ValidationError, match=key):
         potential_from_dict(doc)
-
-
-def test_value_matches_cells():
-    pot = SampledPotential(h=0.2, cells=(1.0, -2.0, 3.0))
-    ts = np.array([0.1, 0.3, 0.5, 0.7])
-    assert np.allclose(pot.value(ts), [1.0, -2.0, 3.0, 0.0])

@@ -757,8 +757,7 @@ def test_free_first_kind_function_and_theta():
     for t in (0.5, 2.0):
         for z in (1.3, -0.4, 0.6 + 0.3j):
             m = transfer(pot, z, t=t)
-            hb = hermite_biehler(m)
-            assert abs(hb.E - np.exp(-1j * t * z)) < 1e-13
+            assert abs(m.E - np.exp(-1j * t * z)) < 1e-13
             assert abs(theta(m) - np.exp(2j * t * z)) < 1e-13
 
 
@@ -767,8 +766,19 @@ def test_det2i_identity():
     pot = SampledPotential(h=0.05, cells=tuple(rng.uniform(-2, 2, 50)))
     for z in np.linspace(-10, 10, 9):
         m = transfer(pot, z)
-        hb = hermite_biehler(m)
-        assert abs(hb.det2i() - 2j * m.det) < 1e-13
+        assert abs(m.det2i() - 2j * m.det) < 1e-13
+
+
+@pytest.mark.parametrize("z", [0.7 + 0.2j, np.array([-1.5, 0.3, 2.0 + 0.4j])],
+                         ids=["scalar", "batch"])
+def test_hermite_biehler_functions_are_transfer_members(z):
+    rng = np.random.default_rng(12)
+    m = transfer(SampledPotential(h=0.05, cells=tuple(rng.uniform(-1.5, 1.5, 30))), z)
+    assert hermite_biehler(m) is m
+    for got, want in ((m.E, m.A - 1j * m.C), (m.Etilde, m.B - 1j * m.D),
+                      (m.Esharp, m.A + 1j * m.C), (m.Etildesharp, m.B + 1j * m.D)):
+        assert type(got) is type(want) and np.array_equal(got, want)
+    assert np.array_equal(m.det2i(), m.E * m.Etildesharp - m.Etilde * m.Esharp)
 
 
 @given(re=st.floats(-20, 20), seed=st.integers(0, 1000))

@@ -385,7 +385,6 @@ def test_classify_pure_vertical():
     assert len(segs) == 1
     assert segs[0].label == "V"
     assert segs[0].t1 == 0.0 and segs[0].t2 == 1.0
-    assert abs(segs[0].mean_direction + 1j) < 1e-12  # moving straight down
 
 
 def test_classify_pure_horizontal():
@@ -394,7 +393,6 @@ def test_classify_pure_horizontal():
     segs = classify_track(track)
     assert len(segs) == 1
     assert segs[0].label == "H"
-    assert abs(segs[0].mean_direction - 1.0) < 1e-12
 
 
 def test_classify_stationary_dwell_counts_as_vertical():
@@ -403,7 +401,6 @@ def test_classify_stationary_dwell_counts_as_vertical():
     segs = classify_track(track)
     assert len(segs) == 1
     assert segs[0].label == "V"
-    assert segs[0].mean_direction == 1j
 
 
 def test_classify_mixed_track_splits():
