@@ -47,7 +47,6 @@ from .propagator import (
     transfer,
     transfer_batch,
     transfer_derivative,
-    transfer_derivative_batch,
 )
 from .riccati import riccati_evolve_moebius, riccati_evolve_rk
 from .nlft import (
@@ -75,9 +74,7 @@ from .debranges import (
     ModelFit,
     estimate_w,
     gamma_factor,
-    hb_exp_fit,
     hb_fit,
-    hb_sine_fit,
     kernel_K,
     kernel_probe,
     kernel_sinc,

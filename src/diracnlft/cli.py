@@ -258,7 +258,7 @@ def _verify_suite(seed: int) -> list:
         zs = np.concatenate([real_grid.astype(complex), cplx])
         B = transfer(pot, zs, pot.T)
         det_max = max(det_max, float(np.max(B.det_drift)))
-        det2i_max = max(det2i_max, float(np.max(np.abs(B.det2i() - 2j * B.det))))
+        det2i_max = max(det2i_max, float(np.max(np.abs(B.det2i() - 2j))))
         sd = nlft_forward(pot, grid=real_grid)
         uni_max = max(uni_max, sd.real_axis_defects()["unimodular"])
     checks.append(("determinant_tracked", det_max, 1e-10))

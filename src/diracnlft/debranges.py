@@ -35,8 +35,6 @@ __all__ = [
     "kernel_probe",
     "estimate_w",
     "hb_fit",
-    "hb_sine_fit",
-    "hb_exp_fit",
     "gamma_factor",
 ]
 
@@ -356,32 +354,9 @@ def hb_fit(
         FitError: the minimal shift pushed the model zero out of the lower
             half-plane.
     """
-    return _fit(pot, s, t, C, grid_n, w_hat, None)
-
-
-def hb_sine_fit(pot: SampledPotential, s: float, t: float, C: float,
-                grid_n: int = 16, w_hat: float | None = None) -> ModelFit:
-    """:func:`hb_fit` that raises PreconditionError on a zero-free box."""
-    return _fit(pot, s, t, C, grid_n, w_hat, "sine")
-
-
-def hb_exp_fit(pot: SampledPotential, s: float, t: float, D: float,
-               grid_n: int = 16, w_hat: float | None = None) -> ModelFit:
-    """:func:`hb_fit` that raises PreconditionError on a box holding a zero."""
-    return _fit(pot, s, t, D, grid_n, w_hat, "exp")
-
-
-def _fit(pot, s, t, C, grid_n, w_hat, only):
-    """Body of the fits: ``only`` None fits the model the zero search
-    admits, "sine" or "exp" refuses a box that admits the other one."""
     box = Box.scaled(s, C, t, grid_n)
     zeros = find_zeros(pot, t, box)
     kind = "sine" if zeros else "exp"
-    if only not in (None, kind):
-        raise PreconditionError(
-            f"{len(zeros)} theta-zero(s) in Q({s}, {C / t:.3g}): the box admits the "
-            f"{kind} model, not the {only} one (use hb_fit)"
-        )
     if kind == "sine":
         z_up = min((z for z, _ in zeros), key=lambda z: abs(z - s))
         if not (1.0 < t * z_up.imag < 2.0 * C):

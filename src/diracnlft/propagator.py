@@ -92,7 +92,6 @@ __all__ = [
     "transfer",
     "transfer_batch",
     "transfer_derivative",
-    "transfer_derivative_batch",
     "hermite_biehler",
     "theta",
     "theta_derivs",
@@ -563,12 +562,6 @@ def transfer_derivative(pot: SampledPotential, z: complex, t: float | None = Non
                         order: int = 1) -> Transfer:
     """:func:`transfer` at one frequency with its z-derivatives (order 1 or 2)."""
     return transfer(pot, z, t, order)
-
-
-def transfer_derivative_batch(pot: SampledPotential, z, t: float | None = None,
-                              order: int = 1) -> Transfer:
-    """:func:`transfer` over an array of frequencies with z-derivatives."""
-    return transfer(pot, np.atleast_1d(z), t, order)
 
 
 # ---------------------------------------------------------------------------

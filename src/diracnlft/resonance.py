@@ -24,12 +24,11 @@ from .errors import (
     BoundaryNearZeroError,
     DerivativeDegenerateError,
     InvariantViolation,
-    OverflowRangeError,
     PreconditionError,
     ValidationError,
 )
 from .potential import SampledPotential, integral
-from .propagator import WORK_RANGE_LIMIT, symmetric_grid, theta, theta_derivs, transfer
+from .propagator import _check_range, symmetric_grid, theta, theta_derivs, transfer
 
 __all__ = [
     "ZERO_RESIDUAL_TOL",
@@ -338,13 +337,12 @@ def find_zeros(pot: SampledPotential, t: float, box: Box):
             boundary (caller should shift/shrink the box).
         OverflowRangeError: the box reaches past the working range at t.
     """
-    if t <= 0:
+    if not t > 0:  # NaN fails too
         raise ValidationError(f"need t > 0, got {t}")
-    if not box.half_width * t <= WORK_RANGE_LIMIT:  # the top edge is Im z = half_width
-        raise OverflowRangeError(
-            f"box half_width * t = {box.half_width * t:.3g} exceeds the supported working "
-            f"range {WORK_RANGE_LIMIT}; shrink the box"
-        )
+    # transfer's range check on the top corners (the first contour's top edge
+    # is Im z = half_width), before a box past |z| <= 1e150 overflows the contour
+    re_lo, re_hi, _, im_hi = box.rect
+    _check_range(np.array([complex(re_lo, im_hi), complex(re_hi, im_hi)]), t)
     raw: list = []
     _collect_zeros(pot, t, box.rect, box.grid_n, 0, raw)
     # dedupe (quadrisection borders can hand the same zero to two children)

@@ -400,6 +400,7 @@ def test_verify_detects_mild_corruption(tmp_path, capsys, monkeypatch):
     assert main(["verify"]) == 3
     out = capsys.readouterr().out
     assert "FAIL determinant_tracked" in out
+    assert "FAIL hb_determinant_identity" in out
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert doc["all_pass"] is False
 

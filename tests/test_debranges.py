@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,9 +9,7 @@ from diracnlft import debranges
 from diracnlft.debranges import (
     estimate_w,
     gamma_factor,
-    hb_exp_fit,
     hb_fit,
-    hb_sine_fit,
     kernel_K,
     kernel_probe,
     kernel_sinc,
@@ -25,7 +22,7 @@ from diracnlft.errors import (
 )
 from diracnlft.experiments import limit_identities
 from diracnlft.potential import SampledPotential
-from diracnlft.propagator import transfer, transfer_derivative_batch
+from diracnlft.propagator import transfer
 from diracnlft.resonance import Box
 
 import oracles
@@ -160,7 +157,7 @@ def test_kernel_matrix_matches_full_matrix_reference(grid_n):
     pts = Box(0.7, 4.0 / t, grid_n=grid_n).tensor_grid()
     pts = np.concatenate([pts, pts[:3]])  # duplicates: more confluent entries
     K, _ = debranges._kernel_matrix(pot, t, pts, np.indices((len(pts),) * 2).reshape(2, -1), 1)
-    state = transfer_derivative_batch(pot, pts, t, order=2)
+    state = transfer(pot, pts, t, order=2)
     ref = kernel_matrix_by_where(pts, state.A, state.C, state.dA, state.dC, state.d2A, state.d2C)
     near = np.abs(np.conj(pts)[:, None] - pts) < 1e-6 * (1.0 + np.abs(pts))
     assert np.count_nonzero(near) >= len(pts)  # every point meets its conjugate partner
@@ -384,8 +381,15 @@ def test_gamma_factor_values():
 # ---------------------------------------------------------------------------
 
 
+def _fitted(kind, *args, **kwargs):
+    """:func:`hb_fit`, checked to have fitted the ``kind`` model."""
+    fit = hb_fit(*args, **kwargs)
+    assert fit.kind == kind
+    return fit
+
+
 def test_sine_fit_at_a_frozen_zero(tall_bump_pot):
-    fit = hb_sine_fit(tall_bump_pot, TALL_ZERO.real, 2.0, 4.0)
+    fit = _fitted("sine", tall_bump_pot, TALL_ZERO.real, 2.0, 4.0)
     assert abs(abs(fit.alpha) - 1.0) < 1e-12  # alpha is exactly unimodular
     # model zero stays within the minimal shift of the true zero
     assert abs(fit.x - TALL_ZERO.real) < 0.2
@@ -398,7 +402,7 @@ def test_sine_fit_pins_value_at_s(tall_bump_pot):
     from diracnlft.propagator import transfer
 
     s, t = TALL_ZERO.real, 2.0
-    fit = hb_sine_fit(tall_bump_pot, s, t, 4.0)
+    fit = _fitted("sine", tall_bump_pot, s, t, 4.0)
     model = (fit.alpha * gamma_factor(t * TALL_ZERO.imag) / np.sqrt(fit.w_used)) * np.sin(
         t * (s - (fit.x - 1j * fit.y))
     )
@@ -412,7 +416,7 @@ def test_sine_fit_improves_with_time(tall_bump_pot):
 
     ratios = []
     for t in (2.0, 3.0, 4.0):
-        fit = hb_sine_fit(tall_bump_pot, TALL_ZERO.real, t, 4.0)
+        fit = _fitted("sine", tall_bump_pot, TALL_ZERO.real, t, 4.0)
         pts = Box(TALL_ZERO.real, 4.0 / t).tensor_grid()
         B = transfer_batch(tall_bump_pot, pts, t)
         sup_E = float(np.max(np.abs(B.A - 1j * B.C)))
@@ -421,19 +425,17 @@ def test_sine_fit_improves_with_time(tall_bump_pot):
 
 
 def test_sine_fit_mirror_symmetry(tall_bump_pot):
-    plus = hb_sine_fit(tall_bump_pot, TALL_ZERO.real, 2.0, 4.0)
-    minus = hb_sine_fit(tall_bump_pot, -TALL_ZERO.real, 2.0, 4.0)
+    plus = _fitted("sine", tall_bump_pot, TALL_ZERO.real, 2.0, 4.0)
+    minus = _fitted("sine", tall_bump_pot, -TALL_ZERO.real, 2.0, 4.0)
     assert minus.x == pytest.approx(-plus.x, abs=1e-9)
     assert minus.y == pytest.approx(plus.y, abs=1e-9)
     assert minus.residual == pytest.approx(plus.residual, rel=1e-9)
 
 
-def test_sine_fit_preconditions(free_pot, tall_bump_pot):
-    with pytest.raises(PreconditionError):
-        hb_sine_fit(free_pot, 0.0, 2.0, 4.0)  # no zero anywhere
+def test_sine_fit_preconditions(tall_bump_pot):
     with pytest.raises(PreconditionError):
         # t * y = 0.83 < 1: below the calibrated band
-        hb_sine_fit(tall_bump_pot, TALL_ZERO.real, 1.0, 4.0)
+        hb_fit(tall_bump_pot, TALL_ZERO.real, 1.0, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -441,35 +443,34 @@ def test_sine_fit_preconditions(free_pot, tall_bump_pot):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fit", [hb_sine_fit, hb_exp_fit], ids=["sine", "exp"])
-def test_fits_pass_grid_n_to_box_unchanged(free_pot, fit):
-    # as in kernel_probe, grid_n = 4 is refused, not silently raised to 8
+@pytest.mark.parametrize("pot_name, s, t", [
+    ("tall_bump_pot", TALL_ZERO.real, 2.0),
+    ("free_pot", 0.5, 4.0),
+], ids=["sine", "exp"])
+def test_fits_pass_grid_n_to_box_unchanged(pot_name, s, t, request):
+    # as in kernel_probe, grid_n = 4 is refused, not silently raised to 8,
+    # on either kind of box
     with pytest.raises(ValidationError, match="grid_n"):
-        fit(free_pot, 0.5, 4.0, 2.0, grid_n=4)
+        hb_fit(request.getfixturevalue(pot_name), s, t, 4.0, grid_n=4)
 
 
 def test_exp_fit_free_is_exact(free_pot):
-    fit = hb_exp_fit(free_pot, 0.5, 3.0, 2.0, w_hat=1.0)
+    fit = _fitted("exp", free_pot, 0.5, 3.0, 2.0, w_hat=1.0)
     assert abs(abs(fit.alpha) - 1.0) < 1e-12
     assert fit.residual < 1e-12
 
 
 def test_exp_fit_residual_decays(bump_pot):
     w, _ = estimate_w(bump_pot, 1.5, (40.0, 71.0), 8)
-    res = [hb_exp_fit(bump_pot, 1.5, t, 4.0, w_hat=w).residual for t in (4.0, 8.0, 16.0)]
+    res = [_fitted("exp", bump_pot, 1.5, t, 4.0, w_hat=w).residual for t in (4.0, 8.0, 16.0)]
     assert res[0] > res[1] > res[2]
 
 
 def test_exp_fit_far_horizon(bump_pot):
     # propagation far past the support stays O(cells) and exact, so the
     # model defect keeps shrinking like 1/t
-    assert hb_exp_fit(bump_pot, 1.5, 1e6, 4.0).residual < 1e-2
-    assert hb_exp_fit(bump_pot, 1.5, 1e11, 4.0).residual < 1e-10
-
-
-def test_exp_fit_refuses_resonant_box(tall_bump_pot):
-    with pytest.raises(PreconditionError):
-        hb_exp_fit(tall_bump_pot, TALL_ZERO.real, 2.0, 4.0)
+    assert _fitted("exp", bump_pot, 1.5, 1e6, 4.0).residual < 1e-2
+    assert _fitted("exp", bump_pot, 1.5, 1e11, 4.0).residual < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +496,12 @@ def test_hb_fit_runs_one_zero_search(pot_name, s, t, kind, request, monkeypatch)
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("pot_name, s, t, restricted", [
-    ("tall_bump_pot", TALL_ZERO.real, 2.0, hb_sine_fit),
-    ("tall_bump_pot", -TALL_ZERO.real, 3.0, hb_sine_fit),
-    ("bump_pot", 1.5, 8.0, hb_exp_fit),
-    ("free_pot", 0.5, 3.0, hb_exp_fit),
+@pytest.mark.parametrize("pot_name, s, t, kind", [
+    ("tall_bump_pot", TALL_ZERO.real, 2.0, "sine"),
+    ("tall_bump_pot", -TALL_ZERO.real, 3.0, "sine"),
+    ("bump_pot", 1.5, 8.0, "exp"),
+    ("free_pot", 0.5, 3.0, "exp"),
 ], ids=["sine", "sine_mirror", "exp", "exp_free"])
-def test_hb_fit_equals_its_restricted_form(pot_name, s, t, restricted, request):
-    pot = request.getfixturevalue(pot_name)
-    fit = hb_fit(pot, s, t, 4.0, grid_n=8)
-    np.testing.assert_equal(dataclasses.astuple(fit),
-                            dataclasses.astuple(restricted(pot, s, t, 4.0, grid_n=8)))
-    assert fit.kind == ("sine" if restricted is hb_sine_fit else "exp")
+def test_hb_fit_picks_the_model_the_box_admits(pot_name, s, t, kind, request):
+    fit = _fitted(kind, request.getfixturevalue(pot_name), s, t, 4.0, grid_n=8)
     assert np.isnan(fit.x) == np.isnan(fit.y) == (fit.kind == "exp")

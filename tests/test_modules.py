@@ -1,8 +1,9 @@
 """Static hygiene of the package sources: every ``__all__`` name is defined
 and has a caller, every public member and every field of an exported class
 has a reader, every defaulted parameter of a public function is passed by some caller, no
-module (nor test file) imports a name it never uses, and no private
-module-level name is left unused (stdlib ``ast`` only)."""
+module (nor test file) imports a name it never uses, no private
+module-level name is left unused, and every function the benchmark's tracer
+names is defined (stdlib ``ast`` only)."""
 
 import ast
 import pathlib
@@ -212,14 +213,9 @@ def test_every_field_of_an_exported_class_is_read():
 #: Public functions whose defaulted parameters no call outside the tests may
 #: pass, each for a stated reason.
 UNPASSED_DEFAULTS = {
-    **{name: "the acceptance gate imports it and passes its defaults (t, and order), "
-             "but the census counts no test; it stays while the gate calls it"
-       for name in ("propagator.transfer_batch", "propagator.transfer_derivative")},
-    **{name: "bench/tracing.py calls it by name through its tracer and probes, which the "
-             "census cannot see; it goes once the tracer calls transfer(..., order=...) "
-             "and hb_fit"
-       for name in ("propagator.transfer_derivative_batch", "debranges.hb_sine_fit",
-                    "debranges.hb_exp_fit")},
+    name: "the acceptance gate imports it and passes its defaults (t, and order), "
+          "but the census counts no test; it stays while the gate calls it"
+    for name in ("propagator.transfer_batch", "propagator.transfer_derivative")
 }
 
 
@@ -269,3 +265,54 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert not unexpected, f"defaulted parameters no call outside the tests passes: {unexpected}"
     stale = sorted(set(UNPASSED_DEFAULTS) - set(unpassed))
     assert not stale, f"exempt functions whose defaults are now all passed: {stale}"
+
+
+#: Names bench/tracing.py installs, sweeps or probes that the package no
+#: longer defines, each for a stated reason.  The tracer reports them as
+#: ``absent``, with zero per-layer metrics.
+RETIRED_TRACED = {
+    "propagator.transfer_checkpoints": "deleted: transfer(pot, z, [t1, t2, ...]) returns "
+                                       "one Transfer per checkpoint",
+    "propagator.transfer_derivative_batch": "deleted: transfer(pot, np.atleast_1d(z), t, "
+                                            "order) is the batch with z-derivatives",
+    **{name: "deleted: hb_fit fits the model the box admits, and fit.kind says which"
+       for name in ("debranges.hb_sine_fit", "debranges.hb_exp_fit")},
+}
+
+
+def _traced_names(tree) -> set:
+    """``module.name`` of every function bench/tracing.py installs (``TRACED``),
+    counts work for (``GRID_FNS``, ``TRACKS``, ``WRITERS``), sweeps
+    (``traced("module.name", ...)``) or probes
+    (``getattr(importlib.import_module("diracnlft.module"), entry)``)."""
+    tables = {t.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)
+              and t.id in ("TRACED", "PROBES", "GRID_FNS", "TRACKS", "WRITERS")}
+    names = {f"{mod}.{fn}" for mod, fns in tables["TRACED"].items() for fn in fns}
+    names.update(*(tables[k] for k in ("GRID_FNS", "TRACKS", "WRITERS")))
+    for n in ast.walk(tree):
+        if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)):
+            continue
+        if n.func.id == "traced":
+            names.add(ast.literal_eval(n.args[0]))
+        elif (n.func.id == "getattr" and isinstance(n.args[0], ast.Call)
+              and getattr(n.args[0].func, "attr", None) == "import_module"
+              and isinstance(n.args[0].args[0], ast.Constant)):
+            mod = n.args[0].args[0].value.removeprefix("diracnlft.")
+            entry = n.args[1]
+            names |= ({f"{mod}.{entry.value}"} if isinstance(entry, ast.Constant) else
+                      {f"{mod}.{row[0]}" for row in tables["PROBES"].values()})
+    return names
+
+
+def test_every_traced_name_is_in_the_package():
+    # the tracer finds a layer by getattr on its module; a traced function
+    # that was renamed or deleted reads as zero calls and zero seconds
+    traced = _traced_names(_tree(ROOT / "bench" / "tracing.py"))
+    bound = {p.stem: _bound_at_top(_tree(p)) for p in MODULES}
+    missing = {f"{mod}.{fn}" for mod, fn in (name.split(".") for name in traced)
+               if fn not in bound.get(mod, ())}
+    unexpected = sorted(missing - set(RETIRED_TRACED))
+    assert not unexpected, f"bench/tracing.py traces names the package lacks: {unexpected}"
+    stale = sorted(set(RETIRED_TRACED) - missing)
+    assert not stale, f"retired traced names the package defines or the tracer dropped: {stale}"

@@ -38,7 +38,6 @@ from diracnlft.propagator import (
     transfer,
     transfer_batch,
     transfer_derivative,
-    transfer_derivative_batch,
 )
 
 from oracles import (
@@ -705,7 +704,7 @@ def test_public_results_stay_complex():
     aug = transfer_derivative(pot, 0.3, order=2)
     scalars = [m.A, m.B, m.C, m.D, m.det_tracked, aug.dA, aug.dD, aug.d2B, aug.d2C]
     assert all(type(v) is complex for v in scalars)
-    state = transfer_derivative_batch(pot, z, order=2)
+    state = transfer(pot, z, order=2)
     sd = nlft_forward(pot, grid=z)
     arrays = [state.z, state.jet, state.det, sd.a, sd.b, sd.r]
     for b in [transfer_batch(pot, z)] + transfer(pot, z, [0.5, 2.0]):

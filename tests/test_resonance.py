@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from diracnlft import resonance
 from diracnlft.cli import main
-from diracnlft.debranges import hb_exp_fit, hb_sine_fit, kernel_probe
+from diracnlft.debranges import hb_fit, kernel_probe
 from diracnlft.errors import (
     BoundaryNearZeroError,
     DerivativeDegenerateError,
+    OverflowRangeError,
     PreconditionError,
     ValidationError,
 )
@@ -59,12 +60,10 @@ def test_box_validation_and_membership():
 # every Q(s, C/t) site, at t = 0: a ValidationError, not a ZeroDivisionError
 @pytest.mark.parametrize("call", [
     lambda pot: kernel_probe(pot, 0.5, 0.0, 4.0, w_hat=1.0),
-    lambda pot: hb_sine_fit(pot, 0.5, 0.0, 4.0),
-    lambda pot: hb_exp_fit(pot, 0.5, 0.0, 4.0),
+    lambda pot: hb_fit(pot, 0.5, 0.0, 4.0),
     lambda pot: run_convergence(pot, [0.5], [0.0, 1.0], 4.0),
     "cli",
-], ids=["kernel_probe", "hb_sine_fit", "hb_exp_fit", "run_convergence",
-        "cli_resonances"])
+], ids=["kernel_probe", "hb_fit", "run_convergence", "cli_resonances"])
 def test_zero_time_box_is_a_validation_error(call, free_pot, tmp_path, capsys):
     if call == "cli":
         cfg = tmp_path / "c.json"
@@ -168,6 +167,14 @@ def test_free_potential_has_no_zeros(free_pot):
 def test_find_zeros_validation(free_pot):
     with pytest.raises(ValidationError):
         find_zeros(free_pot, 0.0, Box(0.0, 1.0))
+    with pytest.raises(ValidationError):  # not transfer's unsorted-times RangeError
+        find_zeros(free_pot, float("nan"), Box(0.0, 1.0))
+
+
+def test_find_zeros_refuses_a_box_past_the_working_range(free_pot):
+    # half_width * t just past 50: transfer's refusal, with transfer's message
+    with pytest.raises(OverflowRangeError, match="working range 50"):
+        find_zeros(free_pot, 1.0, Box(0.0, np.nextafter(50.0, np.inf)))
 
 
 def test_zero_on_boundary_is_refused(const_pot):
