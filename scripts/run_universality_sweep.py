@@ -52,7 +52,7 @@ def main(argv=None) -> int:
         probe = kernel_probe(pot, args.s, t, args.C, w_hat=w_hat,
                              grid_n=args.grid_n)
         try:
-            fit = hb_fit(pot, args.s, t, args.C, grid_n=args.grid_n, w_hat=w_hat)
+            fit = hb_fit(pot, probe)
             fit_kind, alpha = fit.kind, fit.alpha
             x, y, residual = fit.x, fit.y, fit.residual
         except PreconditionError:

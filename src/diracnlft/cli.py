@@ -347,7 +347,7 @@ def cmd_kernels(cfg: dict, meta: dict) -> int:
     w_hat, spread = estimate_w(pot, s, (float(window[0]), float(window[1])), 8)
     probe = kernel_probe(pot, s, t, C, w_hat=w_hat, grid_n=grid_n)
     try:
-        fit = hb_fit(pot, s, t, C, grid_n=grid_n, w_hat=w_hat)
+        fit = hb_fit(pot, probe)
         fit_kind, alpha, x, y, residual = fit.kind, fit.alpha, fit.x, fit.y, fit.residual
     except PreconditionError as exc:
         log.info("no admissible fit: %s", exc)

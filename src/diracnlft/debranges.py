@@ -38,9 +38,10 @@ __all__ = [
     "gamma_factor",
 ]
 
-#: |conj(lam) - z| below this (relative) switches the kernel to its
-#: confluent Taylor form.
-_DIAG_SWITCH = 1e-6
+#: |t (conj lam - z)| below this switches the kernel to its confluent
+#: Taylor form, whose truncation is ~5e-2 (t d)^2 of K (t d = 1e-5: 5e-12),
+#: while the direct quotient's rounding grows as t d shrinks (t = 3: 3e-11).
+_DIAG_SWITCH = 1e-5
 
 #: |t (z - conj lam)| below this evaluates the sinc by series.
 _SINC_SERIES = 1e-4
@@ -51,13 +52,18 @@ _KERNEL_BLOCK = 1 << 19
 
 @dataclass(frozen=True)
 class KernelProbe:
-    """Kernel vs sinc comparison over a box around a real frequency."""
+    """Kernel vs sinc comparison over a box around a real frequency.
+
+    ``K_values`` is K over pairs of ``lambda_grid`` and ``E_values`` is
+    E(t, .) = A - iC at its points, from the same propagation.
+    """
 
     t: float
     s: float
     C: float
     lambda_grid: np.ndarray
     K_values: np.ndarray
+    E_values: np.ndarray
     gap: float
     w_hat: float
 
@@ -78,12 +84,11 @@ class ModelFit:
     x: float
     y: float
     residual: float
-    w_used: float
 
 
 def gamma_factor(p: float) -> float:
     """sqrt(2) / sqrt(sinh(2p)); the peak amplitude scale of the sine model."""
-    if p <= 0:
+    if not p > 0:  # NaN fails too
         raise ValidationError(f"gamma_factor needs p > 0, got {p}")
     return math.sqrt(2.0) / math.sqrt(math.sinh(2.0 * p))
 
@@ -100,7 +105,7 @@ def kernel_sinc(t: float, lam: complex, z: complex):
     singularity is filled by the Taylor series once |t (z - conj lam)|
     drops under 1e-4.
     """
-    if t <= 0:
+    if not t > 0:  # NaN fails too
         raise ValidationError(f"kernel_sinc needs t > 0, got {t}")
     d = np.atleast_1d(np.asarray(z, dtype=complex) - np.conj(np.asarray(lam, dtype=complex)))
     out = _sinc(t, d.real, d.imag)
@@ -134,17 +139,17 @@ def _sinc(t, re, im):
     return out
 
 
-def _confluent(pts, i, j):
+def _confluent(t, pts, i, j):
     """The pairs among the candidates ``(i, j)`` whose offset
     ``d = conj(lam_i) - z_j`` is under the confluent switch, and their offsets."""
     d = np.conj(pts[i]) - pts[j]
-    keep = np.abs(d) < _DIAG_SWITCH * (1.0 + np.abs(pts[j]))
+    keep = t * np.abs(d) < _DIAG_SWITCH
     return i[keep], j[keep], d[keep]
 
 
 def _kernel_matrix(pot, t, pts, pairs, unit, dev=None):
-    """K(t, lam_i, z_j) over one point set (rows index lam, cols index z), and
-    ``max |K - dev|`` over it (0 without ``dev``).
+    """K(t, lam_i, z_j) over one point set (rows index lam, cols index z),
+    ``max |K - dev|`` over it (0 without ``dev``), and E = A - iC at ``pts``.
 
     ``pairs`` lists every pair ``(i, j)`` that may be confluent
     (:func:`_confluent` tests them).  Uses A(conj p) = conj A(p) (real
@@ -162,7 +167,7 @@ def _kernel_matrix(pot, t, pts, pairs, unit, dev=None):
     ``max |block - ref|`` for the block ``K[r0:r1, r0:]`` and the same block
     of the matrix K is compared with.
     """
-    i, j, d = _confluent(pts, *pairs)
+    i, j, d = _confluent(t, pts, *pairs)
     order = 2 if d.any() else 1 if len(d) else 0
     m = transfer(pot, pts, t, order=order)
     # row-major pair order, which the row blocks search; it also fixes the
@@ -208,29 +213,29 @@ def _kernel_matrix(pot, t, pts, pairs, unit, dev=None):
         if dev is not None:
             gap = np.maximum(gap, dev(r0, r1, B))
         r0 = r1
-    return K, gap
+    return K, gap, m.E
 
 
 def kernel_K(pot: SampledPotential, t: float, lam: complex, z: complex) -> complex:
     """Reproducing kernel K(t, lam, z) of the space attached to E(t, .).
 
     Evaluated from the transfer-matrix entries A and C; coincident points
-    (|conj lam - z| under 1e-6 relative) switch to the confluent form built
-    from z-derivatives, keeping the diagonal exactly real and positive.
+    (|t (conj lam - z)| under 1e-5) switch to the confluent form built from
+    z-derivatives, keeping the diagonal exactly real and positive.
     Past ``pot.T`` the potential is extended by zero, as in :func:`transfer`.
     """
-    if t <= 0:
+    if not t > 0:  # NaN fails too
         raise ValidationError(f"kernel_K needs t > 0, got {t}")
     pts = np.array([lam, z], dtype=complex)
     return complex(_kernel_matrix(pot, t, pts, np.indices((2, 2)).reshape(2, -1), 1)[0][0, 1])
 
 
-def _grid_pairs(pts, n):
+def _grid_pairs(t, pts, n):
     """The pairs of an n x n tensor grid (point ``r * n + c`` at
     ``u[c] + i y[r]``) that may be confluent: the offset of a pair is
     ``(u[c_i] - u[c_j]) - i (y[r_i] + y[r_j])``, so both parts lie under the
-    largest threshold of :func:`_confluent`."""
-    cut = np.max(_DIAG_SWITCH * (1.0 + np.abs(pts)))
+    threshold of :func:`_confluent`."""
+    cut = _DIAG_SWITCH / t
     g = pts.reshape(n, n)
     u, y = g.real[0], g.imag[:, 0]
     ci, cj = np.nonzero(np.abs(u[:, None] - u) < cut)
@@ -246,15 +251,17 @@ def kernel_probe(
     w_hat: float | None = None,
     grid_n: int = 16,
 ) -> KernelProbe:
-    """Tabulate K over the full square Q(s, C/t) and score its gap to S / w_hat.
+    """Tabulate K and E over the full square Q(s, C/t) and score the gap of K
+    to S / w_hat.
 
     ``w_hat`` defaults to an 8-sample estimate over the trailing tenth of
-    [0, min(t, pot.T)], as in the fits (past the support |E(t, s)| is
-    frozen).  The gap is ``max |K - S / w_hat| / t`` over all grid pairs.
+    [0, min(t, pot.T)] (past the support |E(t, s)| is frozen).  The gap is
+    ``max |K - S / w_hat| / t`` over all grid pairs.
     """
     if w_hat is None:
-        w_hat = _w_for_fit(pot, s, t)
-    if w_hat <= 0:
+        hi = min(t, pot.T)
+        w_hat, _ = estimate_w(pot, s, (0.9 * hi, hi), 8)
+    if not w_hat > 0:  # NaN fails too
         raise ValidationError(f"need w_hat > 0, got {w_hat}")
     box = Box.scaled(s, C, t, grid_n)
     pts = box.tensor_grid()
@@ -274,9 +281,9 @@ def kernel_probe(
         dev = np.take(table[im_at[a:b, a:]], re_at, axis=2)
         return np.max(np.abs(np.subtract(block, dev, out=dev)))
 
-    K, gap = _kernel_matrix(pot, t, pts, _grid_pairs(pts, grid_n), grid_n, sinc_gap)
-    return KernelProbe(t=t, s=s, C=C, lambda_grid=pts, K_values=K, gap=float(gap / t),
-                       w_hat=w_hat)
+    K, gap, E = _kernel_matrix(pot, t, pts, _grid_pairs(t, pts, grid_n), grid_n, sinc_gap)
+    return KernelProbe(t=t, s=s, C=C, lambda_grid=pts, K_values=K, E_values=E,
+                       gap=float(gap / t), w_hat=w_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +326,9 @@ def estimate_w(pot: SampledPotential, s: float, t_window: tuple, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _E_on(pot, t, pts):
-    return transfer(pot, np.asarray(pts, dtype=complex), t).E
-
-
-def _w_for_fit(pot, s, t):
-    hi = min(t, pot.T)
-    w_hat, _ = estimate_w(pot, s, (0.9 * hi, hi), 8)
-    return w_hat
-
-
-def hb_fit(
-    pot: SampledPotential,
-    s: float,
-    t: float,
-    C: float,
-    grid_n: int = 16,
-    w_hat: float | None = None,
-) -> ModelFit:
-    """Fit E(t, .) on Q(s, C/t) by the limit shape the box admits.
+def hb_fit(pot: SampledPotential, probe: KernelProbe) -> ModelFit:
+    """Fit E(t, .) on the box Q(s, C/t) of ``probe`` by the limit shape the
+    box admits, with the probe's t, s, C and w_hat.
 
     One zero search decides.  A theta-zero in the box gives the shifted
     sine: its zero starts at the conjugate of the nearest theta-zero and is
@@ -345,17 +336,16 @@ def hb_fit(
     to E(t, s) exactly (two real matching conditions, so the phase alone
     cannot absorb both); gamma is frozen at the original zero height.  A
     zero-free box gives the exponential, with alpha pinned to E(t, s) the
-    same way.  ``residual`` is the sup of |E - model| over the box tensor
-    grid; ``w_hat`` defaults to an 8-sample estimate over the trailing
-    tenth of [0, min(t, pot.T)].
+    same way.  ``residual`` is the sup of |E - model| over the probe's grid,
+    read from ``probe.E_values``.
 
     Raises:
         PreconditionError: the zero height violates 1 < t y < 2C.
         FitError: the minimal shift pushed the model zero out of the lower
             half-plane.
     """
-    box = Box.scaled(s, C, t, grid_n)
-    zeros = find_zeros(pot, t, box)
+    s, t, C, w_hat, pts = probe.s, probe.t, probe.C, probe.w_hat, probe.lambda_grid
+    zeros = find_zeros(pot, t, Box.scaled(s, C, t, math.isqrt(len(pts))))
     kind = "sine" if zeros else "exp"
     if kind == "sine":
         z_up = min((z for z, _ in zeros), key=lambda z: abs(z - s))
@@ -364,10 +354,7 @@ def hb_fit(
                 f"t*y = {t * z_up.imag:.3g} outside (1, {2 * C}): the sine model's "
                 "value pin is only calibrated in that band"
             )
-    if w_hat is None:
-        w_hat = _w_for_fit(pot, s, t)
-    E_s = complex(_E_on(pot, t, [s])[0])
-    pts = box.tensor_grid()
+    E_s = transfer(pot, s, t).E
     if kind == "exp":
         alpha, x, y = 1j * math.sqrt(w_hat) * E_s * np.exp(1j * t * s), math.nan, math.nan
         model = (-1j * alpha / math.sqrt(w_hat)) * np.exp(-1j * t * pts)
@@ -399,8 +386,5 @@ def hb_fit(
         if y <= 0:
             raise FitError(f"shifted model zero has y = {y:.3g} <= 0")
         model = (alpha * gam / math.sqrt(w_hat)) * np.sin(t * (pts - (x - 1j * y)))
-    residual = float(np.max(np.abs(_E_on(pot, t, pts) - model)))
-    return ModelFit(
-        t=t, s=s, kind=kind, alpha=complex(alpha), x=x, y=y,
-        residual=residual, w_used=float(w_hat),
-    )
+    residual = float(np.max(np.abs(probe.E_values - model)))
+    return ModelFit(t=t, s=s, kind=kind, alpha=complex(alpha), x=x, y=y, residual=residual)

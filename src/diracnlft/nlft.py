@@ -176,7 +176,7 @@ def parseval_check(
     if not (0.0 <= t1 < T):
         raise RangeError(f"need 0 <= t1 < T, got [{t1}, {T}]")
     T = clip_to_support(pot, float(T), "T")
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValidationError(f"tol must be > 0, got {tol}")
     rhs = l2_norm_sq(pot, t1, T)
     width = T - t1

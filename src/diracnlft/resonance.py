@@ -458,10 +458,13 @@ def track_eigenvalue(
     target), which is real and drives x monotonically toward 0; a Newton
     corrector on ``arg(theta / target)`` re-solves the level set after each
     step.  Stops and failures are those of :func:`track_resonance`, less
-    ``exited_real_axis``.
+    ``exited_real_axis``; a start whose residual exceeds ``pre_tol`` is a
+    PreconditionError.
     """
     if kind not in _EIGEN_TARGET:
         raise ValidationError(f"kind must be 'NN' or 'ND', got {kind!r}")
+    if not pre_tol > 0:  # NaN fails too
+        raise ValidationError(f"need pre_tol > 0, got {pre_tol}")
 
     def build(samples, residuals, status):
         xs = np.array([s[1] for s in samples])

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InstabilityError, OverflowRangeError, RangeError, ValidationError
+from .errors import InstabilityError, RangeError, ValidationError
 from .potential import SampledPotential, cell_cover, clip_to_support
-from .propagator import WORK_RANGE_LIMIT, theta, transfer
+from .propagator import _check_range, theta, transfer
 
 __all__ = [
     "riccati_evolve_moebius",
@@ -69,19 +69,17 @@ def riccati_evolve_rk(
     cell edge (where f jumps).
 
     Raises:
+        RangeError, OverflowRangeError: ``z`` or ``t`` is one that
+            :func:`~diracnlft.propagator.transfer` refuses.
         ValidationError: ``dt_max`` is not > 0, or needs more than 1e6 steps.
         InstabilityError: |theta| exceeded 1.1 although Im z >= 0 (the exact
             flow stays in the closed disk there), i.e. the step is too coarse.
     """
     _check_horizon(pot, t)
-    if dt_max <= 0:
+    if not dt_max > 0:  # NaN fails too
         raise ValidationError(f"dt_max must be > 0, got {dt_max}")
     zc = complex(z)
-    if abs(zc.imag) * t > WORK_RANGE_LIMIT:
-        raise OverflowRangeError(
-            f"|Im z| * t = {abs(zc.imag) * t:.3g} exceeds the supported working range "
-            f"{WORK_RANGE_LIMIT}"
-        )
+    _check_range(np.array([zc]), float(t))
     th = 1.0 + 0.0j
     two_iz = 2j * zc
     guard = zc.imag >= 0.0

@@ -12,7 +12,8 @@ coefficients and the kernels as references for the package's leaner
 evaluation of them.  The full-matrix kernel assembly (``kernel_matrix_full``,
 ``probe_full``) propagates with the package's ``transfer`` and evaluates its
 elementwise ``_sinc``: it pins how the matrices are assembled, which the
-package does over the upper triangle in row blocks.
+package does over the upper triangle in row blocks.  The box sample laid
+out one point at a time is the reference for the package's digit passes.
 """
 
 from __future__ import annotations
@@ -289,18 +290,18 @@ def kernel_sinc_by_where(t: float, lam, z):
     return np.where(small, (t / np.pi) * (1.0 - u2 / 6.0 * (1.0 - u2 / 20.0)), out)
 
 
-def kernel_matrix_by_where(pts, A, C, dA, dC, d2A, d2C) -> np.ndarray:
+def kernel_matrix_by_where(t, pts, A, C, dA, dC, d2A, d2C) -> np.ndarray:
     """K(t, lam_i, z_j) over a point set from the entries (and their first two
     z-derivatives) at the points, both branches over full matrices.
 
     Direct: ``(A(z) C(conj lam) - C(z) A(conj lam)) / (pi (conj lam - z))``
-    with ``A(conj p) = conj A(p)``; where ``|conj lam - z|`` is under 1e-6
-    relative the confluent Taylor form in ``conj lam - z`` replaces it.
+    with ``A(conj p) = conj A(p)``; where ``|t (conj lam - z)|`` is under 1e-5
+    the confluent Taylor form in ``conj lam - z`` replaces it.
     """
     Az, Cz = A[None, :], C[None, :]
     Al, Cl = np.conj(A)[:, None], np.conj(C)[:, None]
     denom = np.conj(pts)[:, None] - pts[None, :]
-    near = np.abs(denom) < 1e-6 * (1.0 + np.abs(pts)[None, :])
+    near = t * np.abs(denom) < 1e-5
     K = (Az * Cl - Cz * Al) / (np.pi * np.where(near, 1.0, denom))
     n1 = Az * dC[None, :] - Cz * dA[None, :]
     n2 = Az * d2C[None, :] - Cz * d2A[None, :]
@@ -313,7 +314,7 @@ def kernel_matrix_full(pot: SampledPotential, t: float, pts: np.ndarray) -> np.n
     ``P - P^H`` for ``P = A(z_j) C(conj lam_i)`` over the quotient's
     denominator, then the confluent entries from the z-derivatives."""
     denom = np.conj(pts)[:, None] - pts
-    i, j = np.nonzero(np.abs(denom) < 1e-6 * (1.0 + np.abs(pts)))
+    i, j = np.nonzero(t * np.abs(denom) < 1e-5)
     d, denom[i, j] = denom[i, j], 1.0
     order = 2 if d.any() else 1 if len(d) else 0
     m = transfer(pot, pts, t, order=order)
@@ -342,3 +343,23 @@ def probe_full(pot: SampledPotential, t: float, axis: np.ndarray, pts: np.ndarra
     im = x[:, None, None, None] + x[None, None, :, None]
     S = _sinc(t, re, im).reshape(K.shape)
     return K, S, float(np.max(np.abs(K - S / w_hat)) / t)
+
+
+def box_sample_points_by_loop(s: float, half_width: float, n: int, seed: int = 0) -> np.ndarray:
+    """The box sample one point at a time: the Halton(2, 3) point of index
+    ``k + 1 + seed`` by its digit loop, on the real segment for every fourth k."""
+
+    def halton(index: int, base: int) -> float:
+        f, r, i = 1.0, 0.0, index
+        while i > 0:
+            f /= base
+            r += f * (i % base)
+            i //= base
+        return r
+
+    pts = np.empty(n, dtype=complex)
+    for k in range(n):
+        u, v = halton(k + 1 + seed, 2), halton(k + 1 + seed, 3)
+        re = s + (2.0 * u - 1.0) * half_width
+        pts[k] = re if k % 4 == 0 else re + 1j * v * half_width
+    return pts

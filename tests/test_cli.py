@@ -552,6 +552,25 @@ def test_kernels_none_row_below_the_sine_band(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1  # one zero search decides the model
 
 
+def test_kernels_propagates_the_box_grid_once(tmp_path, monkeypatch):
+    # the fit reads E on the box from the probe's batch: one propagation of
+    # the grid per row, not one for the probe and another for the fit
+    from diracnlft import debranges
+    from diracnlft.resonance import Box
+
+    batches, propagate = [], debranges.transfer
+    monkeypatch.setattr(debranges, "transfer",
+                        lambda pot, z, *a, **k: batches.append(z) or propagate(pot, z, *a, **k))
+    cfg = _write_cfg(
+        tmp_path, "c.json",
+        {"potential": {"family": "zero", "params": {}}, "h": 0.05, "T": 5.0,
+         "t": 4.0, "s": 0.5, "C": 2.0, "box": {"grid_n": 8}},
+    )
+    assert main(["kernels", "--config", cfg, "--out", str(tmp_path / "k.csv")]) == 0
+    grid = Box.scaled(0.5, 2.0, 4.0, 8).tensor_grid()
+    assert sum(np.shape(z) == grid.shape and np.array_equal(z, grid) for z in batches) == 1
+
+
 # ---------------------------------------------------------------------------
 # converge
 # ---------------------------------------------------------------------------
@@ -603,6 +622,18 @@ def test_converge_infinite_horizon_is_usage_error(tmp_path, capsys):
     assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
+
+
+def test_converge_nan_box_constant_is_usage_error(tmp_path, capsys):
+    # Python's json reads the NaN literal; C = NaN wrote an all-NaN table before
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"potential": {"family": "zero", "params": {}}, "h": 0.05, '
+                   '"T": 4.0, "T_list": [2.0, 4.0], "C": NaN}')
+    out = tmp_path / "x.csv"
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "C > 0" in err
+    assert not out.exists()
 
 
 def test_converge_beyond_horizon_is_usage_error(tmp_path, capsys):

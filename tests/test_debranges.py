@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -139,11 +140,11 @@ def test_kernel_diagonal_real_positive(const_pot):
 
 
 def test_kernel_confluent_switch_continuity(const_pot):
-    lam = 1.2
-    base = 1e-6 * (1.0 + abs(lam))
+    lam, t = 1.2, 2.0
+    base = 1e-5 / t  # the switch: |t (conj lam - z)| = 1e-5
     for sep in (0.9 * base, 1.1 * base):
-        val = kernel_K(const_pot, 2.0, lam, lam + sep)
-        near = kernel_K(const_pot, 2.0, lam, lam)
+        val = kernel_K(const_pot, t, lam, lam + sep)
+        near = kernel_K(const_pot, t, lam, lam)
         # both routes agree to the digits the direct quotient has left
         assert abs(val - near) < 1e-5 * abs(near)
 
@@ -156,10 +157,11 @@ def test_kernel_matrix_matches_full_matrix_reference(grid_n):
     t = pot.T
     pts = Box(0.7, 4.0 / t, grid_n=grid_n).tensor_grid()
     pts = np.concatenate([pts, pts[:3]])  # duplicates: more confluent entries
-    K, _ = debranges._kernel_matrix(pot, t, pts, np.indices((len(pts),) * 2).reshape(2, -1), 1)
+    K, _, _ = debranges._kernel_matrix(pot, t, pts, np.indices((len(pts),) * 2).reshape(2, -1), 1)
     state = transfer(pot, pts, t, order=2)
-    ref = kernel_matrix_by_where(pts, state.A, state.C, state.dA, state.dC, state.d2A, state.d2C)
-    near = np.abs(np.conj(pts)[:, None] - pts) < 1e-6 * (1.0 + np.abs(pts))
+    ref = kernel_matrix_by_where(t, pts, state.A, state.C, state.dA, state.dC, state.d2A,
+                                 state.d2C)
+    near = t * np.abs(np.conj(pts)[:, None] - pts) < 1e-5
     assert np.count_nonzero(near) >= len(pts)  # every point meets its conjugate partner
     assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
     np.testing.assert_array_equal(K, np.conj(K.T))  # exactly Hermitian
@@ -180,6 +182,8 @@ def test_probe_kernel_at_order_1_is_the_order_2_kernel(monkeypatch, s, grid_n):
     box = Box(s, C / t, grid_n)
     pts = box.tensor_grid()
     np.testing.assert_array_equal(probe.lambda_grid, pts)
+    # E from the same batch is the order-0 E bit for bit
+    np.testing.assert_array_equal(probe.E_values, transfer(pot, pts, t).E)
     monkeypatch.setattr(oracles, "transfer", lambda *a, order, **k: transfer(*a, order=2, **k))
     K, _, gap = probe_full(pot, t, box.axis, pts, 1.0)
     np.testing.assert_array_equal(probe.K_values, K)
@@ -187,8 +191,8 @@ def test_probe_kernel_at_order_1_is_the_order_2_kernel(monkeypatch, s, grid_n):
     # both branches of the full-matrix reference: the confluent one (with its
     # second-order term) exactly, the direct quotient up to its rounding
     m = transfer(pot, pts, t, order=2)
-    ref = kernel_matrix_by_where(pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)
-    near = np.abs(np.conj(pts)[:, None] - pts) < 1e-6 * (1.0 + np.abs(pts))
+    ref = kernel_matrix_by_where(t, pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)
+    near = t * np.abs(np.conj(pts)[:, None] - pts) < 1e-5
     np.testing.assert_array_equal(probe.K_values[near], ref[near])
     assert np.max(np.abs(probe.K_values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -248,7 +252,7 @@ def test_kernel_order_follows_the_confluent_offsets(monkeypatch, const_pot):
         got = kernel_K(const_pot, 2.0, lam, z)
         pts = np.array([lam, z], dtype=complex)
         m = transfer(const_pot, pts, 2.0, order=2)
-        assert got == kernel_matrix_by_where(pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)[0, 1]
+        assert got == kernel_matrix_by_where(2.0, pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)[0, 1]
     assert orders == [2, 1]
 
 
@@ -332,6 +336,16 @@ def test_free_gap_vanishes(free_pot):
     assert probe.K_values.shape == (256, 256)
 
 
+@pytest.mark.parametrize("t", [3e5, 1e6, 1e7])
+def test_free_gap_vanishes_at_far_horizons(t):
+    # K = S exactly; the grid spacing 2C / (t (grid_n - 1)) drops under any
+    # fixed |conj lam - z| switch as t grows, but not under |t d| < 1e-5, so
+    # the probe's pairs keep the direct quotient (a relative switch sent them
+    # to the Taylor form: gap 1.5e-2 at t = 3e5, 0.36 at 1e6)
+    pot = SampledPotential(h=0.05, cells=(0.0,) * 40)
+    assert kernel_probe(pot, 1.5, t, 4.0, w_hat=1.0, grid_n=16).gap <= 1e-6
+
+
 def test_gap_decreases_with_time(bump_pot):
     w, _ = estimate_w(bump_pot, 0.5, (40.0, 71.0), 8)
     g8 = kernel_probe(bump_pot, 0.5, 8.0, 4.0, w_hat=w).gap
@@ -381,9 +395,10 @@ def test_gamma_factor_values():
 # ---------------------------------------------------------------------------
 
 
-def _fitted(kind, *args, **kwargs):
-    """:func:`hb_fit`, checked to have fitted the ``kind`` model."""
-    fit = hb_fit(*args, **kwargs)
+def _fitted(kind, pot, s, t, C, **probe_args):
+    """:func:`hb_fit` on the box of ``kernel_probe(pot, s, t, C, **probe_args)``,
+    checked to have fitted the ``kind`` model."""
+    fit = hb_fit(pot, kernel_probe(pot, s, t, C, **probe_args))
     assert fit.kind == kind
     return fit
 
@@ -394,16 +409,15 @@ def test_sine_fit_at_a_frozen_zero(tall_bump_pot):
     # model zero stays within the minimal shift of the true zero
     assert abs(fit.x - TALL_ZERO.real) < 0.2
     assert abs(fit.y - TALL_ZERO.imag) < 0.2
-    assert fit.w_used > 0
     assert fit.residual > 0
 
 
 def test_sine_fit_pins_value_at_s(tall_bump_pot):
-    from diracnlft.propagator import transfer
-
     s, t = TALL_ZERO.real, 2.0
-    fit = _fitted("sine", tall_bump_pot, s, t, 4.0)
-    model = (fit.alpha * gamma_factor(t * TALL_ZERO.imag) / np.sqrt(fit.w_used)) * np.sin(
+    probe = kernel_probe(tall_bump_pot, s, t, 4.0)
+    fit = hb_fit(tall_bump_pot, probe)
+    assert fit.kind == "sine"
+    model = (fit.alpha * gamma_factor(t * TALL_ZERO.imag) / np.sqrt(probe.w_hat)) * np.sin(
         t * (s - (fit.x - 1j * fit.y))
     )
     E_s = transfer(tall_bump_pot, s, t).E
@@ -412,7 +426,6 @@ def test_sine_fit_pins_value_at_s(tall_bump_pot):
 
 def test_sine_fit_improves_with_time(tall_bump_pot):
     from diracnlft.propagator import transfer_batch
-    from diracnlft.resonance import Box
 
     ratios = []
     for t in (2.0, 3.0, 4.0):
@@ -435,23 +448,12 @@ def test_sine_fit_mirror_symmetry(tall_bump_pot):
 def test_sine_fit_preconditions(tall_bump_pot):
     with pytest.raises(PreconditionError):
         # t * y = 0.83 < 1: below the calibrated band
-        hb_fit(tall_bump_pot, TALL_ZERO.real, 1.0, 4.0)
+        hb_fit(tall_bump_pot, kernel_probe(tall_bump_pot, TALL_ZERO.real, 1.0, 4.0))
 
 
 # ---------------------------------------------------------------------------
 # exponential fit (zero-free boxes)
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("pot_name, s, t", [
-    ("tall_bump_pot", TALL_ZERO.real, 2.0),
-    ("free_pot", 0.5, 4.0),
-], ids=["sine", "exp"])
-def test_fits_pass_grid_n_to_box_unchanged(pot_name, s, t, request):
-    # as in kernel_probe, grid_n = 4 is refused, not silently raised to 8,
-    # on either kind of box
-    with pytest.raises(ValidationError, match="grid_n"):
-        hb_fit(request.getfixturevalue(pot_name), s, t, 4.0, grid_n=4)
 
 
 def test_exp_fit_free_is_exact(free_pot):
@@ -488,11 +490,12 @@ def test_hb_fit_runs_one_zero_search(pot_name, s, t, kind, request, monkeypatch)
     monkeypatch.setattr(debranges, "find_zeros",
                         lambda *a, **k: calls.append(a) or search(*a, **k))
     pot = request.getfixturevalue(pot_name)
+    probe = kernel_probe(pot, s, t, 4.0, w_hat=1.0)
     if kind is None:
         with pytest.raises(PreconditionError, match="outside"):
-            hb_fit(pot, s, t, 4.0, w_hat=1.0)
+            hb_fit(pot, probe)
     else:
-        assert hb_fit(pot, s, t, 4.0, w_hat=1.0).kind == kind
+        assert hb_fit(pot, probe).kind == kind
     assert len(calls) == 1
 
 
@@ -505,3 +508,30 @@ def test_hb_fit_runs_one_zero_search(pot_name, s, t, kind, request, monkeypatch)
 def test_hb_fit_picks_the_model_the_box_admits(pot_name, s, t, kind, request):
     fit = _fitted(kind, request.getfixturevalue(pot_name), s, t, 4.0, grid_n=8)
     assert np.isnan(fit.x) == np.isnan(fit.y) == (fit.kind == "exp")
+
+
+@pytest.mark.parametrize("pot_name, s, t, grid_n, kind", [
+    ("tall_bump_pot", TALL_ZERO.real, 2.0, 8, "sine"),
+    ("tall_bump_pot", -TALL_ZERO.real, 3.0, 9, "sine"),
+    ("bump_pot", 1.5, 8.0, 16, "exp"),
+    ("free_pot", 0.5, 3.0, 17, "exp"),
+], ids=["sine", "sine_mirror", "exp", "exp_free"])
+def test_fit_residual_is_that_of_an_order_0_propagation(pot_name, s, t, grid_n, kind, request):
+    # the fit reads E from the probe's batch, which is the order-0 E bit for
+    # bit, so its residual is the one a separate propagation of the grid gives
+    pot = request.getfixturevalue(pot_name)
+    probe = kernel_probe(pot, s, t, 4.0, grid_n=grid_n)
+    fit = hb_fit(pot, probe)
+    assert fit.kind == kind
+    pts = probe.lambda_grid
+    E = transfer(pot, pts, t).E
+    # the model as hb_fit evaluates it, from the fields of the fit
+    alpha, w = np.complex128(fit.alpha), probe.w_hat
+    if kind == "exp":
+        model = (-1j * alpha / math.sqrt(w)) * np.exp(-1j * t * pts)
+    else:
+        zeros = debranges.find_zeros(pot, t, Box.scaled(s, 4.0, t, grid_n))
+        z_up = min((z for z, _ in zeros), key=lambda z: abs(z - s))
+        gam = gamma_factor(t * z_up.imag)
+        model = (alpha * gam / math.sqrt(w)) * np.sin(t * (pts - (fit.x - 1j * fit.y)))
+    assert fit.residual == float(np.max(np.abs(E - model)))

@@ -13,6 +13,8 @@ from diracnlft.nlft import nlft_forward
 from diracnlft.potential import PotentialSpec, sample
 from diracnlft.propagator import transfer
 
+from oracles import box_sample_points_by_loop
+
 
 # ---------------------------------------------------------------------------
 # box sampling
@@ -35,6 +37,14 @@ def test_box_samples_cover_the_box():
     # every fourth sample probes the real segment itself
     assert np.all(pts.imag[::4] == 0.0)
     assert np.all(pts.imag[1::4] > 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 1000, 2**16])
+@pytest.mark.parametrize("seed", [0, 1, 17, 123, 4096])
+def test_box_samples_are_those_of_the_point_by_point_loop(n, seed):
+    got = box_sample_points(0.7, 0.3, n, seed=seed)
+    assert got.dtype == complex and got.shape == (n,)
+    assert np.all(got == box_sample_points_by_loop(0.7, 0.3, n, seed=seed))
 
 
 def test_box_samples_validation():

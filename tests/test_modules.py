@@ -182,8 +182,6 @@ def test_every_public_member_of_an_exported_class_is_read():
 
 #: Fields of exported classes that nothing may read, each for a stated reason.
 UNREAD_FIELDS = {
-    "debranges.KernelProbe.lambda_grid": "gives the axes of K_values",
-    "debranges.ModelFit.w_used": "is the model's w when w_hat was left to its default",
     "experiments.LimitReport.w_tilde_spread": "is the stated uncertainty of w_tilde_hat, "
                                               "and decides status",
     "nlft.ParsevalReport.raw_integral": "reaches the parseval output through asdict in "

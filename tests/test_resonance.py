@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from diracnlft import resonance
 from diracnlft.cli import main
-from diracnlft.debranges import hb_fit, kernel_probe
+from diracnlft.debranges import gamma_factor, kernel_probe, kernel_sinc
 from diracnlft.errors import (
     BoundaryNearZeroError,
     DerivativeDegenerateError,
@@ -17,6 +18,7 @@ from diracnlft.errors import (
     ValidationError,
 )
 from diracnlft.experiments import run_convergence
+from diracnlft.nlft import parseval_check
 from diracnlft.potential import PotentialSpec, SampledPotential, sample
 from diracnlft.propagator import theta, transfer
 from diracnlft.resonance import (
@@ -60,10 +62,9 @@ def test_box_validation_and_membership():
 # every Q(s, C/t) site, at t = 0: a ValidationError, not a ZeroDivisionError
 @pytest.mark.parametrize("call", [
     lambda pot: kernel_probe(pot, 0.5, 0.0, 4.0, w_hat=1.0),
-    lambda pot: hb_fit(pot, 0.5, 0.0, 4.0),
     lambda pot: run_convergence(pot, [0.5], [0.0, 1.0], 4.0),
     "cli",
-], ids=["kernel_probe", "hb_fit", "run_convergence", "cli_resonances"])
+], ids=["kernel_probe", "run_convergence", "cli_resonances"])
 def test_zero_time_box_is_a_validation_error(call, free_pot, tmp_path, capsys):
     if call == "cli":
         cfg = tmp_path / "c.json"
@@ -74,6 +75,22 @@ def test_zero_time_box_is_a_validation_error(call, free_pot, tmp_path, capsys):
         return
     with pytest.raises(ValidationError):
         call(free_pot)
+
+
+# every "x > 0" guard: NaN is a ValidationError, not a NaN result or a later failure
+@pytest.mark.parametrize("call", [
+    lambda pot: kernel_sinc(math.nan, 0.0, 0.0),
+    lambda pot: kernel_probe(pot, 0.5, 1.5, 4.0, w_hat=math.nan, grid_n=8),
+    lambda pot: gamma_factor(math.nan),
+    lambda pot: parseval_check(pot, tol=math.nan),
+    lambda pot: run_convergence(pot, [0.5], [1.0, 2.0], math.nan),
+    # the start's residual is 1.66; pre_tol = 1e-6 refuses it
+    lambda pot: track_eigenvalue(pot, "NN", 0.77, 2.0, 3.0, dt=0.1, pre_tol=math.nan),
+], ids=["kernel_sinc", "kernel_probe", "gamma_factor", "parseval_check", "run_convergence",
+        "track_eigenvalue"])
+def test_nan_is_refused_where_a_positive_number_is_needed(call, const_pot):
+    with pytest.raises(ValidationError):
+        call(const_pot)
 
 
 def test_box_tensor_grid():

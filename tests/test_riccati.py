@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracnlft.errors import InstabilityError, RangeError, ValidationError
+from diracnlft.errors import InstabilityError, OverflowRangeError, RangeError, ValidationError
 from diracnlft.potential import SampledPotential
 from diracnlft.propagator import theta, transfer
 from diracnlft.riccati import riccati_evolve_moebius, riccati_evolve_rk
@@ -69,6 +69,19 @@ def test_horizon_guard():
         riccati_evolve_rk(pot, 1.0, -0.1)
     with pytest.raises(ValidationError):
         riccati_evolve_rk(pot, 1.0, pot.T, dt_max=0.0)
+
+
+@pytest.mark.parametrize("route", [riccati_evolve_moebius, riccati_evolve_rk],
+                         ids=["moebius", "rk"])
+def test_both_routes_refuse_what_transfer_refuses(route):
+    # the RK route runs transfer's range check: a non-finite or huge z is a
+    # RangeError, |Im z| t past the working range an OverflowRangeError
+    pot = SampledPotential(h=0.1, cells=(0.5,) * 10)
+    for z in (complex("nan"), complex(0.0, float("nan")), float("inf"), -float("inf"), 1e200):
+        with pytest.raises(RangeError):
+            route(pot, z, pot.T)
+    with pytest.raises(OverflowRangeError):
+        route(pot, 60j, 1.0)
 
 
 @pytest.mark.parametrize("dt_max", [1e-9, 5e-324, float("nan")])
