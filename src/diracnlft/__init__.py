@@ -61,9 +61,7 @@ from .nlft import (
 from .resonance import (
     Box,
     EigenTrack,
-    MotionSegment,
     ResonanceTrack,
-    classify_track,
     find_zeros,
     track_eigenvalue,
     track_resonance,

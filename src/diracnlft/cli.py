@@ -236,10 +236,9 @@ def cmd_transform(cfg: dict, meta: dict) -> int:
         raise InvariantViolation(
             f"unimodularity defect {defects['unimodular']:.3e} exceeds {tol}"
         )
-    rows = [
-        (T, z.real, z.imag, a.real, a.imag, b.real, b.imag, r.real, r.imag, la)
-        for z, a, b, r, la in zip(sd.grid, sd.a, sd.b, sd.r, sd.log_abs_a)
-    ]
+    z, a, b, r = sd.grid, sd.a, sd.b, sd.r
+    rows = np.column_stack([np.full(z.shape, T), z.real, z.imag, a.real, a.imag, b.real,
+                            b.imag, r.real, r.imag, sd.log_abs_a]).tolist()
     cols = ("T", "re_z", "im_z", "re_a", "im_a", "re_b", "im_b", "re_r", "im_r", "log_abs_a")
     path = _write(cfg, meta, "scattering", cols, rows, fields={"T": T})
     log.info("wrote %d scattering rows to %s", len(rows), path)

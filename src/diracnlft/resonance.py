@@ -37,11 +37,9 @@ __all__ = [
     "Box",
     "ResonanceTrack",
     "EigenTrack",
-    "MotionSegment",
     "find_zeros",
     "track_resonance",
     "track_eigenvalue",
-    "classify_track",
     "track_rows",
 ]
 
@@ -150,15 +148,6 @@ class EigenTrack:
     residuals: tuple
     monotone: bool
     status: str  # completed | newton_diverged | derivative_degenerate
-
-
-@dataclass(frozen=True)
-class MotionSegment:
-    """Maximal run of V (vertical) or H (horizontal) motion of a track."""
-
-    t1: float
-    t2: float
-    label: str  # "V" | "H"
 
 
 # ---------------------------------------------------------------------------
@@ -479,50 +468,23 @@ def track_eigenvalue(
 
 
 # ---------------------------------------------------------------------------
-# classification
+# output rows
 # ---------------------------------------------------------------------------
-
-
-def _motion(track: ResonanceTrack):
-    """Times and V/H labels of the samples of a track ("" in the hysteresis
-    band), from velocities by central differences."""
-    n = len(track.samples)
-    if n < 3:
-        raise PreconditionError("classify_track needs at least 3 samples")
-    ts = track.times
-    zs = track.zs
-    vel = np.empty(n, dtype=complex)
-    vel[1:-1] = (zs[2:] - zs[:-2]) / (ts[2:] - ts[:-2])
-    vel[0] = (zs[1] - zs[0]) / (ts[1] - ts[0])
-    vel[-1] = (zs[-1] - zs[-2]) / (ts[-1] - ts[-2])
-    speed = np.abs(vel)
-    ratio = np.where(speed > 0, np.abs(vel.real) / np.where(speed > 0, speed, 1.0), 0.0)
-    labels = np.where(ratio <= 0.1, "V", np.where(ratio >= 0.25, "H", ""))
-    return ts, labels
-
-
-def classify_track(track: ResonanceTrack):
-    """Split a track into maximal vertical / horizontal motion segments.
-
-    A sample is V when ``|Re z'| <= 0.1 |z'|`` and H when
-    ``|Re z'| >= 0.25 |z'|`` (velocities by central differences); runs of
-    equal labels become :class:`MotionSegment`s, the in-between hysteresis
-    band stays unlabeled.  Since the per-sample inequalities are summed, the
-    segment-averaged criterion holds automatically on every segment.
-    """
-    ts, labels = _motion(track)
-    # runs of equal labels: samples edges[k] .. edges[k + 1] - 1
-    edges = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
-    return [MotionSegment(t1=float(ts[i]), t2=float(ts[j - 1]), label=str(labels[i]))
-            for i, j in zip(edges[:-1], edges[1:]) if labels[i]]
 
 
 def track_rows(track: ResonanceTrack) -> list:
     """Rows ``(t, re_z, im_z, re_theta_z, im_theta_z, residual, label)``, one
-    per sample; ``label`` is the V/H label :func:`classify_track` gives the
-    sample ("" in the hysteresis band, and for tracks too short to
-    classify)."""
+    per sample.  ``label`` is V (vertical) where ``|Re z'| <= 0.1 |z'|``, a
+    stationary sample too, H (horizontal) where ``|Re z'| >= 0.25 |z'|`` (z' by
+    central differences), and "" in between or on a track of under 3 samples."""
     n = len(track.samples)
-    labels = _motion(track)[1] if n >= 3 else [""] * n
+    labels = [""] * n
+    if n >= 3:
+        ts, zs = track.times, track.zs
+        lo, hi = np.maximum(np.arange(n) - 1, 0), np.minimum(np.arange(n) + 1, n - 1)
+        vel = (zs[hi] - zs[lo]) / (ts[hi] - ts[lo])  # one-sided at the two ends
+        speed = np.abs(vel)
+        ratio = np.where(speed > 0, np.abs(vel.real) / np.where(speed > 0, speed, 1.0), 0.0)
+        labels = np.where(ratio <= 0.1, "V", np.where(ratio >= 0.25, "H", ""))
     return [(ti, zi.real, zi.imag, tzi.real, tzi.imag, res, str(lab))
             for (ti, zi, tzi), res, lab in zip(track.samples, track.residuals, labels)]

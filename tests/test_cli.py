@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -248,6 +249,40 @@ def test_readme_key_table_matches_the_key_table():
     declared = {(command, *row) for command, keys in cli._KEYS.items()
                 for row in _table_rows(keys)}
     assert documented == declared
+
+
+def _recipe_commands(block):
+    """The ``diracnlft`` command lines of a README shell recipe, a one-line
+    ``for VAR in ...; do ...; done`` loop unrolled; each ``cat > FILE <<
+    'EOF'`` here-document is written to FILE as the commands are drawn."""
+    lines = iter(block.splitlines())
+    for line in lines:
+        if heredoc := re.fullmatch(r"cat > (\S+) << 'EOF'", line):
+            Path(heredoc[1]).write_text("\n".join(iter(lines.__next__, "EOF")))
+        elif loop := re.fullmatch(r"for (\w+) in (.+); do (.+); done", line):
+            yield from (loop[3].replace("$" + loop[1], v) for v in loop[2].split())
+        elif line:
+            yield line
+
+
+def test_readme_study_recipes_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Study recipes", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
+    assert len(blocks) == 3
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        for command in _recipe_commands(block):
+            argv = shlex.split(command)
+            assert argv[0] == "diracnlft" and main(argv[1:]) == 0, command
+
+    def data_rows(pattern):  # less the column header
+        return [sum(not line.startswith("#") for line in path.read_text().splitlines()) - 1
+                for path in tmp_path.glob(pattern)]
+
+    assert data_rows("converge.csv") == [32]
+    assert data_rows("resonance.csv") == [402]
+    assert data_rows("kernels-*.csv") == [1] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "diracnlft"
 MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 #: Exported names that may have no caller, each for a stated reason.
 UNCALLED_EXPORTS = {
@@ -132,10 +132,10 @@ def test_every_exported_name_has_a_caller():
     # an export whose only callers are its own tests is a feature nothing
     # uses; it must be referenced by another module of the package (not the
     # __init__ re-export), by another definition in its own module (a result
-    # type, a helper), by the acceptance gate, or by a study or benchmark script
+    # type, a helper), by the acceptance gate, or by a benchmark file
     callers = [p for p in MODULES if p.name != "__init__.py"]
     callers += [ROOT / "tests" / "test_acceptance.py"]
-    callers += SCRIPTS
+    callers += BENCH
     outside = {p: _references(_tree(p)) for p in callers}
     uncalled = []
     for path in MODULES:
@@ -165,9 +165,9 @@ def _public_defs(cls):
 def test_every_public_member_of_an_exported_class_is_read():
     # a method, property or classmethod only tests read is a feature nothing
     # uses; another module of the package, its own module outside the class,
-    # the acceptance gate or a study or benchmark script must read it
+    # the acceptance gate or a benchmark file must read it
     callers = [p for p in MODULES if p.name != "__init__.py"]
-    callers += [ROOT / "tests" / "test_acceptance.py"] + SCRIPTS
+    callers += [ROOT / "tests" / "test_acceptance.py"] + BENCH
     reads = {p: _read_members(_tree(p)) for p in callers}
     unread = []
     for path in MODULES:
@@ -192,9 +192,9 @@ UNREAD_FIELDS = {
 def test_every_field_of_an_exported_class_is_read():
     # a result field nothing reads is state computed for no one; a field is
     # read where it is read as an attribute or named in a string, anywhere in
-    # the package (its own class included), the acceptance gate or a study or
-    # benchmark script
-    readers = MODULES + [ROOT / "tests" / "test_acceptance.py"] + SCRIPTS
+    # the package (its own class included), the acceptance gate or a benchmark
+    # file
+    readers = MODULES + [ROOT / "tests" / "test_acceptance.py"] + BENCH
     reads = set().union(*(_read_members(_tree(p)) for p in readers))
     unread = []
     for path in MODULES:
@@ -238,7 +238,7 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     # a parameter no caller but a test passes is an option with one value in
     # use: it becomes a constant.  Calls are matched by the called name.
     calls = {}
-    for path in [p for p in MODULES if p.name != "__init__.py"] + SCRIPTS:
+    for path in [p for p in MODULES if p.name != "__init__.py"] + BENCH:
         for n in ast.walk(_tree(path)):
             if isinstance(n, ast.Call):
                 f = n.func

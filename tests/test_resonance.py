@@ -24,10 +24,10 @@ from diracnlft.propagator import theta, transfer
 from diracnlft.resonance import (
     Box,
     ResonanceTrack,
-    classify_track,
     find_zeros,
     track_eigenvalue,
     track_resonance,
+    track_rows,
 )
 
 from oracles import dense_box_ring, fd1, oracle_winding
@@ -402,29 +402,23 @@ def _synthetic_track(ts, zs):
     )
 
 
+def _labels(ts, zs):
+    return [row[-1] for row in track_rows(_synthetic_track(ts, zs))]
+
+
 def test_classify_pure_vertical():
     ts = np.linspace(0.0, 1.0, 11)
-    track = _synthetic_track(ts, 1.0 + 1j * (1.0 - 0.3 * ts))
-    segs = classify_track(track)
-    assert len(segs) == 1
-    assert segs[0].label == "V"
-    assert segs[0].t1 == 0.0 and segs[0].t2 == 1.0
+    assert _labels(ts, 1.0 + 1j * (1.0 - 0.3 * ts)) == ["V"] * 11
 
 
 def test_classify_pure_horizontal():
     ts = np.linspace(0.0, 1.0, 11)
-    track = _synthetic_track(ts, ts + 0.5j)
-    segs = classify_track(track)
-    assert len(segs) == 1
-    assert segs[0].label == "H"
+    assert _labels(ts, ts + 0.5j) == ["H"] * 11
 
 
 def test_classify_stationary_dwell_counts_as_vertical():
     ts = np.linspace(0.0, 1.0, 11)
-    track = _synthetic_track(ts, np.full(11, 2.0 + 0.8j))
-    segs = classify_track(track)
-    assert len(segs) == 1
-    assert segs[0].label == "V"
+    assert _labels(ts, np.full(11, 2.0 + 0.8j)) == ["V"] * 11
 
 
 def test_classify_mixed_track_splits():
@@ -432,15 +426,13 @@ def test_classify_mixed_track_splits():
     zs = np.where(ts <= 1.0, 1.0 + 1j * (1.0 - 0.5 * ts), 0.5 * (1.0 - ts) + 0.5j)
     zs = zs + 0j
     zs[ts > 1.0] = 1.0 + 0.5j - 0.5 * (ts[ts > 1.0] - 1.0)
-    track = _synthetic_track(ts, zs)
-    segs = classify_track(track)
-    labels = [s.label for s in segs]
-    assert "V" in labels and "H" in labels
-    # segments tile without overlap, in time order
-    for a, b in zip(segs, segs[1:]):
-        assert a.t2 <= b.t1
+    labels = _labels(ts, zs)
+    # a vertical stretch, then a horizontal one, with at most the hysteresis
+    # band ("") between them
+    assert labels[:10] == ["V"] * 10 and labels[-10:] == ["H"] * 10
+    assert "".join(labels) == "V" * labels.count("V") + "H" * labels.count("H")
 
 
-def test_classify_validation(const_pot):
-    with pytest.raises(PreconditionError):
-        classify_track(_synthetic_track([0.0, 1.0], [1j, 1j]))
+def test_classify_validation():
+    # a track too short for central differences gets no labels, not an error
+    assert _labels([0.0, 1.0], [1j, 1j]) == ["", ""]

@@ -21,14 +21,6 @@ def _random_pot(seed, n=30, h=0.05, amp=1.5):
 # ---------------------------------------------------------------------------
 
 
-def test_moebius_agrees_with_transfer_route():
-    pot = _random_pot(0)
-    for z in (0.7, -3.0, 1.2 + 0.8j, -0.5 + 0.1j):
-        direct = theta(transfer(pot, z))
-        moebius = riccati_evolve_moebius(pot, z, pot.T)
-        assert abs(direct - moebius) < 1e-12
-
-
 def test_moebius_agrees_with_ode_oracle():
     pot = _random_pot(1, n=20)
     for z in (0.4, 1.0 + 0.5j, -2.0 + 0.2j):
