@@ -315,7 +315,11 @@ def cmd_resonances(cfg: dict, meta: dict) -> int:
     rows = []
     if zeros and cfg["t1"] is not None:
         for z0, _ in zeros:
-            rows += track_rows(track_resonance(pot, z0, t, cfg["t1"], cfg["dt"]))
+            track = track_resonance(pot, z0, t, cfg["t1"], cfg["dt"])
+            if track.status != "completed":
+                log.warning("the track of the zero at %s ended as %s at t = %r, before t1 = %r",
+                            z0, track.status, track.samples[-1][0], cfg["t1"])
+            rows += track_rows(track)
     else:
         th = theta(transfer(pot, np.array([z for z, _ in zeros]), t)) if zeros else []
         for (z, tz), thv in zip(zeros, th):

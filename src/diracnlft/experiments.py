@@ -99,9 +99,14 @@ def box_sample_points(s: float, half_width: float, n: int, seed: int = 0) -> np.
     Halton(2, 3) pattern offset by ``seed``; every fourth point is placed
     on the real segment so the a.e.-real statement is probed alongside the
     box-uniform one.  ``n`` runs from 1 to 2**16.
+
+    Raises:
+        ValidationError: ``n`` outside 1..2**16, or ``seed`` not an integer >= 0.
     """
     if not 1 <= n <= _MAX_BOX_SAMPLES:
         raise ValidationError(f"need 1 <= n <= {_MAX_BOX_SAMPLES} box samples, got {n}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     index = np.arange(n) + (1 + seed)
     pts = np.empty(n, dtype=complex)
     pts.real = s + (2.0 * _halton(index, 2) - 1.0) * half_width

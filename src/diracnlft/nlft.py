@@ -125,6 +125,11 @@ def nlft_forward(pot: SampledPotential, T: float | None = None, grid=None) -> Sc
         pot: potential; ``T`` defaults to ``pot.T`` and must satisfy
             ``0 < T <= pot.T``.
         grid: real or complex frequencies (1-d array-like).
+
+    Raises:
+        ValidationError: no ``grid``.
+        RangeError: ``T`` outside ``(0, pot.T]``, or a ``grid`` of two or
+            more dimensions.
     """
     if grid is None:
         raise ValidationError("nlft_forward needs a frequency grid")

@@ -122,9 +122,10 @@ class SampledPotential:
     h: float
     cells: tuple
     T: float = None  # type: ignore[assignment]
-    # the propagator's cell plan of the last interval it covered; no part of
-    # the value (not compared, hashed or printed)
-    _plan: tuple = field(default=None, init=False, repr=False, compare=False)
+    # what cell_cover slices, read-only: cell values and ends, the run of each cell
+    # (a stretch of equal neighbours), run values and run ends; no part of the
+    # value (not compared, hashed or printed)
+    _cover: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.h, (int, float)) and 0 < self.h <= sys.float_info.max):
@@ -150,13 +151,13 @@ class SampledPotential:
                 f"(need {lo} < T <= {hi})"
             )
         object.__setattr__(self, "T", min(T, hi))
-
-    def cell_widths(self) -> np.ndarray:
-        """Width of every cell; the last may be shorter than ``h``."""
-        n = len(self.cells)
-        w = np.full(n, self.h)
-        w[-1] = self.T - (n - 1) * self.h
-        return w
+        # the last end is T, which is (n - 1) * h + (T - (n - 1) * h) exactly
+        qs, ends = np.array(cells), np.append(np.arange(n - 1) * self.h + self.h, self.T)
+        first = np.append(True, qs[1:] != qs[:-1])  # of each run of equal cells
+        arrays = (qs, ends, np.cumsum(first) - 1, qs[first], ends[np.append(first[1:], True)])
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "_cover", arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -220,50 +221,58 @@ def clip_to_support(pot: SampledPotential, t: float, what: str = "t") -> float:
 def cell_cover(pot: SampledPotential, t1: float, t2: float, coalesce: bool = False):
     """Cells of ``pot`` covering ``[t1, t2]``, with partial end widths.
 
+    A slice of the arrays the potential holds: the cells from the one holding
+    ``t1`` to the first that ends at ``min(t2, pot.T)`` (less the slack).
+
     Args:
         pot: the potential.
         t1, t2: interval with ``0 <= t1 <= t2 <= pot.T`` (small slack allowed;
             ``t2`` may exceed ``pot.T``, the overhang is padded with a zero
             cell so propagation beyond the support is exact).
         coalesce: merge adjacent cells with equal values (exact, since equal
-            cells share one generator).
+            cells share one generator): each run of equal cells is one
+            piece, its width the run's end less its start.
 
     Returns:
-        ``(qs, ws)``: float arrays of cell values and widths; ``sum(ws)``
-        equals ``t2 - t1``.  Both empty when ``t2 == t1``.
+        ``(qs, ws)``: float arrays of cell values and widths (``qs`` may be a
+        read-only view); ``sum(ws)`` equals ``t2 - t1``.  Both empty when
+        ``t2 == t1``.
+
+    Raises:
+        RangeError: ``t1 < 0`` or ``t2 < t1`` (beyond the slack), or a NaN bound.
     """
-    if t1 < -_BOUNDARY_RTOL or t2 < t1 - _BOUNDARY_RTOL:
+    if not (t1 >= -_BOUNDARY_RTOL and t2 >= t1 - _BOUNDARY_RTOL):  # NaN fails too
         raise RangeError(f"bad interval [{t1}, {t2}]")
     t1 = max(0.0, t1)
     t2 = max(t1, t2)
-    qs_a, ws_a = np.empty(0), np.empty(0)
-    if t2 > t1:
-        h = pot.h
-        eps = _BOUNDARY_RTOL * max(1.0, t2)
-        lim = min(t2, pot.T)
-        # Cell int(lim / h) ends past lim, so no later cell is reached.
-        j0 = int(math.floor(t1 / h + _BOUNDARY_RTOL))
-        j1 = max(j0, min(len(pot.cells), int(lim / h) + 2))
-        js = np.arange(j0, j1)
-        ends = np.minimum(js * h + pot.cell_widths()[j0:j1], t2)
-        starts = np.concatenate(([t1], ends[:-1]))
-        # Cells are visited up to the first that starts at lim - eps or later.
-        late = starts >= lim - eps
-        n_in = int(np.argmax(late)) if late.any() else len(js)
-        keep = ends[:n_in] > starts[:n_in]
-        qs_a = np.asarray(pot.cells[j0:j0 + n_in], dtype=float)[keep]
-        ws_a = (ends - starts)[:n_in][keep]
-        pos = ends[n_in - 1] if n_in else t1
-        if t2 > pos + eps:  # beyond the support: potential vanishes there
-            qs_a, ws_a = np.append(qs_a, 0.0), np.append(ws_a, t2 - pos)
-    if coalesce and len(qs_a) > 1:
-        keep = np.empty(len(qs_a), dtype=bool)
-        keep[0] = True
-        keep[1:] = qs_a[1:] != qs_a[:-1]
-        group = np.cumsum(keep) - 1
-        ws_a = np.bincount(group, weights=ws_a)
-        qs_a = qs_a[keep]
-    return qs_a, ws_a
+    qs, ends, run, run_qs, run_ends = pot._cover
+    eps = _BOUNDARY_RTOL * max(1.0, t2)
+    lim = min(t2, pot.T) - eps
+    if t1 < lim:
+        j0 = int(math.floor(t1 / pot.h + _BOUNDARY_RTOL))
+        # the last cell is the first from j0 that ends at lim or later; it alone
+        # can end past t2
+        j1 = min(len(qs), max(j0, int(ends.searchsorted(lim))) + 1)
+        pos = min(ends[j1 - 1], t2)
+        if coalesce:  # the runs of cells j0 to j1 - 1, the last cut at cell j1 - 1
+            r0, r1 = run[j0], run[j1 - 1] + 1
+            qs, ends = run_qs[r0:r1], run_ends[r0:r1]
+        else:
+            qs, ends = qs[j0:j1], ends[j0:j1]
+        starts = np.empty_like(ends)
+        starts[0], starts[1:] = t1, ends[:-1]
+        ws = ends - starts
+        ws[-1] = pos - starts[-1]
+        if not ws[0] > 0:  # t1 sits on the end of the first cell
+            qs, ws, starts = qs[1:], ws[1:], starts[1:]
+    else:
+        qs, ws, pos = np.empty(0), np.empty(0), t1
+    if t2 > pos + eps:  # beyond the support: potential vanishes there
+        if coalesce and len(qs) and qs[-1] == 0.0:
+            ws[-1] = t2 - starts[-1]
+        else:
+            qs, ws = np.append(qs, 0.0), np.append(ws, t2 - pos)
+    return qs, ws
 
 
 def _cell_sum(pot: SampledPotential, t1: float, t2: float | None, power: int) -> float:

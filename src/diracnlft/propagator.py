@@ -59,13 +59,11 @@ Sweeps.  For a list of times one running product goes from each time to
 the next (each stretch is covered and chunked on its own), and the drift
 check runs once, on the determinant at the last time.
 
-Cell plans.  A potential keeps the coalesced cover of the last interval it
-was propagated over, read-only, with the largest ``|Im z|`` at which no
-cell of it needs a chunk.  Newton runs, contours and quadrature levels
-repeat one interval, so they pay the cover once; below that bound the cover
-is used as it is, above it it is chunked as it would be afresh.  The plan
-also keeps the cover's sum of ``|q| * width``, which bounds the growth of M.
-One plan per potential, outside its value (not compared, hashed or printed).
+Cell covers.  A potential holds its cell values, cell ends and runs of
+equal neighbours as read-only arrays, built once with it (outside its value:
+not compared, hashed or printed).  Each propagation takes the coalesced
+cover of its interval as a slice of them, then chunks it for the batch's
+largest ``|Im z|``; the cover's sum of ``|q| * width`` bounds the growth of M.
 """
 
 from __future__ import annotations
@@ -82,6 +80,7 @@ from .errors import (
     OverflowRangeError,
     PoleProximityError,
     RangeError,
+    ValidationError,
 )
 from .potential import SampledPotential, cell_cover
 
@@ -295,45 +294,29 @@ def _closed(m, w, order: int):
 # ---------------------------------------------------------------------------
 
 
-def _prepared_cells(pot: SampledPotential, t1: float, t2: float, z: np.ndarray,
+def _prepared_cells(pot: SampledPotential, t1: float, t2: float, im_max: float,
                     grown: float = 0.0):
-    """Cell cover of [t1, t2], coalesced then re-chunked for conditioning, and
-    ``grown`` plus its sum of ``|q| * width`` (refused past ``_GROWTH_LIMIT``).
+    """Cell cover of [t1, t2], coalesced then re-chunked for conditioning at
+    frequencies up to ``|Im z| = im_max``, and ``grown`` plus its sum of
+    ``|q| * width`` (refused past ``_GROWTH_LIMIT``).
 
     Coalescing equal-value neighbours is exact (one generator); chunks are
     capped so |l| * width stays small enough that each per-cell determinant
-    is computed at full precision.  The coalesced cover and its sum come
-    from the potential's cell plan (module docstring).
+    is computed at full precision.
     """
-    plan = pot._plan
-    if plan is None or plan[0] != t1 or plan[1] != t2:
-        qs, ws = cell_cover(pot, t1, t2, coalesce=True)
-        aq = np.abs(qs)
-        with np.errstate(over="ignore"):  # an overflowing sum is refused below
-            mass = float(np.sum(aq * ws))
-            free = float(np.min(_CHUNK_CAP / ws - aq, initial=np.inf)) * (1.0 - 1e-12)
-            if np.any(ws * (aq + free) / _CHUNK_CAP > 1.0):  # the margin did not hold
-                free = -1.0
-        for a in (qs, ws, aq):
-            a.flags.writeable = False
-        plan = (t1, t2, qs, ws, aq, mass, free)
-        object.__setattr__(pot, "_plan", plan)
-    _, _, qs, ws, aq, mass, free = plan
-    grown += mass
+    qs, ws = cell_cover(pot, t1, t2, coalesce=True)
+    aq = np.abs(qs)
+    with np.errstate(over="ignore"):  # matmul warns where it overflows to inf
+        grown += float(aq @ ws)  # refused below
     if not grown <= _GROWTH_LIMIT:
         raise OverflowRangeError(
             f"sum of |q| * width up to t = {t2} is {grown:.3g}, past {_GROWTH_LIMIT:.0f}: "
             "entries of the transfer matrix would overflow float64"
         )
-    if len(qs) == 0:
-        return qs, ws, grown
-    im_max = float(np.abs(np.imag(np.asarray(z, dtype=complex))).max(initial=0.0))
-    if im_max <= free:
-        return qs, ws, grown
-    n = np.maximum(1, np.ceil(ws * (aq + im_max) / _CHUNK_CAP).astype(int))
-    if np.any(n > 1):
-        qs = np.repeat(qs, n)
-        ws = np.repeat(ws / n, n)
+    load = ws * (aq + im_max)
+    if load.max(initial=0.0) > _CHUNK_CAP:  # some cell takes chunks
+        n = np.maximum(1, np.ceil(load / _CHUNK_CAP).astype(int))
+        qs, ws = np.repeat(qs, n), np.repeat(ws / n, n)
     return qs, ws, grown
 
 
@@ -455,8 +438,9 @@ def _advance(z: np.ndarray, jet: np.ndarray, det: np.ndarray, qs, ws):
     return jet.astype(complex, copy=False), det.astype(complex, copy=False)
 
 
-def _check_range(z: np.ndarray, t: float) -> None:
-    # np.maximum and max keep a NaN, and NaN fails every comparison
+def _check_range(z: np.ndarray, t: float) -> float:
+    # returns the largest |Im z|; np.maximum and max keep a NaN, and NaN fails
+    # every comparison
     im = np.abs(z.imag)
     part = np.maximum(np.abs(z.real), im)
     z_max = float(part.max(initial=0.0))
@@ -472,6 +456,7 @@ def _check_range(z: np.ndarray, t: float) -> None:
     if not (t <= _SPAN_LIMIT and z_max * t <= _Z_LIMIT):
         raise RangeError(f"a span of {t:.3g} at |z| up to {z_max:.3g} exceeds "
                          f"span <= {_SPAN_LIMIT:g}, |z| * span <= {_Z_LIMIT:g}")
+    return im_max
 
 
 def _check_drift(det: np.ndarray) -> None:
@@ -505,8 +490,9 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
 
     Raises:
         RangeError: ``order`` outside 0..2, times below ``t1`` or unsorted, a
-            ``z`` not finite or with a part past ``1e150``, or ``t - t1`` past
-            ``1e50`` (or ``|z| (t - t1)`` past ``1e150``).
+            ``z`` of two or more dimensions, not finite or with a part past
+            ``1e150``, or ``t - t1`` past ``1e50`` (or ``|z| (t - t1)`` past
+            ``1e150``).
         OverflowRangeError: ``|Im z| (t - t1)`` exceeds ``WORK_RANGE_LIMIT``,
             or the sum of ``|q| * width`` over ``[t1, t]`` exceeds ~305.
         InvariantViolation: the tracked determinant drifted beyond
@@ -519,7 +505,9 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
     if not all(b >= a for a, b in zip([t1] + ts, ts)):  # NaN fails too
         raise RangeError(f"propagation times must be sorted and >= {t1}, got {t}")
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_range(zs, max(ts, default=t1) - t1)
+    if zs.ndim != 1:
+        raise RangeError(f"z must be a scalar or a 1-d array, got shape {zs.shape}")
+    im_max = _check_range(zs, max(ts, default=t1) - t1)
     lower, neg = zs.imag < 0, zs.real < 0
     mirror = zs.size > 1 and neg.any() and not zs.imag.any()
     fold, inv = (np.unique(np.abs(zs.real) + 1j * np.abs(zs.imag), return_inverse=True)
@@ -528,7 +516,7 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
     jet[0, 0, 0] = jet[0, 1, 1] = 1.0
     det, steps, grown = np.ones(fold.shape, dtype=complex), [], 0.0
     for a, b in zip([t1] + ts, ts):
-        qs, ws, grown = _prepared_cells(pot, a, b, fold, grown)
+        qs, ws, grown = _prepared_cells(pot, a, b, im_max, grown)
         jet, det = _advance(fold, jet, det, qs, ws)
         steps.append((b, jet, det))
     _check_drift(det)
@@ -603,7 +591,13 @@ def theta_derivs(m: Transfer):
     Returns ``(theta, theta_z)`` for order 1 and ``(theta, theta_z,
     theta_zz)`` for order 2.  Uses the exact reduction
     ``theta_z = 2i (A C' - A' C) / E^2``.
+
+    Raises:
+        ValidationError: ``m`` is of order 0.
+        PoleProximityError: as :func:`theta`.
     """
+    if m.order < 1:
+        raise ValidationError(f"theta_derivs needs a transfer of order 1 or 2, got {m.order}")
     A, C, dA, dC = m.A, m.C, m.dA, m.dC
     E, th = _pole_checked(A, C)
     wronsk = A * dC - dA * C

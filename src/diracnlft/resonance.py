@@ -28,7 +28,14 @@ from .errors import (
     ValidationError,
 )
 from .potential import SampledPotential, integral
-from .propagator import _check_range, symmetric_grid, theta, theta_derivs, transfer
+from .propagator import (
+    WORK_RANGE_LIMIT,
+    _check_range,
+    symmetric_grid,
+    theta,
+    theta_derivs,
+    transfer,
+)
 
 __all__ = [
     "ZERO_RESIDUAL_TOL",
@@ -66,6 +73,10 @@ class Box:
 
     ``half_width`` plays the role of C/t in the scaling regime; only the
     part of the square with Im z >= 0 is searched for zeros of theta.
+
+    Raises:
+        ValidationError: ``half_width`` not finite and > 0, ``s`` not finite,
+            or ``grid_n`` not an integer from 8 to 64.
     """
 
     s: float
@@ -77,8 +88,8 @@ class Box:
             raise ValidationError(f"half_width must be finite and > 0, got {self.half_width}")
         if not math.isfinite(self.s):
             raise ValidationError(f"s must be finite, got {self.s}")
-        if not 8 <= self.grid_n <= 64:
-            raise ValidationError(f"grid_n must be from 8 to 64, got {self.grid_n}")
+        if not (isinstance(self.grid_n, (int, np.integer)) and 8 <= self.grid_n <= 64):
+            raise ValidationError(f"grid_n must be an integer from 8 to 64, got {self.grid_n!r}")
 
     @classmethod
     def scaled(cls, s: float, C: float, t: float, grid_n: int = 16) -> "Box":
@@ -166,9 +177,10 @@ def _newton(pot, t, z0, level=None, bounds=None, pre_tol=math.inf):
     step is Newton on ``arg(theta / level)``, whose slope is
     ``Im(theta_z / theta)``.
 
-    The run stops at a residual of 1e-13, ends on a non-finite step or one
-    longer than ``1 + |z|``, and then returns its best iterate if that is
-    within :data:`ZERO_RESIDUAL_TOL` (None otherwise).
+    The run stops at a residual of 1e-13, ends on a non-finite step, one
+    longer than ``1 + |z|`` or one to an iterate past the working range
+    (``|Im z| t > WORK_RANGE_LIMIT``), and then returns its best iterate if
+    that is within :data:`ZERO_RESIDUAL_TOL` (None otherwise).
 
     Raises PreconditionError when the residual at ``z0`` exceeds
     ``pre_tol``, and DerivativeDegenerateError when theta_z (or the
@@ -209,9 +221,10 @@ def _newton(pot, t, z0, level=None, bounds=None, pre_tol=math.inf):
             if abs(slope) < floor:
                 raise DerivativeDegenerateError("level-set slope Im(theta_z/theta) degenerate")
             step = -math.atan2(rot.imag, rot.real) / slope
-        if not np.isfinite(step) or abs(step) > 1.0 + abs(z):
-            break  # wild step: Newton left its basin
-        z = z + step
+        z_next = z + step
+        if not (abs(step) <= 1.0 + abs(z) and abs(z_next.imag) * t <= WORK_RANGE_LIMIT):
+            break  # wild step, or out of the working range: Newton left its basin
+        z = z_next
     if best is not None and best[2] <= ZERO_RESIDUAL_TOL:
         return best
     return None

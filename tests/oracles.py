@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from diracnlft.debranges import _sinc
-from diracnlft.potential import SampledPotential, cell_cover
+from diracnlft.potential import SampledPotential
 from diracnlft.propagator import transfer
 
 
@@ -97,18 +97,27 @@ def free_rotation(t: float, z: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def cell_cover_by_hand(pot: SampledPotential, t1: float, t2: float):
+def cell_cover_by_hand(pot: SampledPotential, t1: float, t2: float, coalesce: bool = False):
     """Cells covering [t1, t2] by walking the grid one cell at a time.
 
     Each width is ``min(cell_end, t2) - previous end``; zero-width pieces are
-    dropped and an overhang past the support becomes one zero cell.  Same
-    1e-9 boundary slack as the package.
+    dropped and an overhang past the support becomes one zero cell.  With
+    ``coalesce``, a piece of the value of the one before extends it: the
+    merged width is its last end less its first start.  Same 1e-9 boundary
+    slack as the package.
     """
     rtol = 1e-9
     t1 = max(0.0, t1)
     t2 = max(t1, t2)
     h, n = pot.h, len(pot.cells)
-    qs, ws = [], []
+    pieces = []  # [value, start, end]
+
+    def add(q, start, end):
+        if coalesce and pieces and pieces[-1][0] == q:
+            pieces[-1][2] = end
+        else:
+            pieces.append([q, start, end])
+
     if t2 > t1:
         eps = rtol * max(1.0, t2)
         j = int(np.floor(t1 / h + rtol))
@@ -117,13 +126,13 @@ def cell_cover_by_hand(pot: SampledPotential, t1: float, t2: float):
             width = h if j < n - 1 else pot.T - (n - 1) * h
             nxt = min(j * h + width, t2)
             if nxt > pos:
-                qs.append(pot.cells[j])
-                ws.append(nxt - pos)
+                add(pot.cells[j], pos, nxt)
             pos = nxt
             j += 1
         if t2 > pos + eps:
-            qs.append(0.0)
-            ws.append(t2 - pos)
+            add(0.0, pos, t2)
+    qs = [q for q, _, _ in pieces]
+    ws = [end - start for _, start, end in pieces]
     return np.asarray(qs, dtype=float), np.asarray(ws, dtype=float)
 
 
@@ -226,18 +235,15 @@ def hilbert_pair_lorentzian(x: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# propagated cells, built afresh on every call
+# propagated cells from the cover walked by hand
 # ---------------------------------------------------------------------------
 
 
-def prepared_cells_afresh(pot: SampledPotential, t1: float, t2: float, z, cap: float):
-    """The coalesced cover of [t1, t2], each cell cut into
-    ``ceil(w (|q| + max |Im z|) / cap)`` equal chunks, with nothing kept
-    between calls."""
-    qs, ws = cell_cover(pot, t1, t2, coalesce=True)
-    if len(qs) == 0:
-        return qs, ws
-    im_max = float(np.max(np.abs(np.imag(np.asarray(z, dtype=complex)))))
+def prepared_cells_afresh(pot: SampledPotential, t1: float, t2: float, im_max: float,
+                          cap: float):
+    """The coalesced cover of [t1, t2] walked by hand, each cell cut into
+    ``ceil(w (|q| + im_max) / cap)`` equal chunks."""
+    qs, ws = cell_cover_by_hand(pot, t1, t2, coalesce=True)
     n = np.maximum(1, np.ceil(ws * (np.abs(qs) + im_max) / cap).astype(int))
     return np.repeat(qs, n), np.repeat(ws / n, n)
 

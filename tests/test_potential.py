@@ -1,8 +1,10 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracnlft.errors import RangeError, ValidationError
@@ -18,6 +20,7 @@ from diracnlft.potential import (
     l2_norm_sq,
     load_potential,
     potential_from_dict,
+    potential_to_dict,
     restrict,
     sample,
     save_potential,
@@ -73,7 +76,7 @@ def test_partial_final_cell_midpoint():
     pot = sample(spec, h=0.4, T=1.0)  # cells at [0,.4),[.4,.8),[.8,1.0)
     assert len(pot.cells) == 3
     assert pot.T == 1.0
-    assert np.isclose(pot.cell_widths().sum(), 1.0)
+    assert np.isclose(cell_cover(pot, 0.0, pot.T)[1].sum(), 1.0)
 
 
 @pytest.mark.parametrize("h,T", [(0.1, float("inf")), (float("inf"), float("inf")),
@@ -190,8 +193,10 @@ def _cover_case(draw):
     h = draw(st.sampled_from([0.01, 0.05, 0.13, 0.1, 1.0 / 3.0, 2.5]))
     n = draw(st.integers(1, 40))
     last = draw(st.sampled_from([1.0, 0.5, 1e-6, 0.999999999]))
-    pot = SampledPotential(h=h, cells=tuple(np.round(np.sin(np.arange(n) * 1.7), 1)),
-                           T=(n - 1 + last) * h)
+    rate = draw(st.sampled_from([1.7, 0.05]))  # 0.05: runs of equal neighbours
+    cells = np.round(np.sin(np.arange(n) * rate), 1)
+    cells[n - draw(st.integers(0, 3)):] = 0.0  # a trailing zero run, at times
+    pot = SampledPotential(h=h, cells=tuple(cells), T=(n - 1 + last) * h)
     time = st.one_of(
         st.floats(0.0, 1.3 * pot.T),
         st.builds(lambda k, f: k * h * f, st.integers(0, n + 2),
@@ -209,6 +214,49 @@ def test_cover_matches_per_cell_walk(case):
     qs, ws = cell_cover(pot, t1, t2)
     ref_q, ref_w = cell_cover_by_hand(pot, t1, t2)
     assert np.array_equal(qs, ref_q) and np.array_equal(ws, ref_w)
+
+
+@given(case=_cover_case())
+@settings(max_examples=300, deadline=None)
+# t1 a hair before a cell edge: the cover is a sliver of the next cell, -0.4
+@example(case=(SampledPotential(h=0.1, cells=(1.0, -0.4, -0.4, 2.0)), 0.0999999999999,
+               0.100000001))
+def test_coalesced_cover_is_the_walk_merged_by_runs(case):
+    # each run of equal cells is one piece, its width the run's end less its start
+    pot, t1, t2 = case
+    qs, ws = cell_cover(pot, t1, t2, coalesce=True)
+    ref_q, ref_w = cell_cover_by_hand(pot, t1, t2, coalesce=True)
+    assert np.array_equal(qs, ref_q) and np.array_equal(ws, ref_w)
+
+
+def test_cover_arrays_are_read_only_and_no_part_of_the_value():
+    one, twin = (SampledPotential(h=0.25, cells=(0.0, 1.1, 1.1, -0.4), T=0.9) for _ in range(2))
+    for a in one._cover:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    object.__setattr__(twin, "_cover", None)  # arrays differ, the value does not
+    assert one == twin and hash(one) == hash(twin) and repr(one) == repr(twin)
+    assert "_cover" not in repr(one)
+    assert potential_to_dict(one) == {"h": 0.25, "cells": [0.0, 1.1, 1.1, -0.4], "T": 0.9}
+    shorter = dataclasses.replace(one, T=0.8)
+    fresh = SampledPotential(h=0.25, cells=(0.0, 1.1, 1.1, -0.4), T=0.8)
+    assert shorter._cover is not one._cover
+    for got, ref in zip(shorter._cover, fresh._cover, strict=True):
+        np.testing.assert_array_equal(got, ref)
+    assert shorter._cover[1][-1] == 0.8
+    SampledPotential(h=1e308, cells=(1.0, 2.0), T=1.5e308)  # ends near the float range
+
+
+@pytest.mark.parametrize("call", [
+    lambda pot: cell_cover(pot, math.nan, 0.3),
+    lambda pot: l2_norm_sq(pot, math.nan),
+    lambda pot: integral(pot, 0.0, math.nan),
+], ids=["cell_cover", "l2_norm_sq", "integral"])
+def test_nan_interval_bounds_are_a_range_error(call):
+    # the covers of these held cells (or none), and the sums read 0.05 and 0.0
+    with pytest.raises(RangeError, match="bad interval"):
+        call(SampledPotential(h=0.1, cells=(0.5,) * 10))
 
 
 def test_integrals_exact_cell_arithmetic():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import threading
@@ -10,17 +9,19 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracnlft import propagator, resonance
+from diracnlft import resonance
 from diracnlft.errors import (
     DiracNLFTError,
     InvariantViolation,
     OverflowRangeError,
     PoleProximityError,
     RangeError,
+    ValidationError,
 )
 from diracnlft.debranges import kernel_probe
+from diracnlft.experiments import box_sample_points
 from diracnlft.nlft import nlft_forward
-from diracnlft.potential import SampledPotential, potential_to_dict
+from diracnlft.potential import SampledPotential
 from diracnlft.resonance import Box, find_zeros
 from diracnlft.propagator import (
     _CHUNK_CAP,
@@ -355,10 +356,14 @@ def test_derivative_order_validation():
 # ---------------------------------------------------------------------------
 
 
+def _im_max(z):
+    return float(np.abs(np.imag(z)).max(initial=0.0))
+
+
 def _sequential(pot, z, t, order, eps=0.0, t1=0.0):
     """Jet and tracked det of M(t, z) on [t1, t] multiplying the same cells one
     at a time (``eps``: the corruption hook's skew)."""
-    qs, ws, _ = _prepared_cells(pot, t1, t, z)
+    qs, ws, _ = _prepared_cells(pot, t1, t, _im_max(z))
     jet = np.zeros((order + 1, 2, 2, z.size), dtype=complex)
     jet[0, 0, 0] = jet[0, 1, 1] = 1.0
     det = np.ones(z.size, dtype=complex)
@@ -441,7 +446,7 @@ def test_tree_spans_several_blocks():
     n = _TREE_BUDGET + 905  # one full block of cells at nz = 1, then a partial one
     pot = SampledPotential(h=0.002, cells=tuple(rng.uniform(-1.0, 1.0, n)))
     z = np.array([1.3 + 0.2j])
-    assert len(_prepared_cells(pot, 0.0, pot.T, z)[0]) > _TREE_BUDGET
+    assert len(_prepared_cells(pot, 0.0, pot.T, _im_max(z))[0]) > _TREE_BUDGET
     for order in (0, 1, 2):
         ref_jet, ref_det = _sequential(pot, z, pot.T, order)
         jet, det = _propagated(pot, z, pot.T, order)
@@ -516,10 +521,27 @@ def test_non_finite_or_huge_frequency_is_refused_by_value(z):
         transfer(pot, np.array([0.5, z, 2.0]), 1.0)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda pot: transfer(pot, np.ones((2, 3))), RangeError),
+    (lambda pot: nlft_forward(pot, grid=np.ones((2, 3))), RangeError),
+    (lambda pot: theta_derivs(transfer(pot, 0.5 + 0.1j)), ValidationError),
+    (lambda pot: resonance.Box(0.0, 1.0, grid_n=8.5), ValidationError),
+    (lambda pot: box_sample_points(0.0, 1.0, 6, seed=-5), ValidationError),
+], ids=["transfer_2d_z", "nlft_forward_2d_grid", "theta_derivs_order_0", "box_grid_n_8.5",
+        "box_samples_negative_seed"])
+def test_library_inputs_the_cli_never_passes_are_refused(call, error):
+    # a numpy broadcast ValueError, a TypeError, an accepted grid_n that
+    # find_zeros failed on, and samples on a corner before
+    with pytest.raises(error):
+        call(SampledPotential(h=0.1, cells=(1.0, -0.5, 0.25)))
+
+
 def test_growth_past_the_float_range_is_refused():
     # A = nan with only RuntimeWarnings before; det_tracked stayed 1
     with pytest.raises(OverflowRangeError, match="is 800, past 305"):
         transfer(SampledPotential(h=0.5, cells=(800.0, 800.0)), 0.5, 1.0)
+    with pytest.raises(OverflowRangeError, match="is inf"):  # a sum past the float range
+        transfer(SampledPotential(h=1.0, cells=(1e308,) * 40), 0.5, 40.0)
     # a sweep sums over its stretches: each adds 100, three pass and four do not
     pot = SampledPotential(h=0.5, cells=(100.0,) * 8)
     assert len(transfer(pot, 0.5, [1.0, 2.0, 3.0])) == 3
@@ -677,7 +699,8 @@ def test_real_batch_matches_complex_path(n, order):
         z = rng.uniform(-8.0, 8.0, nz)
         z[:2] = (q0, -q0)[:nz]  # m = 0 exactly in the first cell
         mixed = np.append(z, 0.5 + 0.05j)  # one non-real z: the complex path
-        for a, b in zip(_prepared_cells(pot, 0.0, t, z), _prepared_cells(pot, 0.0, t, mixed)):
+        for a, b in zip(_prepared_cells(pot, 0.0, t, _im_max(z)),
+                        _prepared_cells(pot, 0.0, t, _im_max(mixed))):
             np.testing.assert_array_equal(a, b)  # same cells: only the arithmetic differs
         jet, det = _propagated(pot, z, t, order)
         ref_jet, ref_det = _propagated(pot, mixed, t, order)
@@ -823,11 +846,11 @@ def test_theta_derivatives_match_fd():
 
 
 # ---------------------------------------------------------------------------
-# cell plans: the potential keeps the cover of its last interval
+# cell covers: slices of the arrays built with the potential
 # ---------------------------------------------------------------------------
 
 
-def _plan_pot(seed, h=0.25, n=12):
+def _runs_pot(seed, h=0.25, n=12):
     """Rough cells from few values, so neighbours coalesce.  At h = 0.25 a
     lone 9.0 cell chunks from |Im z| = 1 on, two coalesced ones at any z."""
     rng = np.random.default_rng(seed)
@@ -838,7 +861,7 @@ def _chunk_edge(pot, t1, t2):
     """Smallest |Im z| >= 0 at which chunking afresh cuts some cell of the
     cover of [t1, t2] (bisection over the float64 bit patterns)."""
     qs, ws = prepared_cells_afresh(pot, t1, t2, 0.0, _CHUNK_CAP)
-    cuts = lambda im: len(prepared_cells_afresh(pot, t1, t2, 1j * im, _CHUNK_CAP)[0]) > len(qs)
+    cuts = lambda im: len(prepared_cells_afresh(pot, t1, t2, im, _CHUNK_CAP)[0]) > len(qs)
     if not len(qs) or cuts(0.0):
         return 0.0
     lo, hi = 0, int(np.float64(2.0 * _CHUNK_CAP / ws.max()).view(np.int64))
@@ -849,27 +872,25 @@ def _chunk_edge(pot, t1, t2):
 
 
 @given(seed=st.integers(0, 10_000), span=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.3)),
-       where=st.sampled_from(["ulp_below", "at", "ulp_above", "below", "far", "real"]))
+       where=st.sampled_from(["ulp_below", "at", "ulp_above", "random", "far", "real"]))
 @example(seed=0, span=(0.0, 1.0), where="at")
 @settings(max_examples=300, deadline=None)
-def test_warm_plan_matches_cover_chunked_afresh(seed, span, where):
+def test_prepared_cells_equal_the_cover_chunked_afresh(seed, span, where):
     rng = np.random.default_rng(seed)
     values = [0.0, *rng.uniform(-9.0, 9.0, 3)]
     pot = SampledPotential(h=float(rng.uniform(0.05, 0.6)),
                            cells=tuple(rng.choice(values, int(rng.integers(1, 30)))))
     t1, t2 = sorted(u * pot.T for u in span)
-    _prepared_cells(pot, 0.0, pot.T * 0.5, 0.0)  # a plan for another interval first
-    _prepared_cells(pot, t1, t2, 0.0)  # the plan read below
     edge = _chunk_edge(pot, t1, t2)
     im = {"ulp_below": np.nextafter(edge, -1.0), "at": edge,
-          "ulp_above": np.nextafter(edge, 2 * edge), "below": edge * (1 - 1e-12),
+          "ulp_above": np.nextafter(edge, 2 * edge), "random": rng.uniform(0.0, 3.0 * edge + 1.0),
           "far": 3.0 * edge + 1.0, "real": 0.0}[where]
-    for im in (im, pot._plan[-1]):  # and the plan's own no-chunk bound
-        z = np.array([0.3 + 1j * max(im, 0.0), -1.2 - 0.5j * max(im, 0.0)])
-        for got, ref in zip(_prepared_cells(pot, t1, t2, z),
-                            prepared_cells_afresh(pot, t1, t2, z, _CHUNK_CAP)):
-            np.testing.assert_array_equal(got, ref)
-            assert got.dtype == ref.dtype
+    im = max(float(im), 0.0)
+    qs, ws, grown = _prepared_cells(pot, t1, t2, im, 1.5)
+    for got, ref in zip((qs, ws), prepared_cells_afresh(pot, t1, t2, im, _CHUNK_CAP)):
+        np.testing.assert_array_equal(got, ref)
+        assert got.dtype == ref.dtype
+    assert grown == pytest.approx(1.5 + float(np.abs(qs) @ ws), rel=1e-14)
 
 
 def _fresh(pot):
@@ -885,8 +906,10 @@ def _fresh(pot):
 @pytest.mark.parametrize("t, t1", [(None, 0.0), ([0.8, 1.9, 3.0], 0.0), (2.6, 0.55)],
                          ids=["whole", "sweep", "sub_interval"])
 def test_transfer_on_a_warm_plan_equals_a_fresh_potential(order, z, t, t1):
-    warm = _plan_pot(6)  # no chunk below |Im z| = 1
-    for other in (0.2 + 0.1j, z):  # warm with another z, then with this one
+    # "warm": a potential that earlier calls propagated, at another z and at this
+    # one; a potential keeps no plan of its intervals, so they leave no trace
+    warm = _runs_pot(6)  # no chunk below |Im z| = 1
+    for other in (0.2 + 0.1j, z):
         transfer(warm, other, t, order=order, t1=t1)
     got = transfer(warm, z, t, order=order, t1=t1)
     ref = transfer(_fresh(warm), z, t, order=order, t1=t1)
@@ -896,9 +919,9 @@ def test_transfer_on_a_warm_plan_equals_a_fresh_potential(order, z, t, t1):
 
 
 def test_threads_sharing_a_potential_get_the_serial_bits():
-    # each thread swaps the shared plan for its own interval; none may read
-    # another's cover, and a plan lost to a race is only rebuilt
-    pot = _fresh(_plan_pot(6))
+    # a potential holds no state that changes, so threads sharing one get the
+    # bits of a serial run on a fresh potential
+    pot = _fresh(_runs_pot(6))
     cases = [(t, z) for t in (1.0, 2.0, pot.T) for z in (0.4 + 0.3j, 0.5 + 2.0j)]
     ref = {c: transfer(_fresh(pot), c[1], c[0], order=1).jet for c in cases}
     start = threading.Barrier(6, timeout=30)
@@ -916,44 +939,3 @@ def test_threads_sharing_a_potential_get_the_serial_bits():
             assert all(f.result(timeout=60) for f in futures)
     finally:
         sys.setswitchinterval(old)
-
-
-def test_newton_run_builds_one_cover(monkeypatch):
-    pot = _fresh(_plan_pot(3, h=0.05, n=40))
-    t = pot.T
-    z = resonance.find_zeros(pot, t, resonance.Box(1.5, 3.0))[0][0]
-    covers, evals, cover, propagate = [], [], propagator.cell_cover, resonance.transfer
-    monkeypatch.setattr(propagator, "cell_cover",
-                        lambda *a, **k: covers.append(a) or cover(*a, **k))
-    monkeypatch.setattr(resonance, "transfer",
-                        lambda *a, **k: evals.append(a) or propagate(*a, **k))
-    pot = _fresh(pot)
-    z_newton, _, res = resonance._newton(pot, t, z + 0.05 - 0.02j)
-    assert abs(z_newton - z) < 1e-10 and res < 1e-10
-    assert len(evals) >= 3  # several propagations, one cover
-    assert len(covers) == 1
-
-
-def test_potential_keeps_one_plan():
-    pot = _fresh(_plan_pot(5))
-    for k in range(1, 101):
-        transfer(pot, 0.7 + 0.1j, k * pot.T / 100)
-    assert set(vars(pot)) == {"h", "cells", "T", "_plan"}
-    t1, t2, *arrays = pot._plan
-    assert (t1, t2) == (0.0, pot.T)
-    for a in (x for x in arrays if isinstance(x, np.ndarray)):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[...] = 0.0
-
-
-def test_plan_is_no_part_of_the_value():
-    pot, twin = _fresh(_plan_pot(6)), _fresh(_plan_pot(6))
-    before = (repr(pot), hash(pot), potential_to_dict(pot))
-    transfer(pot, 0.3 + 0.2j)
-    assert pot._plan is not None and twin._plan is None
-    assert pot == twin and hash(pot) == hash(twin)
-    assert (repr(pot), hash(pot), potential_to_dict(pot)) == before == (
-        repr(twin), hash(twin), potential_to_dict(twin))
-    assert "_plan" not in repr(pot)
-    assert dataclasses.replace(pot)._plan is None

@@ -311,6 +311,42 @@ def test_track_crosses_the_support_end():
     assert len(after) == 5 and np.max(np.abs(after - after[0])) <= 1e-12
 
 
+# the first 38 cells of a rough benchmark potential: from t = 1.784 the corrector
+# at t = 1.844 starts far from the zero, and its iterates wandered to
+# |Im z| t = 100, where transfer refused them
+_WANDER_CELLS = (
+    0.3036306807082271, 0.4965843889085308, -0.11816102762850984, 0.5044224007733781,
+    -0.33808655166878615, -0.6190603445837447, -0.7244456653266226, 0.13909863264586692,
+    -0.7209606600553908, 0.12383865282677166, -0.6448376498803781, 0.4653182722709117,
+    0.6746137325910927, -0.593392076134009, 0.029683456367131517, 0.6088012660642144,
+    -0.2453920026221889, 0.4505441530346933, -0.6980438302113953, -0.40095740987528716,
+    0.07276981037466684, 0.43117405971350525, -0.03787350139855073, 0.37688396846167516,
+    -0.4130977863779891, 0.4107569346417302, 0.00010167478457524478, 0.26235742792517935,
+    0.03870295475705162, -0.6564264399369009, 0.6371910831234019, -0.36727449119505734,
+    0.23649666800788802, -0.043080902956771173, 0.3970299999718746, -0.5460938116324623,
+    0.7767342284700878, 0.2545342456300895,
+)
+
+
+def test_a_corrector_past_the_working_range_ends_the_track(tmp_path, caplog):
+    pot = SampledPotential(h=0.05, cells=_WANDER_CELLS)
+    t = 1.7838553208423984
+    box = Box.scaled(-1.0425030932742252, 2.8782620739348572, t)
+    (z0, _), = find_zeros(pot, t, box)
+    track = track_resonance(pot, z0, t, t + 0.1, 0.02)
+    assert track.status == "newton_diverged" and len(track.samples) == 3
+    # the CLI writes the partial track and names its ending on stderr only
+    (tmp_path / "pot.json").write_text(json.dumps({"h": 0.05, "cells": list(_WANDER_CELLS)}))
+    cfg = {"potential": str(tmp_path / "pot.json"), "t": t, "t1": t + 0.1, "dt": 0.02,
+           "s": box.s, "C": 2.8782620739348572}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "resonance.csv"
+    assert main(["resonances", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    assert len([l for l in out.read_text().splitlines() if l[:1].isdigit()]) == 3
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "newton_diverged at t = 1.82385532084239" in caplog.text
+
+
 def test_track_start_is_one_propagation(monkeypatch):
     # the pre_tol check reads Newton's first residual: one transfer at (z0, t0)
     pot = sample(PotentialSpec(family="constant", params={"q": 1.0}), h=0.05, T=4.0)
