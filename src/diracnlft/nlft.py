@@ -168,8 +168,10 @@ def parseval_check(
     """Verify (2/pi) * integral log|a_{t1->T}| dx = ||f||^2_{L2(t1,T)}.
 
     Symmetric trapezoid quadrature; the step is halved until the integral is
-    stable, then the half-width is doubled (adding wing integrals exactly)
-    until the last tail contribution falls under ``tol * rhs``.
+    stable (each level propagates one grid and compares its trapezoid with the
+    one over its even nodes), then the half-width is doubled (adding wing
+    integrals exactly) until the last tail contribution falls under
+    ``tol * rhs``.
 
     Raises:
         QuadratureError: level budget exhausted, or the next batch would pass
@@ -200,20 +202,22 @@ def parseval_check(
             )
         return n
 
-    def core(dx: float) -> float:
+    def core(dx: float) -> tuple[float, float]:
+        """Trapezoids over all nodes and over the even nodes (the grid at step
+        ``2 dx``, bit for bit, when the node counts are n and 2n - 1)."""
         xs = symmetric_grid(X, nodes(2.0 * X, dx))
-        return float(_trapz(interval_scattering_grid(pot, t1, T, xs).log_abs_a, xs))
+        la = interval_scattering_grid(pot, t1, T, xs).log_abs_a
+        return float(_trapz(la, xs)), float(_trapz(la[::2], xs[::2]))
 
     X, levels, cur = _PARSEVAL_X0, 0, math.nan
     dx = min(0.05, 0.25 / max(width, 1.0))
-    cur, levels = core(dx), 1
-    # step refinement on the core domain
+    # step refinement on the core domain; the first level (step dx) is the
+    # even-node trapezoid of the second, and counts as a level
     while levels < _PARSEVAL_MAX_LEVELS:
-        nxt = core(dx / 2.0)
-        levels += 1
-        stable = abs(nxt - cur) <= tol * scale / 8.0
-        cur, dx = nxt, dx / 2.0
-        if stable:
+        dx /= 2.0
+        cur, coarse = core(dx)
+        levels = max(levels, 1) + 1
+        if abs(cur - coarse) <= tol * scale / 8.0:
             break
     else:
         raise QuadratureError(

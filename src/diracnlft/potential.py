@@ -144,6 +144,8 @@ class SampledPotential:
         n = len(cells)
         hi = n * self.h
         lo = (n - 1) * self.h
+        if not math.isfinite(T):  # n * h may overflow, and then T = inf passes below
+            raise ValidationError(f"support end T={T} is not finite ({n} cells of width {self.h})")
         slack = _BOUNDARY_RTOL * max(1.0, hi)
         if not (lo < T <= hi + slack):
             raise ValidationError(

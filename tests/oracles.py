@@ -14,6 +14,8 @@ evaluation of them.  The full-matrix kernel assembly (``kernel_matrix_full``,
 elementwise ``_sinc``: it pins how the matrices are assembled, which the
 package does over the upper triangle in row blocks.  The box sample laid
 out one point at a time is the reference for the package's digit passes.
+The Parseval quadrature that propagates each refinement level's grid by
+itself is the reference for the package's one propagation per level.
 """
 
 from __future__ import annotations
@@ -369,3 +371,61 @@ def box_sample_points_by_loop(s: float, half_width: float, n: int, seed: int = 0
         re = s + (2.0 * u - 1.0) * half_width
         pts[k] = re if k % 4 == 0 else re + 1j * v * half_width
     return pts
+
+
+# ---------------------------------------------------------------------------
+# Parseval quadrature with the coarse grid propagated by itself
+# ---------------------------------------------------------------------------
+
+
+def parseval_two_grid(pot: SampledPotential, T: float | None = None, tol: float = 1e-2,
+                      t1: float = 0.0):
+    """``parseval_check`` with every step level propagated on its own grid:
+    the first level at step dx0, then dx0/2, dx0/4, ... each compared with the
+    previous level's integral.  The wing loop, the node counts and the report
+    are the package's."""
+    from diracnlft import nlft
+    from diracnlft.errors import QuadratureError
+    from diracnlft.potential import clip_to_support, l2_norm_sq
+    from diracnlft.propagator import symmetric_grid
+
+    T = clip_to_support(pot, float(pot.T if T is None else T), "T")
+    rhs = l2_norm_sq(pot, t1, T)
+    scale = max(rhs, 1e-12)
+    cap = nlft._PARSEVAL_MAX_NODES
+
+    def nodes(span: float, dx: float, batch: int = 1) -> int:
+        n = max(3, int(round(min(span / dx, cap))) + 1)
+        n += 1 - n % 2
+        if batch * n > cap:
+            raise QuadratureError("node budget", report=nlft._report(cur, rhs, X, levels))
+        return n
+
+    def core(dx: float) -> float:
+        xs = symmetric_grid(X, nodes(2.0 * X, dx))
+        return float(nlft._trapz(nlft.interval_scattering_grid(pot, t1, T, xs).log_abs_a, xs))
+
+    X, levels, cur = nlft._PARSEVAL_X0, 0, math.nan
+    dx = min(0.05, 0.25 / max(T - t1, 1.0))
+    cur, levels = core(dx), 1
+    while levels < nlft._PARSEVAL_MAX_LEVELS:
+        nxt = core(dx / 2.0)
+        levels += 1
+        stable = abs(nxt - cur) <= tol * scale / 8.0
+        cur, dx = nxt, dx / 2.0
+        if stable:
+            break
+    else:
+        raise QuadratureError("step refinement", report=nlft._report(cur, rhs, X, levels))
+    while levels < nlft._PARSEVAL_MAX_LEVELS:
+        wing = np.linspace(X, 2.0 * X, nodes(X, dx, batch=2))
+        la = nlft.interval_scattering_grid(
+            pot, t1, T, np.concatenate([-wing[::-1], wing])).log_abs_a
+        tail = float(nlft._trapz(la[:wing.size], -wing[::-1])) + float(
+            nlft._trapz(la[wing.size:], wing))
+        levels += 1
+        cur += tail
+        X *= 2.0
+        if abs(tail) < 0.25 * tol * scale:
+            return nlft._report(cur, rhs, X, levels)
+    raise QuadratureError("domain doubling", report=nlft._report(cur, rhs, X, levels))

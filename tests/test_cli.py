@@ -340,6 +340,15 @@ def test_transform_reruns_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_parseval_reruns_are_byte_identical(tmp_path, fmt):
+    cfg = _write_cfg(tmp_path, "c.json", dict(BOX_CFG, format=fmt))
+    out1, out2 = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+    assert main(["parseval", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["parseval", "--config", cfg, "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_one_parser_serves_every_run(tmp_path, capsys):
     # in-process callers run main once per job: the parser is built once,
     # and a usage error or other flags leave no trace in later runs

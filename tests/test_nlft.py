@@ -23,7 +23,7 @@ from diracnlft.nlft import (
 )
 from diracnlft.potential import SampledPotential, l2_norm_sq
 
-from oracles import diagonal_closed_form, hilbert_pair_lorentzian
+from oracles import diagonal_closed_form, hilbert_pair_lorentzian, parseval_two_grid
 
 
 def _random_pot(seed, n=40, h=0.05, amp=1.5):
@@ -177,6 +177,68 @@ def test_parseval_refuses_a_batch_past_the_node_budget():
     rep = exc_info.value.report
     assert rep.refinement_levels == 0 and math.isnan(rep.lhs)
     assert rep.rhs == pytest.approx(0.5)
+
+
+def _sin2_bump(L, mass=0.6, h=0.02):
+    """The benchmark's Parseval potential: a sin^2 bump of length L and mass ||f||^2."""
+    n = round(L / h)
+    mids = (np.arange(n) + 0.5) * h
+    amp = math.sqrt(8.0 * mass / (3.0 * L))
+    return SampledPotential(h=h, cells=tuple(amp * np.sin(np.pi * mids / L) ** 2), T=n * h)
+
+
+def _record_batches(monkeypatch):
+    import diracnlft.nlft as nlft_mod
+
+    sizes, inner = [], nlft_mod.interval_scattering_grid
+
+    def recorded(pot, t1, t2, grid):
+        sizes.append(np.size(grid))
+        return inner(pot, t1, t2, grid)
+
+    monkeypatch.setattr(nlft_mod, "interval_scattering_grid", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("case", ["sin2_L1", "sin2_L2.3", "sin2_L3", "box", "zero", "wide"])
+def test_parseval_equals_the_two_grid_quadrature(case, bump_pot, free_pot, monkeypatch):
+    # each step level is one propagation: the first level's integral is the
+    # trapezoid over the second level's even nodes, so the report keeps every
+    # bit of the quadrature that propagated the first grid by itself
+    if case.startswith("sin2"):
+        pot, kw = _sin2_bump(float(case[6:])), {}
+    elif case == "box":
+        pot, kw = bump_pot, {"T": 1.0}
+    elif case == "zero":
+        pot, kw = free_pot, {"T": 2.0}
+    else:
+        # width 5.6027 > 5: the step starts at 0.25 / width, and the second
+        # level holds 2n + 1 nodes where the first holds n, not 2n - 1
+        pot = _random_pot(20, n=120, h=0.05, amp=0.3)
+        kw = {"T": 0.35 + 1434.3 / 256.0, "t1": 0.35}
+    sizes = _record_batches(monkeypatch)
+    want = parseval_two_grid(pot, **kw)
+    old = list(sizes)
+    sizes.clear()
+    assert parseval_check(pot, **kw) == want
+    # the same batches, less the first level's
+    assert sizes == old[1:] and old[0] not in sizes
+    if case == "wide":
+        assert old[1] == 2 * old[0] + 1
+
+
+def test_parseval_refuses_a_fine_grid_past_the_budget_before_any_propagation(monkeypatch):
+    # a potential 3000 wide starts at a step of 0.25 / 3000: the first level's
+    # grid (768 001 nodes) fits the budget, the second (1 536 001) does not;
+    # the first level is the second's even nodes, so nothing is propagated
+    pot = SampledPotential(h=3000.0, cells=(0.01,))
+    sizes = _record_batches(monkeypatch)
+    with pytest.raises(QuadratureError, match="budget of 1048576 nodes") as exc_info:
+        parseval_check(pot)
+    rep = exc_info.value.report
+    assert rep.refinement_levels == 0 and math.isnan(rep.lhs) and math.isnan(rep.raw_integral)
+    assert rep.rhs == pytest.approx(0.3)
+    assert sizes == []
 
 
 def test_parseval_validation():

@@ -120,6 +120,11 @@ def test_horizon_validation():
     with pytest.raises(ValidationError):
         SampledPotential(h=0.1, cells=(1.0, 1.0), T=0.30001)  # T > n h
     SampledPotential(h=0.1, cells=(1.0, 1.0), T=0.15)
+    # n h overflows to inf, and lo < T <= n h let T == inf through
+    for T in (None, math.inf):
+        with pytest.raises(ValidationError, match="not finite"):
+            SampledPotential(h=1e308, cells=(1.0, 2.0), T=T)
+    assert SampledPotential(h=1e308, cells=(1.0,)).T == 1e308
 
 
 def test_restrict_composes():

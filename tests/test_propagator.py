@@ -34,6 +34,7 @@ from diracnlft.propagator import (
     _prepared_cells,
     corrupted_propagator,
     hermite_biehler,
+    symmetric_grid,
     theta,
     theta_derivs,
     transfer,
@@ -582,6 +583,20 @@ def test_empty_batch_gives_an_empty_transfer(order):
 # symmetries: M(conj z) = conj M(z) and M(-z) = S M(z) S fold a batch onto the
 # distinct keys |Re z| + i |Im z|
 # ---------------------------------------------------------------------------
+
+
+@given(X=st.floats(1e-3, 1e3), n=st.integers(3, 5121))
+@example(X=1e-3, n=3)
+@example(X=1e3, n=5121)
+@settings(max_examples=200, deadline=None)
+def test_symmetric_grid_is_mirrored_and_nests_in_its_refinement(X, n):
+    # the mirror makes transfer's +-x fold exact; the nesting lets Parseval
+    # take each coarse level from the even nodes of the next
+    x = symmetric_grid(X, n)
+    assert x.size == n and x[0] == -X and x[-1] == X
+    assert np.array_equal(x, -x[::-1])
+    assert symmetric_grid(X, 2 * n - 1)[::2].tobytes() == x.tobytes()
+
 
 _S = np.diag([1.0, -1.0])
 
