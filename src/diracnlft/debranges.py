@@ -49,6 +49,9 @@ _SINC_SERIES = 1e-4
 #: Bytes of kernel entries evaluated per block of rows.
 _KERNEL_BLOCK = 1 << 19
 
+#: Most sample times of one ``estimate_w`` sweep.
+_MAX_WINDOW_SAMPLES = 2**16
+
 
 @dataclass(frozen=True)
 class KernelProbe:
@@ -139,53 +142,44 @@ def _sinc(t, re, im):
     return out
 
 
-def _confluent(t, pts, i, j):
-    """The pairs among the candidates ``(i, j)`` whose offset
-    ``d = conj(lam_i) - z_j`` is under the confluent switch, and their offsets."""
-    d = np.conj(pts[i]) - pts[j]
-    keep = t * np.abs(d) < _DIAG_SWITCH
-    return i[keep], j[keep], d[keep]
-
-
-def _kernel_matrix(pot, t, pts, pairs, unit, dev=None):
+def _kernel_matrix(pot, t, pts, unit, dev=None):
     """K(t, lam_i, z_j) over one point set (rows index lam, cols index z),
     ``max |K - dev|`` over it (0 without ``dev``), and E = A - iC at ``pts``.
 
-    ``pairs`` lists every pair ``(i, j)`` that may be confluent
-    (:func:`_confluent` tests them).  Uses A(conj p) = conj A(p) (real
-    potential) so a single batch at ``pts`` supplies values and the confluent
-    branch.  The batch carries the z-derivatives the confluent branch needs:
-    order 0 when no entry is confluent, order 1 when every confluent offset
-    is exactly 0 (the second-order term is then 0; the case of every probe
-    grid, whose rows are exactly conjugate), and order 2 otherwise.
+    Uses A(conj p) = conj A(p) (real potential) so a single batch at ``pts``
+    supplies values and the confluent branch.  The batch carries order 1,
+    enough where every confluent offset is exactly 0 (the case of every probe
+    grid, whose rows are exactly conjugate); when :func:`_kernel_blocks`
+    meets one that is not, the matrix is made again at order 2.
+    """
+    for order in (1, 2):
+        m = transfer(pot, pts, t, order=order)
+        made = _kernel_blocks(t, pts, m, unit, dev)
+        if made is not None:
+            return (*made, m.E)
+
+
+def _kernel_blocks(t, pts, m, unit, dev):
+    """``(K, max |K - dev|)`` from the entries of ``m`` at ``pts``, or None
+    when ``m`` carries order 1 and a confluent offset is not exactly 0.
 
     K is Hermitian (K(lam, z) = conj K(z, lam)), so only the entries
     ``i <= j`` are evaluated, in blocks of rows (a multiple of ``unit`` each,
     about ``_KERNEL_BLOCK`` bytes), and each block is mirrored into the lower
     triangle.  An entry is ``(P_ij - conj P_ji) / (pi (conj lam_i - z_j))`` for
-    ``P_ij = A(z_j) C(conj lam_i)``.  ``dev(r0, r1, block)`` gives
-    ``max |block - ref|`` for the block ``K[r0:r1, r0:]`` and the same block
-    of the matrix K is compared with.
+    ``P_ij = A(z_j) C(conj lam_i)``; each block finds its confluent entries
+    among the offsets ``d = conj lam_i - z_j`` it forms.  ``dev(r0, r1, block)``
+    gives ``max |block - ref|`` for the block ``K[r0:r1, r0:]`` and the same
+    block of the matrix K is compared with.
     """
-    i, j, d = _confluent(t, pts, *pairs)
-    order = 2 if d.any() else 1 if len(d) else 0
-    m = transfer(pot, pts, t, order=order)
-    # row-major pair order, which the row blocks search; it also fixes the
-    # layout of the confluent arrays (numpy may evaluate a product of large
-    # temporaries in place with its operands swapped, moving the last bit)
-    by_row = np.lexsort((j, i))
-    i, j, d = i[by_row], j[by_row], d[by_row]
-    if order:
-        # confluent branch: numerator N(conj lam) = A(z) C(.) - C(z) A(.)
-        # vanishes at conj lam = z, so K -> (N' + N'' (conj lam - z)/2) / pi
-        # with all derivatives taken at z.
-        A, C = m.A[j], m.C[j]
-        N = A * m.dC[j] - C * m.dA[j]
-        if order == 2:
-            N += 0.5 * (A * m.d2C[j] - C * m.d2A[j]) * d
-        N = N / np.pi
     A, C = m.A, m.C
-    n = len(pts)
+    # confluent branch: numerator N(conj lam) = A(z) C(.) - C(z) A(.)
+    # vanishes at conj lam = z, so K -> (N' + N'' (conj lam - z)/2) / pi
+    # with all derivatives taken at z; formed per point, so no entry's bits
+    # depend on the block layout
+    N1 = A * m.dC - C * m.dA
+    N2 = A * m.d2C - C * m.d2A if m.order == 2 else None
+    n, cut = len(pts), 2.0 * _DIAG_SWITCH / t
     K = np.empty((n, n), dtype=complex)
     gap, r0 = np.float64(0.0), 0
     while r0 < n:
@@ -195,14 +189,20 @@ def _kernel_matrix(pot, t, pts, pairs, unit, dev=None):
         den = A[r0:r1, None] * np.conj(C[r0:])
         B -= np.conjugate(den, out=den)
         np.subtract(np.conj(pts[r0:r1])[:, None], pts[r0:], out=den)
-        lo, hi = np.searchsorted(i, (r0, r1))
-        inside = j[lo:hi] >= r0
-        bi, bj = i[lo:hi][inside] - r0, j[lo:hi][inside] - r0
-        den[bi, bj] = 1.0
+        # the switch's own test on a superset taken by the real part alone
+        # (the factor 2 in ``cut`` keeps entries within rounding of the switch)
+        flat = den.reshape(-1)
+        near = np.flatnonzero(np.abs(den.real) < cut)
+        near = near[t * np.abs(flat[near]) < _DIAG_SWITCH]
+        d = flat[near]
+        if N2 is None and d.any():
+            return None
+        flat[near] = 1.0
         den *= np.pi
         B /= den
-        if order:
-            B[bi, bj] = N[lo:hi][inside]
+        bi, bj = np.divmod(near, n - r0)
+        j = bj + r0
+        B[bi, bj] = (N1[j] if N2 is None else N1[j] + 0.5 * N2[j] * d) / np.pi
         w = r1 - r0
         np.conjugate(B[:, w:].T, out=K[r1:, r0:r1])
         D = B[:, :w]
@@ -213,7 +213,7 @@ def _kernel_matrix(pot, t, pts, pairs, unit, dev=None):
         if dev is not None:
             gap = np.maximum(gap, dev(r0, r1, B))
         r0 = r1
-    return K, gap, m.E
+    return K, gap
 
 
 def kernel_K(pot: SampledPotential, t: float, lam: complex, z: complex) -> complex:
@@ -223,24 +223,17 @@ def kernel_K(pot: SampledPotential, t: float, lam: complex, z: complex) -> compl
     (|t (conj lam - z)| under 1e-5) switch to the confluent form built from
     z-derivatives, keeping the diagonal exactly real and positive.
     Past ``pot.T`` the potential is extended by zero, as in :func:`transfer`.
+
+    At far horizons the direct quotient just above the switch loses digits:
+    its rounding grows like eps t |z| / (t |conj lam - z|), so there it is off
+    the zero potential's sinc by 8e-6 of t at t = 1e6 and by 3e-3 of t at
+    t = 1e9, while the Taylor form stays near 5e-12.  A switch that grows like
+    (t |z|)^(1/3) would bound both; it is not made here.
     """
     if not t > 0:  # NaN fails too
         raise ValidationError(f"kernel_K needs t > 0, got {t}")
     pts = np.array([lam, z], dtype=complex)
-    return complex(_kernel_matrix(pot, t, pts, np.indices((2, 2)).reshape(2, -1), 1)[0][0, 1])
-
-
-def _grid_pairs(t, pts, n):
-    """The pairs of an n x n tensor grid (point ``r * n + c`` at
-    ``u[c] + i y[r]``) that may be confluent: the offset of a pair is
-    ``(u[c_i] - u[c_j]) - i (y[r_i] + y[r_j])``, so both parts lie under the
-    threshold of :func:`_confluent`."""
-    cut = _DIAG_SWITCH / t
-    g = pts.reshape(n, n)
-    u, y = g.real[0], g.imag[:, 0]
-    ci, cj = np.nonzero(np.abs(u[:, None] - u) < cut)
-    ri, rj = np.nonzero(np.abs(y[:, None] + y) < cut)
-    return (ri[:, None] * n + ci).ravel(), (rj[:, None] * n + cj).ravel()
+    return complex(_kernel_matrix(pot, t, pts, 1)[0][0, 1])
 
 
 def kernel_probe(
@@ -281,7 +274,7 @@ def kernel_probe(
         dev = np.take(table[im_at[a:b, a:]], re_at, axis=2)
         return np.max(np.abs(np.subtract(block, dev, out=dev)))
 
-    K, gap, E = _kernel_matrix(pot, t, pts, _grid_pairs(t, pts, grid_n), grid_n, sinc_gap)
+    K, gap, E = _kernel_matrix(pot, t, pts, grid_n, sinc_gap)
     return KernelProbe(t=t, s=s, C=C, lambda_grid=pts, K_values=K, E_values=E,
                        gap=float(gap / t), w_hat=w_hat)
 
@@ -299,8 +292,9 @@ def _window_sweep(pot: SampledPotential, s: float, t_window: tuple, n: int):
     if not (0.0 <= t_a < t_b):
         raise ValidationError(f"need 0 <= t_a < t_b, got window ({t_a}, {t_b})")
     clip_to_support(pot, t_b, "window end")
-    if n < 4:
-        raise ValidationError(f"need n >= 4 samples, got {n}")
+    if not (isinstance(n, (int, np.integer)) and 4 <= n <= _MAX_WINDOW_SAMPLES):
+        raise ValidationError(
+            f"need an integer n from 4 to {_MAX_WINDOW_SAMPLES} samples, got {n!r}")
     inv = np.empty((2, n))
     for i, B in enumerate(transfer(pot, np.array([s], dtype=complex), np.linspace(t_a, t_b, n))):
         E, Et = B.E[0], B.Etilde[0]
@@ -312,11 +306,11 @@ def _window_sweep(pot: SampledPotential, s: float, t_window: tuple, n: int):
 def estimate_w(pot: SampledPotential, s: float, t_window: tuple, n: int):
     """Estimate w(s) by sampling 1/|E(t, s)|^2.
 
-    Returns ``(w_hat, spread)`` where w_hat is the average over ``n``
-    sample times in the window and spread is ``max/min - 1``; a vanishing
-    spread certifies the modulus has stabilized (exact once the potential
-    vanishes on the window).  The dual density, from Etilde, is part of
-    :func:`~diracnlft.experiments.limit_identities`.
+    Returns ``(w_hat, spread)`` where w_hat is the average over ``n`` (an
+    integer from 4 to 2**16) sample times in the window and spread is
+    ``max/min - 1``; a vanishing spread certifies the modulus has stabilized
+    (exact once the potential vanishes on the window).  The dual density,
+    from Etilde, is part of :func:`~diracnlft.experiments.limit_identities`.
     """
     return _window_sweep(pot, s, t_window, n)[0]
 

@@ -534,7 +534,10 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
 
 
 def symmetric_grid(X: float, n: int) -> np.ndarray:
-    """``linspace(-X, X, n)`` made exactly symmetric: ``transfer`` folds its ±x pairs."""
+    """``linspace(-X, X, n)`` made exactly symmetric, for an integer ``n >= 0``:
+    ``transfer`` folds its ±x pairs."""
+    if not (isinstance(n, (int, np.integer)) and n >= 0):
+        raise ValidationError(f"grid size n must be an integer >= 0, got {n!r}")
     if not abs(X) <= _Z_LIMIT:  # linspace would overflow; transfer refuses such z anyway
         raise RangeError(f"grid end X = {X} is not finite or exceeds {_Z_LIMIT:g}")
     x = np.linspace(-X, X, n)

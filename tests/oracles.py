@@ -320,7 +320,8 @@ def kernel_matrix_full(pot: SampledPotential, t: float, pts: np.ndarray) -> np.n
     """K(t, lam_i, z_j) over one point set as full matrices: one scan of all
     pairs for the confluent ones, one propagation at the order they need,
     ``P - P^H`` for ``P = A(z_j) C(conj lam_i)`` over the quotient's
-    denominator, then the confluent entries from the z-derivatives."""
+    denominator, then the confluent entries from the z-derivatives (their
+    numerators formed per point, then gathered per pair)."""
     denom = np.conj(pts)[:, None] - pts
     i, j = np.nonzero(t * np.abs(denom) < 1e-5)
     d, denom[i, j] = denom[i, j], 1.0
@@ -331,10 +332,9 @@ def kernel_matrix_full(pot: SampledPotential, t: float, pts: np.ndarray) -> np.n
     denom *= np.pi
     K /= denom
     if order:
-        A, C = m.A[j], m.C[j]
-        N = A * m.dC[j] - C * m.dA[j]
+        N = (m.A * m.dC - m.C * m.dA)[j]
         if order == 2:
-            N += 0.5 * (A * m.d2C[j] - C * m.d2A[j]) * d
+            N += 0.5 * (m.A * m.d2C - m.C * m.d2A)[j] * d
         K[i, j] = N / np.pi
     return K
 

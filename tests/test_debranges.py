@@ -118,7 +118,7 @@ def _record_orders(monkeypatch):
 
 
 def test_non_confluent_kernel_is_its_closed_formula(monkeypatch):
-    # no confluent entry: kernel_K propagates at order 0 and is the quotient
+    # no confluent entry: kernel_K propagates once, at order 1, and is the quotient
     # (A(z) C(conj lam) - C(z) A(conj lam)) / (pi (conj lam - z))
     rng = np.random.default_rng(31)
     pot = SampledPotential(h=0.01, cells=tuple(rng.uniform(-1.0, 1.0, 300)))
@@ -129,7 +129,7 @@ def test_non_confluent_kernel_is_its_closed_formula(monkeypatch):
         m = transfer(pot, np.array([z, np.conj(lam)]), pot.T)
         want = (m.A[0] * m.C[1] - m.C[0] * m.A[1]) / (np.pi * (np.conj(lam) - z))
         assert abs(got - want) <= 1e-13 * abs(want)
-    assert orders == [0] * len(pairs)
+    assert orders == [1] * len(pairs)
 
 
 def test_kernel_diagonal_real_positive(const_pot):
@@ -157,7 +157,7 @@ def test_kernel_matrix_matches_full_matrix_reference(grid_n):
     t = pot.T
     pts = Box(0.7, 4.0 / t, grid_n=grid_n).tensor_grid()
     pts = np.concatenate([pts, pts[:3]])  # duplicates: more confluent entries
-    K, _, _ = debranges._kernel_matrix(pot, t, pts, np.indices((len(pts),) * 2).reshape(2, -1), 1)
+    K, _, _ = debranges._kernel_matrix(pot, t, pts, 1)
     state = transfer(pot, pts, t, order=2)
     ref = kernel_matrix_by_where(t, pts, state.A, state.C, state.dA, state.dC, state.d2A,
                                  state.d2C)
@@ -229,31 +229,58 @@ def test_probe_is_the_upper_triangle_of_the_full_matrices(grid_n, s, half_width,
         assert probe.gap == pytest.approx(gap, rel=1e-14)
 
 
-def test_probe_holds_one_kernel_matrix():
+def test_probe_holds_one_kernel_matrix(monkeypatch):
     # K and its gap come from row blocks of the upper triangle: the traced
-    # peak stays near the one (grid_n^2)^2 complex matrix it returns
+    # peak stays near the one (grid_n^2)^2 complex matrix it returns.  A box
+    # finer than the confluent switch (half width 1e-7) makes every pair a
+    # candidate and is made at order 1, then at order 2; each row block finds
+    # its confluent entries among the offsets it forms, so no pair list of N^2
+    # candidates pushes the peak past two matrices
     rng = np.random.default_rng(45)
     pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, 300)))
     one = (32 * 32) ** 2 * 16
-    tracemalloc.start()
-    try:
-        probe = kernel_probe(pot, 0.7, pot.T, 4.0, w_hat=1.0, grid_n=32)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert probe.K_values.nbytes == one
-    assert peak <= 1.5 * one
+    orders = _record_orders(monkeypatch)
+    for C, bound in ((4.0, 1.5), (1e-7 * pot.T, 2.0)):
+        tracemalloc.start()
+        try:
+            probe = kernel_probe(pot, 0.7, pot.T, C, w_hat=1.0, grid_n=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probe.K_values.nbytes == one
+        assert peak < bound * one
+    assert orders == [1, 1, 2]
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.1, np.pi / 2 - 0.1, np.pi / 2])
+def test_confluent_entries_at_the_switch_edge(const_pot, angle):
+    # offsets a few ulps either side of the switch |t d| = 1e-5, mostly real or
+    # mostly imaginary; a block takes the switch's test on a superset chosen by
+    # the real part, and must drop no confluent entry.  At t = 2.6 the purely
+    # real offset 1e-5 / t is under the switch although it is not under 1e-5 / t
+    t, r = 2.6, 1e-5 / 2.6
+    d = (r + np.arange(-3, 4) * np.spacing(r)) * np.exp(1j * angle)
+    pts = np.concatenate([[0.0], -d])  # conj(0) - (-d) is d exactly
+    near = t * np.abs(np.conj(pts)[:, None] - pts) < 1e-5
+    assert 1 < np.count_nonzero(near[0, 1:]) < len(d)  # both sides of the switch
+    K, _, _ = debranges._kernel_matrix(const_pot, t, pts, 1)
+    m = transfer(const_pot, pts, t, order=2)
+    ref = kernel_matrix_by_where(t, pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)
+    upper = np.triu(near, 1)
+    np.testing.assert_array_equal(K[upper], ref[upper])
+    np.testing.assert_array_equal(K, np.conj(K.T))
 
 
 def test_kernel_order_follows_the_confluent_offsets(monkeypatch, const_pot):
-    # a close but unequal pair needs the second-order term, an exact one does not
+    # a close but unequal pair needs the second-order term, so the order-1
+    # attempt is made again at order 2; an exact one does not
     orders = _record_orders(monkeypatch)
     for lam, z in ((1.2, 1.2 + 1e-7), (0.7 + 0.1j, 0.7 - 0.1j)):
         got = kernel_K(const_pot, 2.0, lam, z)
         pts = np.array([lam, z], dtype=complex)
         m = transfer(const_pot, pts, 2.0, order=2)
         assert got == kernel_matrix_by_where(2.0, pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)[0, 1]
-    assert orders == [2, 1]
+    assert orders == [1, 2, 1]
 
 
 @pytest.mark.parametrize("grid_n", [8, 9])
@@ -321,6 +348,12 @@ def test_estimate_w_validation(bump_pot):
         estimate_w(bump_pot, 0.5, (1.0, 2.0), 3)
     with pytest.raises(RangeError):
         estimate_w(bump_pot, 0.5, (1.0, bump_pot.T + 5.0), 8)
+    # 8.5 raised numpy's TypeError, and 10**6 ran a million-time sweep
+    for n in (8.5, "8", None, 2**16 + 1, 10**6):
+        with pytest.raises(ValidationError, match="integer n from 4 to 65536"):
+            estimate_w(bump_pot, 0.5, (1.0, 2.0), n)
+    assert estimate_w(bump_pot, 0.5, (1.0, 2.0), np.int64(8)) == estimate_w(
+        bump_pot, 0.5, (1.0, 2.0), 8)
 
 
 # ---------------------------------------------------------------------------

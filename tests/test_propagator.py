@@ -528,11 +528,14 @@ def test_non_finite_or_huge_frequency_is_refused_by_value(z):
     (lambda pot: theta_derivs(transfer(pot, 0.5 + 0.1j)), ValidationError),
     (lambda pot: resonance.Box(0.0, 1.0, grid_n=8.5), ValidationError),
     (lambda pot: box_sample_points(0.0, 1.0, 6, seed=-5), ValidationError),
+    (lambda pot: symmetric_grid(1.0, 2.5), ValidationError),
+    (lambda pot: symmetric_grid(1.0, -3), ValidationError),
 ], ids=["transfer_2d_z", "nlft_forward_2d_grid", "theta_derivs_order_0", "box_grid_n_8.5",
-        "box_samples_negative_seed"])
+        "box_samples_negative_seed", "symmetric_grid_n_2.5", "symmetric_grid_n_negative"])
 def test_library_inputs_the_cli_never_passes_are_refused(call, error):
     # a numpy broadcast ValueError, a TypeError, an accepted grid_n that
-    # find_zeros failed on, and samples on a corner before
+    # find_zeros failed on, samples on a corner, and numpy's TypeError and
+    # ValueError from linspace before
     with pytest.raises(error):
         call(SampledPotential(h=0.1, cells=(1.0, -0.5, 0.25)))
 
@@ -596,6 +599,7 @@ def test_symmetric_grid_is_mirrored_and_nests_in_its_refinement(X, n):
     assert x.size == n and x[0] == -X and x[-1] == X
     assert np.array_equal(x, -x[::-1])
     assert symmetric_grid(X, 2 * n - 1)[::2].tobytes() == x.tobytes()
+    assert symmetric_grid(X, np.int64(n)).tobytes() == x.tobytes()  # a numpy count
 
 
 _S = np.diag([1.0, -1.0])
