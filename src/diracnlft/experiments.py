@@ -101,10 +101,11 @@ def box_sample_points(s: float, half_width: float, n: int, seed: int = 0) -> np.
     box-uniform one.  ``n`` runs from 1 to 2**16.
 
     Raises:
-        ValidationError: ``n`` outside 1..2**16, or ``seed`` not an integer >= 0.
+        ValidationError: ``n`` not an integer in 1..2**16, or ``seed`` not one >= 0.
     """
-    if not 1 <= n <= _MAX_BOX_SAMPLES:
-        raise ValidationError(f"need 1 <= n <= {_MAX_BOX_SAMPLES} box samples, got {n}")
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= _MAX_BOX_SAMPLES):
+        raise ValidationError(f"need an integer 1 <= n <= {_MAX_BOX_SAMPLES} box samples, "
+                              f"got {n!r}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     index = np.arange(n) + (1 + seed)

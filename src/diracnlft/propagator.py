@@ -28,14 +28,14 @@ Evaluation order.  The product is associative, so cells go in blocks of
 at most ``max(1, _TREE_BUDGET // nz)`` for ``nz`` frequencies: a block's
 propagators are built at once as ``(cells, nz)`` arrays, reduced in a
 balanced pairwise tree (later cells on the left) and multiplied onto the
-running product.  Where a tree's partial products grow they can cancel
-against their neighbours, losing precision a loop keeps (wide cells: 2e-11
-of the largest entry against 3e-14).  ``|q| w`` bounds a cell's growth
-beyond that which ``Im z`` gives all cells alike, so a cell with
-``|q| w > _TREE_CELL`` (a coalesced or chunked stretch) takes a block of its
-own.  Each cell keeps its closed form; only the order of the products
-differs from a cell-by-cell loop (~1e-12 relative).
-``nz > _TREE_BUDGET // 2`` gives one-cell blocks, i.e. that loop.
+running product (the first block's tree starts it: no product with I).
+Where a tree's partial products grow they can cancel against their
+neighbours, losing precision a loop keeps (wide cells: 2e-11 of the largest
+entry against 3e-14).  ``|q| w`` bounds a cell's growth beyond that which
+``Im z`` gives all cells alike, so a cell with ``|q| w > _TREE_CELL`` (a
+coalesced or chunked stretch) takes a block of its own.  Each cell keeps its
+closed form; only the order of the products differs from a cell-by-cell loop
+(~1e-12).  ``nz > _TREE_BUDGET // 2`` gives one-cell blocks, i.e. that loop.
 z-derivatives up to order 2 ride along as a z-jet (``jet[j] = d^j M / dz^j``)
 by the product rule ``(L R)^(j) = sum_i binom(j, i) L^(i) R^(j-i)``.
 
@@ -52,8 +52,8 @@ Symmetries.  The potential is real, so ``M(conj z) = conj M(z)`` and
 ``M(-z) = S M(z) S``, ``S = diag(1, -1)`` (jet entry ``[j, r, c]`` times
 ``(-1)^(j + [r != c])``; the tracked det is even in z).  A batch with points
 below the real axis, or a real batch of two or more points with a negative
-one, propagates its distinct keys ``|Re z| + i |Im z|`` (same cells) once
-and maps them back, exactly; other complex batches would fold nothing.
+one, propagates its distinct keys ``|Re z| + i |Im z|`` (``|z|`` if real; same
+cells) once and maps them back, exactly; other complex batches fold nothing.
 
 Sweeps.  For a list of times one running product goes from each time to
 the next (each stretch is covered and chunked on its own), and the drift
@@ -122,8 +122,8 @@ _TAYLOR = {f: [[np.array(math.perm(k + j, j) / math.factorial(2 * (k + j) + 1), 
 # Max |l| * width per propagated chunk; keeps the per-cell determinant
 # conditioned (error ~ eps * exp(2 * cap)) while coalesced cells stay exact.
 _CHUNK_CAP = 2.5
-# Cells x frequencies per block of the tree product (see the module docstring).
-_TREE_BUDGET = 4096
+# Cells x frequencies per tree block (module docstring); picked by benchmark runs at 4096-32768.
+_TREE_BUDGET = 16384
 # Max |q| * width of a cell inside a multi-cell tree block (module docstring).
 _TREE_CELL = 0.25
 # Largest |Re z| or |Im z| propagated: z^2 and the order-2 jet's 4 z^2 stay
@@ -414,27 +414,36 @@ def _blocks(wide: np.ndarray, cap: int) -> list[tuple[int, int]]:
     return [(i, min(cap, e - i)) for s, e in zip(ends, ends[1:]) for i in range(s, e, cap)]
 
 
-def _advance(z: np.ndarray, jet: np.ndarray, det: np.ndarray, qs, ws):
+def _advance(z: np.ndarray, order: int, jet, det, qs, ws):
     """Multiply the ordered cell propagators onto the jet and the tracked det.
 
-    Returns the new ``(jet, det)``.  Blocks reuse their buffers (fresh wide
-    arrays would page-fault on every use); the running jet alternates
-    between two, never the array held on entry.  A real batch runs in
-    float64 (see the module docstring).
+    Returns the new ``(jet, det)``.  ``jet`` and ``det`` None stand for the
+    identity: the first block's product becomes the running jet (an empty
+    cover returns I).  Blocks reuse their buffers (fresh wide arrays would
+    page-fault on every use); the running jet alternates between two, never
+    the array held on entry.  A real batch runs in float64 (see the module
+    docstring).
     """
     if not z.imag.any():  # real batch: propagate in float64
-        z, jet, det = z.real.copy(), jet.real, det.real
-    zz, order, eps = z * z, len(jet) - 1, _CORRUPTION.get()
+        z = z.real.copy()
+        jet, det = (None, None) if jet is None else (jet.real, det.real)
+    zz, eps, shape = z * z, _CORRUPTION.get(), (order + 1, 2, 2) + z.shape
     block = max(1, _TREE_BUDGET // max(1, z.size))
-    cells = np.empty((order + 1, 2, 2, min(block, len(qs))) + z.shape, dtype=z.dtype)
+    cells = np.empty(shape[:3] + (min(block, len(qs)),) + z.shape, dtype=z.dtype)
     scratch = np.empty_like(cells)
-    running = (np.empty_like(jet), np.empty_like(jet))
+    running = (np.empty(shape, z.dtype), np.empty(shape, z.dtype))
     for n, (i, k) in enumerate(_blocks(np.abs(qs) * ws > _TREE_CELL, block)):
         prod = cells[..., :k, :]
         cell_det = _cell_jets(qs[i:i + k, None], ws[i:i + k, None], z, zz, order, prod, eps)
         prod, cell_det = _tree(prod, scratch[..., :k, :]), np.prod(cell_det, axis=0)
-        jet = _jet_mul(prod, jet, running[n % 2])
-        det = det * cell_det
+        if jet is None:  # from the identity: P I = P, so no product
+            jet, det = running[n % 2], cell_det
+            jet[...] = prod
+        else:
+            jet, det = _jet_mul(prod, jet, running[n % 2]), det * cell_det
+    if jet is None:  # empty cover
+        jet, det = np.zeros(shape, z.dtype), np.ones(z.shape, z.dtype)
+        jet[0, 0, 0] = jet[0, 1, 1] = 1.0
     return jet.astype(complex, copy=False), det.astype(complex, copy=False)
 
 
@@ -510,14 +519,13 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
     im_max = _check_range(zs, max(ts, default=t1) - t1)
     lower, neg = zs.imag < 0, zs.real < 0
     mirror = zs.size > 1 and neg.any() and not zs.imag.any()
-    fold, inv = (np.unique(np.abs(zs.real) + 1j * np.abs(zs.imag), return_inverse=True)
-                 if lower.any() or mirror else (zs, None))
-    jet = np.zeros((order + 1, 2, 2) + fold.shape, dtype=complex)
-    jet[0, 0, 0] = jet[0, 1, 1] = 1.0
-    det, steps, grown = np.ones(fold.shape, dtype=complex), [], 0.0
+    keys = (np.abs(zs.real) + 1j * np.abs(zs.imag) if lower.any() else
+            np.abs(zs.real) if mirror else None)  # a real batch folds on real keys
+    fold, inv = (zs, None) if keys is None else np.unique(keys, return_inverse=True)
+    jet, det, steps, grown = None, None, [], 0.0  # jet None: the identity
     for a, b in zip([t1] + ts, ts):
         qs, ws, grown = _prepared_cells(pot, a, b, im_max, grown)
-        jet, det = _advance(fold, jet, det, qs, ws)
+        jet, det = _advance(fold, order, jet, det, qs, ws)
         steps.append((b, jet, det))
     _check_drift(det)
     out = []

@@ -53,6 +53,13 @@ def test_box_samples_validation():
             box_sample_points(0.0, 1.0, n)
 
 
+@pytest.mark.parametrize("n", [2.5, 16.0, np.float64(3.0), "16", None])
+def test_box_samples_refuse_a_count_that_is_not_an_integer(n):
+    with pytest.raises(ValidationError, match="box samples"):
+        box_sample_points(0.0, 1.0, n)
+    assert box_sample_points(0.0, 1.0, np.int64(16)).shape == (16,)
+
+
 # ---------------------------------------------------------------------------
 # convergence tables
 # ---------------------------------------------------------------------------

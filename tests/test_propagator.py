@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracnlft import resonance
+from diracnlft import propagator, resonance
 from diracnlft.errors import (
     DiracNLFTError,
     InvariantViolation,
@@ -26,12 +26,13 @@ from diracnlft.resonance import Box, find_zeros
 from diracnlft.propagator import (
     _CHUNK_CAP,
     _SERIES,
-    _TREE_BUDGET,
+    _TREE_CELL,
     Transfer,
     _blocks,
     _cell_jets,
     _coeffs,
     _prepared_cells,
+    _tree,
     corrupted_propagator,
     hermite_biehler,
     symmetric_grid,
@@ -442,12 +443,22 @@ def test_blocks_isolate_wide_cells():
     assert _blocks(np.zeros(0, dtype=bool), 4) == []
 
 
-def test_tree_spans_several_blocks():
+# Block budget of the tests that cross block boundaries and reach one-cell
+# blocks: their sizes follow it, not _TREE_BUDGET, so their cost stays put.
+_BUDGET = 4096
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(propagator, "_TREE_BUDGET", _BUDGET)
+
+
+def test_tree_spans_several_blocks(small_blocks):
     rng = np.random.default_rng(11)
-    n = _TREE_BUDGET + 905  # one full block of cells at nz = 1, then a partial one
+    n = _BUDGET + 905  # one full block of cells at nz = 1, then a partial one
     pot = SampledPotential(h=0.002, cells=tuple(rng.uniform(-1.0, 1.0, n)))
     z = np.array([1.3 + 0.2j])
-    assert len(_prepared_cells(pot, 0.0, pot.T, _im_max(z))[0]) > _TREE_BUDGET
+    assert len(_prepared_cells(pot, 0.0, pot.T, _im_max(z))[0]) > _BUDGET
     for order in (0, 1, 2):
         ref_jet, ref_det = _sequential(pot, z, pot.T, order)
         jet, det = _propagated(pot, z, pot.T, order)
@@ -455,9 +466,9 @@ def test_tree_spans_several_blocks():
         assert np.max(np.abs(det - ref_det)) < 1e-12
 
 
-@pytest.mark.parametrize("nz", [300, _TREE_BUDGET + 1])
+@pytest.mark.parametrize("nz", [300, _BUDGET + 1])
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_scalar_z_matches_wide_batch(nz, order):
+def test_scalar_z_matches_wide_batch(small_blocks, nz, order):
     rng = np.random.default_rng(12)
     pot = SampledPotential(h=0.05, cells=tuple(rng.uniform(-1.5, 1.5, 60)))
     z0 = 0.8 + 0.3j  # the batch's largest |Im z|, so both chunk the same
@@ -468,6 +479,43 @@ def test_scalar_z_matches_wide_batch(nz, order):
     if order:
         aug = transfer_derivative(pot, z0, order=order)
         assert abs(aug.dA - wide[1, 0, 0, -1]) <= 1e-12 * np.max(np.abs(wide[1, ..., -1]))
+
+
+def test_kernel_probe_batch_takes_at_most_three_blocks(monkeypatch):
+    # a grid_n 16 probe box folds to 128 points; 300 fine cells at order 1
+    # go in blocks of _TREE_BUDGET // 128 cells
+    rng = np.random.default_rng(22)
+    pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, 300)))
+    seen, blocks = [], propagator._blocks
+
+    def recording(wide, cap):
+        seen.append((wide.size, blocks(wide, cap)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(propagator, "_blocks", recording)
+    m = transfer(pot, Box.scaled(0.7, 4.0, pot.T, 16).tensor_grid(), pot.T, order=1)
+    ((cells, out),) = seen
+    assert m.A.size == 256 and cells == 300
+    assert len(out) <= 3
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_one_block_propagation_is_the_tree_of_its_cell_jets(kind, order):
+    # the first block starts the running product: no product with I
+    rng = np.random.default_rng(23)
+    pot = SampledPotential(h=0.05, cells=tuple(rng.uniform(-1.5, 1.5, 80)))
+    z = rng.uniform(0.1, 6.0, 20)
+    if kind == "complex":
+        z = z + 1j * rng.uniform(0.0, 0.5, 20)
+    qs, ws, _ = _prepared_cells(pot, 0.63, pot.T, _im_max(z))
+    assert 1 < len(qs) <= propagator._TREE_BUDGET // z.size
+    assert not np.any(np.abs(qs) * ws > _TREE_CELL)  # one block
+    cells = np.empty((order + 1, 2, 2, len(qs), z.size), dtype=z.dtype)
+    det = _cell_jets(qs[:, None], ws[:, None], z, z * z, order, cells, 0.0)
+    m = transfer(pot, z, pot.T, order=order, t1=0.63)
+    np.testing.assert_array_equal(m.jet, _tree(cells, np.empty_like(cells)))
+    np.testing.assert_array_equal(m.det_tracked, np.prod(det, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -705,16 +753,16 @@ def test_entries_do_not_depend_on_the_order_carried():
             assert getattr(m1, name).tobytes() == getattr(lower, name).tobytes(), name
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 150, _TREE_BUDGET + 905])
+@pytest.mark.parametrize("n", [0, 1, 7, 150, _BUDGET + 905])
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_real_batch_matches_complex_path(n, order):
+def test_real_batch_matches_complex_path(small_blocks, n, order):
     # 4096+905 cells skip nz = 4097 (20 M cell x frequency steps per path)
     rng = np.random.default_rng(13)
     h = 0.002 if n > 150 else 0.05
     pot = SampledPotential(h=h, cells=tuple(rng.uniform(-1.5, 1.5, max(n, 1))))
     t = pot.T if n else 0.0
     q0 = pot.cells[0]
-    for nz in [1, 5, 300] + ([] if n > 150 else [_TREE_BUDGET + 1]):
+    for nz in [1, 5, 300] + ([] if n > 150 else [_BUDGET + 1]):
         z = rng.uniform(-8.0, 8.0, nz)
         z[:2] = (q0, -q0)[:nz]  # m = 0 exactly in the first cell
         mixed = np.append(z, 0.5 + 0.05j)  # one non-real z: the complex path
