@@ -5,7 +5,10 @@ The space attached to E(t, .) has kernel
     K(t, lam, z) = (A(z) C(conj lam) - C(z) A(conj lam)) / (pi (conj lam - z)),
 
 which in the free case collapses to the Paley-Wiener sinc kernel
-``S = sin(t (z - conj lam)) / (pi (z - conj lam))``.  In the universality
+``S = sin(t (z - conj lam)) / (pi (z - conj lam))``.  At conj lam = z it is
+the Wronskian ``W = A C' - C A'`` over pi; near there K is the trapezoid
+``(W(z) + conj W(lam)) / (2 pi)``, so one propagation with first
+z-derivatives serves every entry.  In the universality
 regime K approaches S / w(s) on boxes Q(s, C/t); ``kernel_probe(...).gap``
 measures that defect, and ``hb_fit`` realizes the two limit shapes of E
 itself, picking the sine or the exponential by whether a zero is nearby.
@@ -38,9 +41,9 @@ __all__ = [
     "gamma_factor",
 ]
 
-#: |t (conj lam - z)| below this switches the kernel to its confluent
-#: Taylor form, whose truncation is ~5e-2 (t d)^2 of K (t d = 1e-5: 5e-12),
-#: while the direct quotient's rounding grows as t d shrinks (t = 3: 3e-11).
+#: |t (conj lam - z)| below this switches the kernel to the trapezoid of its
+#: Wronskians, off by (t d)^2 / 6 of t / pi (t d = 1e-5: 5e-12 of t), while
+#: the direct quotient's rounding grows as t d shrinks (t = 3: 3e-11 of t).
 _DIAG_SWITCH = 1e-5
 
 #: |t (z - conj lam)| below this evaluates the sinc by series.
@@ -108,8 +111,8 @@ def kernel_sinc(t: float, lam: complex, z: complex):
     singularity is filled by the Taylor series once |t (z - conj lam)|
     drops under 1e-4.
     """
-    if not t > 0:  # NaN fails too
-        raise ValidationError(f"kernel_sinc needs t > 0, got {t}")
+    if not 0 < t < math.inf:  # NaN fails too
+        raise ValidationError(f"kernel_sinc needs a finite t > 0, got {t}")
     d = np.atleast_1d(np.asarray(z, dtype=complex) - np.conj(np.asarray(lam, dtype=complex)))
     out = _sinc(t, d.real, d.imag)
     if np.ndim(z) == 0 and np.ndim(lam) == 0:
@@ -146,22 +149,15 @@ def _kernel_matrix(pot, t, pts, unit, dev=None):
     """K(t, lam_i, z_j) over one point set (rows index lam, cols index z),
     ``max |K - dev|`` over it (0 without ``dev``), and E = A - iC at ``pts``.
 
-    Uses A(conj p) = conj A(p) (real potential) so a single batch at ``pts``
-    supplies values and the confluent branch.  The batch carries order 1,
-    enough where every confluent offset is exactly 0 (the case of every probe
-    grid, whose rows are exactly conjugate); when :func:`_kernel_blocks`
-    meets one that is not, the matrix is made again at order 2.
+    Uses A(conj p) = conj A(p) (real potential) so a single order-1 batch at
+    ``pts`` supplies the values and the Wronskians of the confluent entries.
     """
-    for order in (1, 2):
-        m = transfer(pot, pts, t, order=order)
-        made = _kernel_blocks(t, pts, m, unit, dev)
-        if made is not None:
-            return (*made, m.E)
+    m = transfer(pot, pts, t, order=1)
+    return (*_kernel_blocks(t, pts, m, unit, dev), m.E)
 
 
 def _kernel_blocks(t, pts, m, unit, dev):
-    """``(K, max |K - dev|)`` from the entries of ``m`` at ``pts``, or None
-    when ``m`` carries order 1 and a confluent offset is not exactly 0.
+    """``(K, max |K - dev|)`` from the entries of ``m`` at ``pts``.
 
     K is Hermitian (K(lam, z) = conj K(z, lam)), so only the entries
     ``i <= j`` are evaluated, in blocks of rows (a multiple of ``unit`` each,
@@ -173,12 +169,11 @@ def _kernel_blocks(t, pts, m, unit, dev):
     block of the matrix K is compared with.
     """
     A, C = m.A, m.C
-    # confluent branch: numerator N(conj lam) = A(z) C(.) - C(z) A(.)
-    # vanishes at conj lam = z, so K -> (N' + N'' (conj lam - z)/2) / pi
-    # with all derivatives taken at z; formed per point, so no entry's bits
-    # depend on the block layout
-    N1 = A * m.dC - C * m.dA
-    N2 = A * m.d2C - C * m.d2A if m.order == 2 else None
+    # confluent branch: K(lam, z) -> W / pi at conj lam = z for the Wronskian
+    # W = A C' - C A', and the trapezoid (W(z) + W(conj lam)) / (2 pi), with
+    # W(conj lam) = conj W(lam), is K to O((t d)^2) and exactly Hermitian;
+    # W is formed per point, so no entry's bits depend on the block layout
+    W = A * m.dC - C * m.dA
     n, cut = len(pts), 2.0 * _DIAG_SWITCH / t
     K = np.empty((n, n), dtype=complex)
     gap, r0 = np.float64(0.0), 0
@@ -194,20 +189,16 @@ def _kernel_blocks(t, pts, m, unit, dev):
         flat = den.reshape(-1)
         near = np.flatnonzero(np.abs(den.real) < cut)
         near = near[t * np.abs(flat[near]) < _DIAG_SWITCH]
-        d = flat[near]
-        if N2 is None and d.any():
-            return None
         flat[near] = 1.0
         den *= np.pi
         B /= den
         bi, bj = np.divmod(near, n - r0)
-        j = bj + r0
-        B[bi, bj] = (N1[j] if N2 is None else N1[j] + 0.5 * N2[j] * d) / np.pi
+        B[bi, bj] = (W[bj + r0] + np.conj(W[bi + r0])) / (2.0 * np.pi)
         w = r1 - r0
         np.conjugate(B[:, w:].T, out=K[r1:, r0:r1])
         D = B[:, :w]
         np.copyto(D, np.conj(D.T), where=np.tri(w, k=-1, dtype=bool))
-        # K(lam, lam) is real; the order-2 confluent form leaves rounding in
+        # K(lam, lam) is real; the quotient leaves a zero of either sign in
         # its imaginary part
         np.fill_diagonal(D.imag, 0.0)
         if dev is not None:
@@ -220,14 +211,15 @@ def kernel_K(pot: SampledPotential, t: float, lam: complex, z: complex) -> compl
     """Reproducing kernel K(t, lam, z) of the space attached to E(t, .).
 
     Evaluated from the transfer-matrix entries A and C; coincident points
-    (|t (conj lam - z)| under 1e-5) switch to the confluent form built from
-    z-derivatives, keeping the diagonal exactly real and positive.
+    (|t (conj lam - z)| under 1e-5) switch to the trapezoid of the Wronskian
+    W = A C' - C A', (W(z) + conj W(lam)) / (2 pi): first z-derivatives only,
+    K exactly Hermitian, and its diagonal exactly real and positive.
     Past ``pot.T`` the potential is extended by zero, as in :func:`transfer`.
 
     At far horizons the direct quotient just above the switch loses digits:
     its rounding grows like eps t |z| / (t |conj lam - z|), so there it is off
     the zero potential's sinc by 8e-6 of t at t = 1e6 and by 3e-3 of t at
-    t = 1e9, while the Taylor form stays near 5e-12.  A switch that grows like
+    t = 1e9, while the trapezoid stays near 5e-12.  A switch that grows like
     (t |z|)^(1/3) would bound both; it is not made here.
     """
     if not t > 0:  # NaN fails too

@@ -101,8 +101,13 @@ def box_sample_points(s: float, half_width: float, n: int, seed: int = 0) -> np.
     box-uniform one.  ``n`` runs from 1 to 2**16.
 
     Raises:
-        ValidationError: ``n`` not an integer in 1..2**16, or ``seed`` not one >= 0.
+        ValidationError: ``half_width`` not finite and > 0, ``s`` not finite,
+            ``n`` not an integer in 1..2**16, or ``seed`` not one >= 0.
     """
+    if not (half_width > 0 and np.isfinite(half_width)):
+        raise ValidationError(f"half_width must be finite and > 0, got {half_width}")
+    if not np.isfinite(s):
+        raise ValidationError(f"s must be finite, got {s}")
     if not (isinstance(n, (int, np.integer)) and 1 <= n <= _MAX_BOX_SAMPLES):
         raise ValidationError(f"need an integer 1 <= n <= {_MAX_BOX_SAMPLES} box samples, "
                               f"got {n!r}")

@@ -294,9 +294,9 @@ def hilbert_transform(samples: np.ndarray) -> np.ndarray:
 def hilbert_consistency(sd: ScatteringData) -> float:
     """Max |arg a - H(log|a|)| over the central half of a symmetric grid.
 
-    ``sd`` must sample the full transform on a uniform symmetric real grid
-    with log|a| decayed at the ends (the Hilbert pair lives on all of R;
-    truncation is the dominant error).
+    ``sd`` must sample the full transform on an increasing uniform symmetric
+    real grid with log|a| decayed at the ends (the Hilbert pair lives on all
+    of R; truncation is the dominant error).
 
     Raises:
         DomainTooSmallError: log|a| at the grid ends exceeds
@@ -313,6 +313,8 @@ def hilbert_consistency(sd: ScatteringData) -> float:
     dx = float(np.mean(dxs))
     if float(np.max(np.abs(dxs - dx))) > 1e-9 * abs(dx):
         raise ValidationError("grid must be uniform")
+    if not dx > 0:  # np.interp and the Hilbert transform's sign need ascending nodes
+        raise ValidationError("grid must be increasing")
     span = max(1.0, float(np.max(np.abs(xs))))
     if float(np.max(np.abs(xs + xs[::-1]))) > 1e-9 * span:
         raise ValidationError("grid must be symmetric about 0")

@@ -9,8 +9,10 @@ these, then assert the package agrees.  The last sections keep a cover
 chunked afresh on every call, as reference for the propagator's cached cell
 plans, and plain complex-ufunc, full-matrix formulations of the cell
 coefficients and the kernels as references for the package's leaner
-evaluation of them.  The full-matrix kernel assembly (``kernel_matrix_full``,
-``probe_full``) propagates with the package's ``transfer`` and evaluates its
+evaluation of them; the kernel's two-term Taylor form on its confluent
+entries is the accuracy reference of the package's trapezoid there.  The
+full-matrix kernel assembly (``kernel_matrix_full``, ``probe_full``)
+propagates with the package's ``transfer`` and evaluates its
 elementwise ``_sinc``: it pins how the matrices are assembled, which the
 package does over the upper triangle in row blocks.  The box sample laid
 out one point at a time is the reference for the package's digit passes.
@@ -298,44 +300,53 @@ def kernel_sinc_by_where(t: float, lam, z):
     return np.where(small, (t / np.pi) * (1.0 - u2 / 6.0 * (1.0 - u2 / 20.0)), out)
 
 
-def kernel_matrix_by_where(t, pts, A, C, dA, dC, d2A, d2C) -> np.ndarray:
-    """K(t, lam_i, z_j) over a point set from the entries (and their first two
-    z-derivatives) at the points, both branches over full matrices.
+def kernel_matrix_by_where(t, pts, A, C, dA, dC) -> np.ndarray:
+    """K(t, lam_i, z_j) over a point set from the entries and their first
+    z-derivatives at the points, both branches over full matrices.
 
     Direct: ``(A(z) C(conj lam) - C(z) A(conj lam)) / (pi (conj lam - z))``
     with ``A(conj p) = conj A(p)``; where ``|t (conj lam - z)|`` is under 1e-5
-    the confluent Taylor form in ``conj lam - z`` replaces it.
+    the trapezoid ``(W(z) + conj W(lam)) / (2 pi)`` of the Wronskian
+    ``W = A C' - C A'`` replaces it.
     """
     Az, Cz = A[None, :], C[None, :]
     Al, Cl = np.conj(A)[:, None], np.conj(C)[:, None]
     denom = np.conj(pts)[:, None] - pts[None, :]
     near = t * np.abs(denom) < 1e-5
     K = (Az * Cl - Cz * Al) / (np.pi * np.where(near, 1.0, denom))
-    n1 = Az * dC[None, :] - Cz * dA[None, :]
-    n2 = Az * d2C[None, :] - Cz * d2A[None, :]
-    return np.where(near, (n1 + 0.5 * n2 * denom) / np.pi, K)
+    W = A * dC - C * dA
+    return np.where(near, (W[None, :] + np.conj(W)[:, None]) / (2.0 * np.pi), K)
+
+
+def kernel_matrix_by_taylor(t, pts, A, C, dA, dC, d2A, d2C) -> np.ndarray:
+    """:func:`kernel_matrix_by_where` with the two-term Taylor form in
+    ``d = conj lam - z`` about z on the confluent entries,
+    ``(W(z) + W'(z) d / 2) / pi`` with ``W' = A C'' - C A''``: an independent
+    second-order form, the accuracy reference of the trapezoid."""
+    denom = np.conj(pts)[:, None] - pts[None, :]
+    near = t * np.abs(denom) < 1e-5
+    n1 = A * dC - C * dA
+    n2 = A * d2C - C * d2A
+    taylor = (n1[None, :] + 0.5 * n2[None, :] * denom) / np.pi
+    return np.where(near, taylor, kernel_matrix_by_where(t, pts, A, C, dA, dC))
 
 
 def kernel_matrix_full(pot: SampledPotential, t: float, pts: np.ndarray) -> np.ndarray:
-    """K(t, lam_i, z_j) over one point set as full matrices: one scan of all
-    pairs for the confluent ones, one propagation at the order they need,
+    """K(t, lam_i, z_j) over one point set as full matrices: one order-1
+    propagation, one scan of all pairs for the confluent ones,
     ``P - P^H`` for ``P = A(z_j) C(conj lam_i)`` over the quotient's
-    denominator, then the confluent entries from the z-derivatives (their
-    numerators formed per point, then gathered per pair)."""
+    denominator, then the confluent entries from the Wronskians (formed per
+    point, then gathered per pair)."""
+    m = transfer(pot, pts, t, order=1)
     denom = np.conj(pts)[:, None] - pts
     i, j = np.nonzero(t * np.abs(denom) < 1e-5)
-    d, denom[i, j] = denom[i, j], 1.0
-    order = 2 if d.any() else 1 if len(d) else 0
-    m = transfer(pot, pts, t, order=order)
+    denom[i, j] = 1.0
     K = m.A * np.conj(m.C)[:, None]
     K -= np.conj(K.T)
     denom *= np.pi
     K /= denom
-    if order:
-        N = (m.A * m.dC - m.C * m.dA)[j]
-        if order == 2:
-            N += 0.5 * (m.A * m.d2C - m.C * m.d2A)[j] * d
-        K[i, j] = N / np.pi
+    W = m.A * m.dC - m.C * m.dA
+    K[i, j] = (W[j] + np.conj(W[i])) / (2.0 * np.pi)
     return K
 
 

@@ -26,8 +26,13 @@ from diracnlft.potential import SampledPotential
 from diracnlft.propagator import transfer
 from diracnlft.resonance import Box
 
-import oracles
-from oracles import kernel_matrix_by_where, kernel_matrix_full, kernel_sinc_by_where, probe_full
+from oracles import (
+    kernel_matrix_by_taylor,
+    kernel_matrix_by_where,
+    kernel_matrix_full,
+    kernel_sinc_by_where,
+    probe_full,
+)
 
 TALL_ZERO = 2.4517263992197713 + 0.8301314959136796j
 
@@ -74,8 +79,9 @@ def test_sinc_matches_full_matrix_reference(grid_n):
 
 
 def test_sinc_validation():
-    with pytest.raises(ValidationError):
-        kernel_sinc(0.0, 1.0, 2.0)
+    for t in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            kernel_sinc(t, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +164,11 @@ def test_kernel_matrix_matches_full_matrix_reference(grid_n):
     pts = Box(0.7, 4.0 / t, grid_n=grid_n).tensor_grid()
     pts = np.concatenate([pts, pts[:3]])  # duplicates: more confluent entries
     K, _, _ = debranges._kernel_matrix(pot, t, pts, 1)
-    state = transfer(pot, pts, t, order=2)
-    ref = kernel_matrix_by_where(t, pts, state.A, state.C, state.dA, state.dC, state.d2A,
-                                 state.d2C)
+    state = transfer(pot, pts, t, order=1)
+    ref = kernel_matrix_by_where(t, pts, state.A, state.C, state.dA, state.dC)
     near = t * np.abs(np.conj(pts)[:, None] - pts) < 1e-5
     assert np.count_nonzero(near) >= len(pts)  # every point meets its conjugate partner
+    np.testing.assert_array_equal(K[near], ref[near])
     assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
     np.testing.assert_array_equal(K, np.conj(K.T))  # exactly Hermitian
     np.testing.assert_array_equal(K, kernel_matrix_full(pot, t, pts))
@@ -171,8 +177,9 @@ def test_kernel_matrix_matches_full_matrix_reference(grid_n):
 @pytest.mark.parametrize("grid_n", [8, 9, 16, 17, 24])
 @pytest.mark.parametrize("s", [0.0, 0.7, -2.9])
 def test_probe_kernel_at_order_1_is_the_order_2_kernel(monkeypatch, s, grid_n):
-    # probe rows are exactly conjugate, so every confluent offset is exactly 0
-    # and one order-1 propagation gives the order-2 kernel bit for bit
+    # probe rows are exactly conjugate, so every confluent offset is exactly 0:
+    # the trapezoid of the Wronskians is W(z) / pi there, which is the two-term
+    # Taylor form of an order-2 propagation bit for bit
     rng = np.random.default_rng(40 + grid_n)
     pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, 300)))
     t, C = pot.T, 4.0
@@ -184,14 +191,13 @@ def test_probe_kernel_at_order_1_is_the_order_2_kernel(monkeypatch, s, grid_n):
     np.testing.assert_array_equal(probe.lambda_grid, pts)
     # E from the same batch is the order-0 E bit for bit
     np.testing.assert_array_equal(probe.E_values, transfer(pot, pts, t).E)
-    monkeypatch.setattr(oracles, "transfer", lambda *a, order, **k: transfer(*a, order=2, **k))
     K, _, gap = probe_full(pot, t, box.axis, pts, 1.0)
     np.testing.assert_array_equal(probe.K_values, K)
     assert probe.gap == gap
-    # both branches of the full-matrix reference: the confluent one (with its
-    # second-order term) exactly, the direct quotient up to its rounding
+    # both branches of the full-matrix Taylor reference: the confluent one
+    # (with its second-order term) exactly, the direct quotient up to its rounding
     m = transfer(pot, pts, t, order=2)
-    ref = kernel_matrix_by_where(t, pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)
+    ref = kernel_matrix_by_taylor(t, pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)
     near = t * np.abs(np.conj(pts)[:, None] - pts) < 1e-5
     np.testing.assert_array_equal(probe.K_values[near], ref[near])
     assert np.max(np.abs(probe.K_values - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -208,39 +214,33 @@ _HERMITIAN_POT = SampledPotential(
 @example(grid_n=32, s=0.7, half_width=3e-7, w_hat=1.3)
 @settings(max_examples=15, deadline=None)
 def test_probe_is_the_upper_triangle_of_the_full_matrices(grid_n, s, half_width, w_hat):
-    # the probe evaluates K over i <= j only and mirrors it: its upper triangle
-    # is the full-matrix reference bit for bit, and it is exactly Hermitian
-    # with a real diagonal.  Boxes finer than the confluent switch take the
-    # order-2 branch, where the reference's lower triangle and diagonal differ
-    # from the mirror by the truncation of the confluent form
+    # the probe evaluates K over i <= j only and mirrors it: the full-matrix
+    # reference is exactly Hermitian on both branches (the confluent trapezoid
+    # included, on boxes finer than the switch), so the probe is that
+    # reference bit for bit, with a real diagonal
     pot, t = _HERMITIAN_POT, _HERMITIAN_POT.T
     probe = kernel_probe(pot, s, t, half_width * t, w_hat=w_hat, grid_n=grid_n)
     box = Box.scaled(s, half_width * t, t, grid_n)
     K, _, gap = probe_full(pot, t, box.axis, box.tensor_grid(), w_hat)
     got = probe.K_values
-    np.testing.assert_array_equal(got, np.conj(got.T))
-    upper = np.triu_indices(len(K), 1)
-    np.testing.assert_array_equal(got[upper], K[upper])
-    np.testing.assert_array_equal(got.diagonal(), K.diagonal().real)
-    if np.array_equal(K, np.conj(K.T)):  # every box coarser than the switch
-        np.testing.assert_array_equal(got, K)
-        assert probe.gap == gap
-    else:
-        assert probe.gap == pytest.approx(gap, rel=1e-14)
+    np.testing.assert_array_equal(K, np.conj(K.T))
+    np.testing.assert_array_equal(got, K)
+    np.testing.assert_array_equal(got.diagonal().imag, 0.0)
+    assert probe.gap == gap
 
 
 def test_probe_holds_one_kernel_matrix(monkeypatch):
     # K and its gap come from row blocks of the upper triangle: the traced
     # peak stays near the one (grid_n^2)^2 complex matrix it returns.  A box
     # finer than the confluent switch (half width 1e-7) makes every pair a
-    # candidate and is made at order 1, then at order 2; each row block finds
-    # its confluent entries among the offsets it forms, so no pair list of N^2
-    # candidates pushes the peak past two matrices
+    # candidate; each row block finds its confluent entries among the offsets
+    # it forms, so no pair list of N^2 candidates pushes the peak up.  Both
+    # boxes propagate once, at order 1
     rng = np.random.default_rng(45)
     pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, 300)))
     one = (32 * 32) ** 2 * 16
     orders = _record_orders(monkeypatch)
-    for C, bound in ((4.0, 1.5), (1e-7 * pot.T, 2.0)):
+    for C in (4.0, 1e-7 * pot.T):
         tracemalloc.start()
         try:
             probe = kernel_probe(pot, 0.7, pot.T, C, w_hat=1.0, grid_n=32)
@@ -248,8 +248,8 @@ def test_probe_holds_one_kernel_matrix(monkeypatch):
         finally:
             tracemalloc.stop()
         assert probe.K_values.nbytes == one
-        assert peak < bound * one
-    assert orders == [1, 1, 2]
+        assert peak < 1.5 * one
+    assert orders == [1, 1]
 
 
 @pytest.mark.parametrize("angle", [0.0, 0.1, np.pi / 2 - 0.1, np.pi / 2])
@@ -264,23 +264,57 @@ def test_confluent_entries_at_the_switch_edge(const_pot, angle):
     near = t * np.abs(np.conj(pts)[:, None] - pts) < 1e-5
     assert 1 < np.count_nonzero(near[0, 1:]) < len(d)  # both sides of the switch
     K, _, _ = debranges._kernel_matrix(const_pot, t, pts, 1)
-    m = transfer(const_pot, pts, t, order=2)
-    ref = kernel_matrix_by_where(t, pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)
-    upper = np.triu(near, 1)
-    np.testing.assert_array_equal(K[upper], ref[upper])
+    m = transfer(const_pot, pts, t, order=1)
+    ref = kernel_matrix_by_where(t, pts, m.A, m.C, m.dA, m.dC)
+    np.testing.assert_array_equal(K[near], ref[near])
     np.testing.assert_array_equal(K, np.conj(K.T))
+    np.testing.assert_array_equal(K, kernel_matrix_full(const_pot, t, pts))
 
 
-def test_kernel_order_follows_the_confluent_offsets(monkeypatch, const_pot):
-    # a close but unequal pair needs the second-order term, so the order-1
-    # attempt is made again at order 2; an exact one does not
+def test_kernel_propagates_once_at_order_1(monkeypatch, const_pot):
+    # the confluent trapezoid needs first derivatives only: a close but unequal
+    # pair, an exact one and a box finer than the switch each make one
+    # order-1 propagation
     orders = _record_orders(monkeypatch)
     for lam, z in ((1.2, 1.2 + 1e-7), (0.7 + 0.1j, 0.7 - 0.1j)):
+        orders.clear()
         got = kernel_K(const_pot, 2.0, lam, z)
+        assert orders == [1]
         pts = np.array([lam, z], dtype=complex)
-        m = transfer(const_pot, pts, 2.0, order=2)
-        assert got == kernel_matrix_by_where(2.0, pts, m.A, m.C, m.dA, m.dC, m.d2A, m.d2C)[0, 1]
-    assert orders == [1, 2, 1]
+        m = transfer(const_pot, pts, 2.0, order=1)
+        assert got == kernel_matrix_by_where(2.0, pts, m.A, m.C, m.dA, m.dC)[0, 1]
+    orders.clear()
+    kernel_probe(const_pot, 0.7, 2.0, 2e-7, w_hat=1.0, grid_n=9)
+    assert orders == [1]
+
+
+@pytest.mark.parametrize("t", [1.0, 3.0, 30.0])
+def test_confluent_kernel_of_the_zero_potential_is_the_sinc(free_pot, t):
+    # the trapezoid drops the (t d)^2 / 6 term of K ~ t / pi, as the Taylor
+    # form does; at t |d| = 1e-9 only rounding is left
+    for base in (0.0, 1.3, 0.4 + 0.5j / t, -2.0 + 1.5j / t):
+        for r in (1e-9, 1e-7, 3e-6, 0.9e-5):
+            for angle in (0.0, 0.7, np.pi / 2, 2.5):
+                z = np.conj(base) - r / t * np.exp(1j * angle)  # t |conj lam - z| = r
+                err = abs(kernel_K(free_pot, t, base, z) - kernel_sinc(t, base, z))
+                assert err <= t / np.pi * (0.2 * r * r + 1e-13)
+
+
+def test_confluent_trapezoid_is_the_taylor_form():
+    # on a rough potential the first-derivative trapezoid stays within 1e-11
+    # of the two-term Taylor form of an order-2 propagation up to t |d| = 0.9e-5,
+    # inside the (t d)^2 / 6 truncation that both forms carry
+    rng = np.random.default_rng(35)
+    pot = SampledPotential(h=0.02, cells=tuple(rng.uniform(-0.8, 0.8, 150)))
+    for t in (pot.T, 1.3):
+        for base in (0.7, -1.1 + 0.3j, 2.0 - 0.2j):
+            for r in (1e-9, 1e-7, 3e-6, 0.9e-5):
+                for angle in (0.0, 0.7, np.pi / 2, 2.5):
+                    pts = np.array([base, np.conj(base) - r / t * np.exp(1j * angle)])
+                    m = transfer(pot, pts, t, order=2)
+                    ref = kernel_matrix_by_taylor(t, pts, m.A, m.C, m.dA, m.dC, m.d2A,
+                                                  m.d2C)[0, 1]
+                    assert abs(kernel_K(pot, t, *pts) - ref) <= 1e-11 * abs(ref)
 
 
 @pytest.mark.parametrize("grid_n", [8, 9])
@@ -374,7 +408,7 @@ def test_free_gap_vanishes_at_far_horizons(t):
     # K = S exactly; the grid spacing 2C / (t (grid_n - 1)) drops under any
     # fixed |conj lam - z| switch as t grows, but not under |t d| < 1e-5, so
     # the probe's pairs keep the direct quotient (a relative switch sent them
-    # to the Taylor form: gap 1.5e-2 at t = 3e5, 0.36 at 1e6)
+    # to the confluent form: gap 1.5e-2 at t = 3e5, 0.36 at 1e6)
     pot = SampledPotential(h=0.05, cells=(0.0,) * 40)
     assert kernel_probe(pot, 1.5, t, 4.0, w_hat=1.0, grid_n=16).gap <= 1e-6
 

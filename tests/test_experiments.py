@@ -51,6 +51,13 @@ def test_box_samples_validation():
     for n in (0, 2**16 + 1, 10**12):  # the last would take 16 TB
         with pytest.raises(ValidationError):
             box_sample_points(0.0, 1.0, n)
+    # a width <= 0 would put points below the real axis; NaN would give NaN points
+    for half_width in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="half_width must be finite and > 0"):
+            box_sample_points(0.0, half_width, 4)
+    for s in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="s must be finite"):
+            box_sample_points(s, 1.0, 4)
 
 
 @pytest.mark.parametrize("n", [2.5, 16.0, np.float64(3.0), "16", None])

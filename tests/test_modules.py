@@ -2,8 +2,9 @@
 and has a caller, every public member and every field of an exported class
 has a reader, every defaulted parameter of a public function is passed by some caller, no
 module (nor test file) imports a name it never uses, no private
-module-level name is left unused, and every function the benchmark's tracer
-names is defined (stdlib ``ast`` only)."""
+module-level name is left unused, no module imports another's private name,
+and every function the benchmark's tracer names is defined (stdlib ``ast``
+only)."""
 
 import ast
 import pathlib
@@ -101,6 +102,37 @@ def test_no_unused_private_names(path):
                          if name.startswith("_") and not name.startswith("__")
                          and name not in used)
     assert not unused, f"{path.name}: private names defined but never used: {unused}"
+
+
+#: Private names one module of the package imports from another, each for a
+#: stated reason.
+PRIVATE_IMPORTS = {
+    **{f"{mod} imports propagator._check_range": "checks a box's corners or a scalar z "
+       "against transfer's working range before work that would overflow first"
+       for mod in ("resonance", "riccati")},
+    "cli imports propagator._Z_LIMIT": "bounds a frequency option by the largest |z| "
+                                       "transfer accepts",
+    "experiments imports debranges._window_sweep": "limit_identities reads both densities "
+                                                   "and E, Etilde from the sweep estimate_w "
+                                                   "reduces to w_hat",
+}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name is its own module's business: a module that imports it
+    # from another couples the two past their public interface
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("diracnlft")):
+                source = (node.module or "").removeprefix("diracnlft").lstrip(".")
+                found += [f"{path.stem} imports {source}.{a.name}" for a in node.names
+                          if a.name.startswith("_") and not a.name.startswith("__")]
+    unexpected = sorted(set(found) - set(PRIVATE_IMPORTS))
+    assert not unexpected, f"private names imported from another module: {unexpected}"
+    stale = sorted(set(PRIVATE_IMPORTS) - set(found))
+    assert not stale, f"allow-listed private imports that are gone: {stale}"
 
 
 def _read_members(node) -> set:

@@ -297,3 +297,6 @@ def test_hilbert_consistency_grid_validation(bump_pot):
     sd = nlft_forward(bump_pot, T=1.0, grid=xs)
     with pytest.raises(ValidationError):
         hilbert_consistency(sd)  # non-uniform
+    sd = nlft_forward(bump_pot, T=1.0, grid=np.linspace(40, -40, 65))
+    with pytest.raises(ValidationError, match="increasing"):
+        hilbert_consistency(sd)  # uniform and symmetric, but descending
