@@ -314,8 +314,8 @@ def cmd_resonances(cfg: dict, meta: dict) -> int:
     cols = ("t", "re_z", "im_z", "re_theta_z", "im_theta_z", "residual", "label")
     rows = []
     if zeros and cfg["t1"] is not None:
-        for z0, _ in zeros:
-            track = track_resonance(pot, z0, t, cfg["t1"], cfg["dt"])
+        tracks = track_resonance(pot, [z for z, _ in zeros], t, cfg["t1"], cfg["dt"])
+        for (z0, _), track in zip(zeros, tracks):
             if track.status != "completed":
                 log.warning("the track of the zero at %s ended as %s at t = %r, before t1 = %r",
                             z0, track.status, track.samples[-1][0], cfg["t1"])

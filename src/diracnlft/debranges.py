@@ -280,6 +280,8 @@ def _window_sweep(pot: SampledPotential, s: float, t_window: tuple, n: int):
     """``(mean, max/min - 1)`` of ``1/|E|^2`` and of ``1/|Etilde|^2`` over
     ``n`` times of the window from one sweep at ``s``, and ``(E, Etilde)``
     at the window end."""
+    if np.shape(t_window) != (2,):
+        raise ValidationError(f"need a window (t_a, t_b), got {t_window!r}")
     t_a, t_b = float(t_window[0]), float(t_window[1])
     if not (0.0 <= t_a < t_b):
         raise ValidationError(f"need 0 <= t_a < t_b, got window ({t_a}, {t_b})")

@@ -329,7 +329,9 @@ def _cell_jets(q, w, z: np.ndarray, zz: np.ndarray, order: int, out: np.ndarray,
     ``m = q^2 - z^2``.  ``P = c I + s G`` with ``G' = [[0, -1], [1, 0]]`` and
     ``G'' = 0``, so ``P^(j) = c^(j) I + s^(j) G + j s^(j-1) G'``.  Returns the
     closed-form determinants ``c^2 - m s^2``.  ``eps`` is the corruption
-    hook's skew of ``c``.
+    hook's skew of ``c``.  With columns, ``z`` and ``zz`` are rows: numpy
+    rounds a complex 1-d one-entry array times a 1 x 1 block differently, so
+    a one-cell block at one frequency would differ from it in a wider batch.
     """
     m = (q * q) - zz
     c, s, sm, smm = _coeffs(m, w, order)
@@ -355,29 +357,23 @@ def _cell_jets(q, w, z: np.ndarray, zz: np.ndarray, order: int, out: np.ndarray,
     return c * c - (s * s) * m  # not m * (s * s): numpy swaps that past 256 KiB
 
 
-def _product_rule(n: int):
-    """Derivative orders ``(i, j - i)`` of the product-rule terms for jets of
-    length ``n``, each repeated ``binom(j, i)`` times, and where order j starts."""
-    pairs = [(i, j - i) for j in range(n) for i in range(j + 1)
-             for _ in range(math.comb(j, i))]
-    left, right = (np.array(side) for side in zip(*pairs))
-    return left, right, np.cumsum([0] + [2**j for j in range(n - 1)])
-
-
-_RULES = {n: _product_rule(n) for n in (1, 2, 3)}
-
-
 def _jet_mul(X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Jet of the matrix product: ``(X Y)^(j) = sum_i binom(j, i) X^(i) Y^(j-i)``.
 
-    The 2x2 products run over axes 1 and 2, elementwise over the rest.
+    The 2x2 products run over axes 1 and 2, elementwise over the rest.  Both
+    forms add the same products in the same order, so they give the same bits.
     """
-    left, right, starts = _RULES[len(X)]
-    if len(left) * X[0, 0, 0].size < _ENTRYWISE_MIN:  # small: all terms in one product
-        L, R = X[left], Y[right]
-        terms = L[:, :, :1] * R[:, :1] + L[:, :, 1:] * R[:, 1:]
-        return np.add.reduceat(terms, starts, axis=0, out=out)
-    for j in range(len(X)):  # large: contiguous per-entry temporaries only
+    n = len(X)
+    if (2**n - 1) * X[0, 0, 0].size < _ENTRYWISE_MIN:  # small: every X^(i) Y^(k) in one product
+        T = X[:, None, :, :1] * Y[None, :, :1]
+        T += X[:, None, :, 1:] * Y[None, :, 1:]
+        out[0] = T[0, 0]
+        if n > 1:
+            np.add(T[0, 1], T[1, 0], out=out[1])
+        if n > 2:
+            np.add(T[0, 2] + 2 * T[1, 1], T[2, 0], out=out[2])
+        return out
+    for j in range(n):  # large: contiguous per-entry temporaries only
         for r in range(2):
             for c in range(2):
                 o = np.multiply(X[0, r, 0], Y[j, 0, c], out=out[j, r, c])
@@ -428,13 +424,14 @@ def _advance(z: np.ndarray, order: int, jet, det, qs, ws):
         z = z.real.copy()
         jet, det = (None, None) if jet is None else (jet.real, det.real)
     zz, eps, shape = z * z, _CORRUPTION.get(), (order + 1, 2, 2) + z.shape
+    rows = z[None], zz[None]  # see _cell_jets
     block = max(1, _TREE_BUDGET // max(1, z.size))
     cells = np.empty(shape[:3] + (min(block, len(qs)),) + z.shape, dtype=z.dtype)
     scratch = np.empty_like(cells)
     running = (np.empty(shape, z.dtype), np.empty(shape, z.dtype))
     for n, (i, k) in enumerate(_blocks(np.abs(qs) * ws > _TREE_CELL, block)):
         prod = cells[..., :k, :]
-        cell_det = _cell_jets(qs[i:i + k, None], ws[i:i + k, None], z, zz, order, prod, eps)
+        cell_det = _cell_jets(qs[i:i + k, None], ws[i:i + k, None], *rows, order, prod, eps)
         prod, cell_det = _tree(prod, scratch[..., :k, :]), np.prod(cell_det, axis=0)
         if jet is None:  # from the identity: P I = P, so no product
             jet, det = running[n % 2], cell_det
@@ -498,16 +495,16 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
         sequence ``t``.
 
     Raises:
-        RangeError: ``order`` outside 0..2, times below ``t1`` or unsorted, a
-            ``z`` of two or more dimensions, not finite or with a part past
-            ``1e150``, or ``t - t1`` past ``1e50`` (or ``|z| (t - t1)`` past
-            ``1e150``).
+        RangeError: ``order`` not an integer in 0..2, times below ``t1`` or
+            unsorted, a ``z`` of two or more dimensions, not finite or with a
+            part past ``1e150``, or ``t - t1`` past ``1e50`` (or ``|z| (t -
+            t1)`` past ``1e150``).
         OverflowRangeError: ``|Im z| (t - t1)`` exceeds ``WORK_RANGE_LIMIT``,
             or the sum of ``|q| * width`` over ``[t1, t]`` exceeds ~305.
         InvariantViolation: the tracked determinant drifted beyond
             ``DET_DRIFT_ABORT`` over the sweep.
     """
-    if order not in (0, 1, 2):
+    if not (isinstance(order, (int, np.integer)) and order in (0, 1, 2)):
         raise RangeError(f"derivative order must be 0, 1 or 2, got {order}")
     sweep = np.ndim(t) == 1
     ts = [float(u) for u in t] if sweep else [pot.T if t is None else float(t)]
@@ -517,6 +514,8 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
     if zs.ndim != 1:
         raise RangeError(f"z must be a scalar or a 1-d array, got shape {zs.shape}")
     im_max = _check_range(zs, max(ts, default=t1) - t1)
+    if not ts:  # an empty sweep
+        return []
     lower, neg = zs.imag < 0, zs.real < 0
     mirror = zs.size > 1 and neg.any() and not zs.imag.any()
     keys = (np.abs(zs.real) + 1j * np.abs(zs.imag) if lower.any() else

@@ -17,7 +17,10 @@ elementwise ``_sinc``: it pins how the matrices are assembled, which the
 package does over the upper triangle in row blocks.  The box sample laid
 out one point at a time is the reference for the package's digit passes.
 The Parseval quadrature that propagates each refinement level's grid by
-itself is the reference for the package's one propagation per level.
+itself is the reference for the package's one propagation per level.  The
+zero search and the tracks that evaluate one Newton start or one contour per
+``transfer`` call, depth first, are the reference, bit for bit, of the
+package's lock-step search and march.
 """
 
 from __future__ import annotations
@@ -27,8 +30,27 @@ import math
 import numpy as np
 
 from diracnlft.debranges import _sinc
-from diracnlft.potential import SampledPotential
-from diracnlft.propagator import transfer
+from diracnlft.errors import (
+    BoundaryNearZeroError,
+    DerivativeDegenerateError,
+    InvariantViolation,
+    PreconditionError,
+    ValidationError,
+)
+from diracnlft.potential import SampledPotential, integral
+from diracnlft.propagator import WORK_RANGE_LIMIT, _check_range, theta, theta_derivs, transfer
+from diracnlft.resonance import (
+    _MAX_CONTOUR_REFINES,
+    _MAX_QUAD_DEPTH,
+    _MAX_STEPS,
+    _NEWTON_MAX_ITER,
+    IM_FLOOR,
+    THETA_Z_FLOOR_SCALE,
+    ZERO_RESIDUAL_TOL,
+    Box,
+    ResonanceTrack,
+    _inside,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +462,222 @@ def parseval_two_grid(pot: SampledPotential, T: float | None = None, tol: float 
         if abs(tail) < 0.25 * tol * scale:
             return nlft._report(cur, rhs, X, levels)
     raise QuadratureError("domain doubling", report=nlft._report(cur, rhs, X, levels))
+
+
+# ---------------------------------------------------------------------------
+# zero search and tracks, one start and one box at a time
+# ---------------------------------------------------------------------------
+
+
+def newton_by_loop(pot, t, z0, level=None, bounds=None, pre_tol=math.inf):
+    """Newton from one start, one ``transfer`` per iterate: the reference of
+    the package's lock-step ``_newton``."""
+    z = complex(z0) if level is None else float(z0)
+    floor = THETA_Z_FLOOR_SCALE * max(t, 1e-6)
+    if bounds is not None:
+        re_lo, re_hi, im_lo, im_hi = bounds
+        pad = max(re_hi - re_lo, im_hi - im_lo, 1e-9)
+        # widened by pad on every side, but at most pad / 2 below the axis
+        basin = (re_lo, re_hi, max(im_lo, 0.5 * pad), im_hi)
+    best = None
+    for _ in range(_NEWTON_MAX_ITER):
+        if bounds is not None and not _inside(z, basin, pad):
+            break  # left the basin: no zero here for this start
+        th, th_z = theta_derivs(transfer(pot, z, t, order=1))
+        res = abs(th) if level is None else abs(th - level)
+        if best is None and res > pre_tol:
+            raise PreconditionError(
+                f"|theta(t0, z0) - {0 if level is None else level.real:g}| = {res:.3g} "
+                f"exceeds the start tolerance {pre_tol:g}: not a starting point of this track"
+            )
+        if best is None or res < best[2]:
+            best = (z, th_z, res)
+        if res <= 1e-13:
+            return z, th_z, res
+        if abs(th_z) < floor:
+            raise DerivativeDegenerateError(
+                f"|theta_z| = {abs(th_z):.3g} under floor {floor:.3g} at z={z}: "
+                "multiple/degenerate zero suspected"
+            )
+        if level is None:
+            step = -th / th_z
+        else:
+            rot = th * np.conj(level)
+            slope = (th_z / th).imag
+            if abs(slope) < floor:
+                raise DerivativeDegenerateError("level-set slope Im(theta_z/theta) degenerate")
+            step = -math.atan2(rot.imag, rot.real) / slope
+        z_next = z + step
+        if not (abs(step) <= 1.0 + abs(z) and abs(z_next.imag) * t <= WORK_RANGE_LIMIT):
+            break  # wild step, or out of the working range: Newton left its basin
+        z = z_next
+    if best is not None and best[2] <= ZERO_RESIDUAL_TOL:
+        return best
+    return None
+
+
+def winding_by_loop(pot, t, rect: tuple, n0: int) -> int:
+    """Winding number of one contour, one ``transfer`` per refinement round:
+    the reference of the package's lock-step ``_winding``."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    w, h = re_hi - re_lo, im_hi - im_lo
+    # perimeter parameter of each corner, counterclockwise from (re_lo, im_lo)
+    knots = (0.0, w, w + h, 2 * w + h, 2 * (w + h))
+    corners = (complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi),
+               complex(re_lo, im_hi), complex(re_lo, im_lo))
+    L = knots[-1]
+    params = np.linspace(0.0, L, 4 * n0, endpoint=False)
+    vals = theta(transfer(pot, np.interp(params, knots, corners), t))
+    for _ in range(_MAX_CONTOUR_REFINES):
+        if not np.all(vals):
+            raise BoundaryNearZeroError(
+                f"theta is exactly 0 on the contour of [{re_lo},{re_hi}]x[{im_lo},{im_hi}]"
+            )
+        nxt = np.roll(vals, -1)
+        steps = np.angle(nxt / vals)
+        bad = np.abs(steps) >= (np.pi / 2.0) * 0.999
+        if not np.any(bad):
+            total = float(np.sum(steps))
+            wind = total / (2.0 * np.pi)
+            rounded = int(round(wind))
+            if abs(wind - rounded) > 0.2:
+                raise BoundaryNearZeroError(
+                    f"winding {wind:.4f} is not close to an integer on "
+                    f"[{re_lo},{re_hi}]x[{im_lo},{im_hi}]"
+                )
+            return rounded
+        gaps = np.diff(params, append=L)[bad]
+        if float(np.min(gaps)) < 1e-13 * max(L, 1.0):
+            raise BoundaryNearZeroError(
+                "a zero of theta sits on (or hugs) the counting contour; "
+                "shift or shrink the box"
+            )
+        # each midpoint goes right after its step's start: params stay sorted
+        mids = params[bad] + 0.5 * gaps
+        at = np.flatnonzero(bad) + 1
+        params = np.insert(params, at, mids)
+        vals = np.insert(vals, at, theta(transfer(pot, np.interp(mids, knots, corners), t)))
+    raise BoundaryNearZeroError(
+        "contour refinement budget exhausted; a zero is (numerically) on the boundary"
+    )
+
+
+def collect_zeros_by_loop(pot, t, rect: tuple, n0: int, depth: int, out: list) -> None:
+    """Count, polish or split one box; its four children one after another."""
+    wind = winding_by_loop(pot, t, rect, n0)
+    if wind < 0:
+        raise InvariantViolation(
+            f"negative winding {wind} of theta on a box in the closed upper "
+            "half-plane: a pole entered the contour"
+        )
+    if wind == 0:
+        return
+    re_lo, re_hi, im_lo, im_hi = rect
+    center = complex((re_lo + re_hi) / 2.0, (im_lo + im_hi) / 2.0)
+    size = max(re_hi - re_lo, im_hi - im_lo)
+    scale = 1.0 + abs(center)
+    if wind == 1:
+        polished = newton_by_loop(pot, t, center, bounds=rect)
+        if polished is not None and _inside(polished[0], rect, 1e-9 * scale):
+            out.append(polished[:2])
+            return
+        # Newton missed (zero near a corner, say): fall through to splitting.
+    if depth >= _MAX_QUAD_DEPTH or size < 1e-9 * scale:
+        raise DerivativeDegenerateError(
+            f"could not isolate {wind} zero(s) in a box of size {size:.3g}; "
+            "a zero cluster is beyond the resolving power"
+        )
+    # deterministic split-jitter schedule: re-split off-center if a child
+    # contour keeps hitting a zero
+    for fx, fy in ((0.5, 0.5), (0.53125, 0.5), (0.5, 0.53125), (0.46875, 0.515625)):
+        rm = re_lo + fx * (re_hi - re_lo)
+        im = im_lo + fy * (im_hi - im_lo)
+        try:
+            found: list = []
+            for sub in ((re_lo, rm, im_lo, im), (rm, re_hi, im_lo, im),
+                        (re_lo, rm, im, im_hi), (rm, re_hi, im, im_hi)):
+                collect_zeros_by_loop(pot, t, sub, max(8, n0 // 2), depth + 1, found)
+            out.extend(found)
+            return
+        except BoundaryNearZeroError:
+            continue
+    raise BoundaryNearZeroError(
+        "every deterministic sub-box split left a zero on a contour; "
+        "shift the outer box instead"
+    )
+
+
+def find_zeros_by_loop(pot: SampledPotential, t: float, box: Box):
+    """``find_zeros`` by the depth-first search of one box at a time."""
+    if not t > 0:  # NaN fails too
+        raise ValidationError(f"need t > 0, got {t}")
+    # transfer's range check on the top corners (the first contour's top edge
+    # is Im z = half_width), before a box past |z| <= 1e150 overflows the contour
+    re_lo, re_hi, _, im_hi = box.rect
+    _check_range(np.array([complex(re_lo, im_hi), complex(re_hi, im_hi)]), t)
+    raw: list = []
+    collect_zeros_by_loop(pot, t, box.rect, box.grid_n, 0, raw)
+    # dedupe (quadrisection borders can hand the same zero to two children)
+    uniq: list = []
+    for z, th_z in raw:
+        tol = 1e-9 * (1.0 + abs(z))
+        if z.imag > IM_FLOOR and box.contains(z, tol) and all(abs(z - u) > tol for u, _ in uniq):
+            uniq.append((z, th_z))
+    q = 1e-9 * (1.0 + abs(box.s) + box.half_width)  # Re z within q: one column, by Im z
+    uniq.sort(key=lambda p: (round(p[0].real / q), p[0].imag))
+    return uniq
+
+
+def march_by_loop(pot, z0, t0, t1, dt, pre_tol, level, build):
+    """Predictor-corrector march of one start, one Newton run per step: the
+    reference of the package's lock-step ``_march``."""
+    if not (dt > 0 and t1 > t0 and (t1 - t0) / dt <= _MAX_STEPS):  # NaN fails too
+        raise ValidationError(f"need t1 > t0, dt > 0 and at most {_MAX_STEPS} steps, "
+                              f"got [{t0}, {t1}], dt={dt}")
+    samples: list = []
+    residuals: list = []
+    status = "completed"
+    try:
+        polished = newton_by_loop(pot, t0, z0, level, pre_tol=pre_tol)
+        if polished is None:
+            raise PreconditionError("Newton could not refine the starting point")
+        z, th_z, res = polished
+        samples.append((t0, z, th_z))
+        residuals.append(res)
+        t = t0
+        while t < t1 - 1e-12:
+            if abs(th_z) < THETA_Z_FLOOR_SCALE * max(t, 1e-6):  # the predictor divides by it
+                raise DerivativeDegenerateError(f"|theta_z| {abs(th_z):.3g} under floor at t = {t}")
+            step = min(dt, t1 - t)
+            t_next = t + step
+            if level is None:  # f averaged over [t, t_next]
+                z_pred = z - step * (integral(pot, t, t_next) / (t_next - t) / th_z)
+            else:
+                z_pred = z + step * (-2j * z * level / th_z).real
+            polished = newton_by_loop(pot, t_next, z_pred, level)
+            if polished is None:
+                status = "newton_diverged"
+                break
+            if level is None and polished[0].imag <= IM_FLOOR:
+                status = "exited_real_axis"
+                break
+            t = t_next
+            z, th_z, res = polished
+            samples.append((t, z, th_z))
+            residuals.append(res)
+    except DerivativeDegenerateError as exc:
+        exc.track = build(samples, residuals, "derivative_degenerate")
+        raise
+    return build(samples, residuals, status)
+
+
+
+
+def track_resonance_by_loop(pot: SampledPotential, starts, t0: float, t1: float, dt: float):
+    """``track_resonance`` over a sequence of starts as a loop of one-start
+    marches: the tracks, or the first start's error."""
+    def build(samples, residuals, status):
+        return ResonanceTrack(samples=tuple(samples), residuals=tuple(residuals),
+                              status=status, dt=dt)
+
+    return [march_by_loop(pot, z0, t0, t1, dt, 1e-6, None, build) for z0 in starts]

@@ -382,6 +382,9 @@ def test_estimate_w_validation(bump_pot):
         estimate_w(bump_pot, 0.5, (1.0, 2.0), 3)
     with pytest.raises(RangeError):
         estimate_w(bump_pot, 0.5, (1.0, bump_pot.T + 5.0), 8)
+    for window in (0.1, (0.1, 0.5, 0.7)):  # a scalar raised "not subscriptable"
+        with pytest.raises(ValidationError, match="window"):
+            estimate_w(bump_pot, 0.5, window, 8)
     # 8.5 raised numpy's TypeError, and 10**6 ran a million-time sweep
     for n in (8.5, "8", None, 2**16 + 1, 10**6):
         with pytest.raises(ValidationError, match="integer n from 4 to 65536"):

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -351,6 +352,10 @@ def test_derivative_order_validation():
     pot = SampledPotential(h=0.1, cells=(1.0,))
     with pytest.raises(RangeError):
         transfer_derivative(pot, 1.0, order=3)
+    for order in (0.0, 1.0, 1.5):  # 0.0 == 0 passed and raised numpy's TypeError
+        with pytest.raises(RangeError, match="order must be 0, 1 or 2"):
+            transfer(pot, 0.5, order=order)
+    assert transfer(pot, 0.5, order=np.int64(1)).order == 1
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +438,55 @@ def test_tree_matches_per_cell_loop(seed, kind_n, nz, order, start):
         jet, det = _propagated(pot, z, t, order, t1)
     _assert_jets_close(jet, ref_jet)
     assert np.max(np.abs(det - ref_det)) < 1e-12
+
+
+def _jet_product_rule(X, Y):
+    """The jet of X Y summed by the product rule with einsum: the reference."""
+    return np.array([sum(math.comb(j, i) * np.einsum("rk...,kc...->rc...", X[i], Y[j - i])
+                         for i in range(j + 1)) for j in range(len(X))])
+
+
+@given(seed=st.integers(0, 10_000), order=st.sampled_from([0, 1, 2]),
+       cells=st.sampled_from([1, 2, 7, 33, 150, 400]), nz=st.sampled_from([1, 3, 64]),
+       cplx=st.booleans(), scale=st.floats(-6.0, 6.0))
+@settings(max_examples=80, deadline=None)
+@example(seed=0, order=2, cells=1, nz=1, cplx=True, scale=0.0)  # one-entry arrays
+def test_jet_mul_forms_agree_bit_for_bit(seed, order, cells, nz, cplx, scale):
+    # the small form adds the products X^(i) Y^(k) in the entrywise form's order,
+    # so the two give the same bits on either side of _ENTRYWISE_MIN, real or complex
+    rng = np.random.default_rng(seed)
+    shape = (order + 1, 2, 2, cells, nz)
+    X, Y = (10.0 ** (scale * rng.uniform(-1.0, 1.0, shape)) * (
+        rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if cplx else 0.0))
+        for _ in range(2))
+    forms = []
+    for switch in (math.inf, 0):  # the small form everywhere, the entrywise form everywhere
+        with mock.patch.object(propagator, "_ENTRYWISE_MIN", switch):
+            forms.append(propagator._jet_mul(X, Y, np.empty_like(X)))
+    either = propagator._jet_mul(X, Y, np.empty_like(X))  # the form its size picks
+    np.testing.assert_array_equal(forms[0], forms[1])
+    np.testing.assert_array_equal(either, forms[1])
+    ref = _jet_product_rule(X, Y)
+    assert np.all(np.abs(either - ref) <= 1e-13 * _jet_product_rule(abs(X), abs(Y)))
+
+
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(["deck", "wide", "constant"]),
+       order=st.sampled_from([0, 1]), nz=st.integers(2, 8), share=st.floats(0.05, 1.2))
+@settings(max_examples=60, deadline=None)
+def test_scalar_z_is_its_column_of_a_batch_with_the_same_chunks(seed, kind, order, nz, share):
+    # a lock-step Newton reads each start's column of one batch; one im z for
+    # all points keeps every chunk plan the same (wide cells: one-cell blocks)
+    rng = np.random.default_rng(seed)
+    cells = {"deck": lambda: np.append(rng.uniform(-0.8, 0.8, rng.integers(30, 61)), [0.0] * 10),
+             "wide": lambda: rng.uniform(-1.5, 1.5, rng.integers(1, 8)),
+             "constant": lambda: np.full(rng.integers(50, 800), rng.uniform(0.2, 1.5))}[kind]()
+    pot = SampledPotential(h={"deck": 0.05, "wide": 1.0, "constant": 0.01}[kind], cells=tuple(cells))
+    t = share * pot.T
+    z = rng.uniform(-4.0, 4.0, nz) + 1j * rng.uniform(0.0, 1.0 / t)
+    batch = transfer(pot, z, t, order=order)
+    for i in range(nz):
+        np.testing.assert_array_equal(transfer(pot, complex(z[i]), t, order=order).jet,
+                                      batch.jet[..., i])
 
 
 def test_blocks_isolate_wide_cells():
@@ -826,6 +880,15 @@ def test_checkpoints_match_separate_calls():
                 ), (order, b.t, name)
         for b, s in zip(chk, transfer(pot, zs[3], t_list, order=order)):  # scalar z
             np.testing.assert_array_equal(s.jet, b.jet[..., 3])
+
+
+def test_empty_sweep_gives_no_results():
+    # an empty list of times fell through to the drift check of no determinant
+    pot = SampledPotential(h=0.1, cells=(1.0,) * 5)
+    for z in (0.5, np.array([0.5, 1.0 + 0.2j])):
+        assert transfer(pot, z, []) == [] and transfer(pot, z, np.array([]), order=1) == []
+    with pytest.raises(RangeError):  # the frequencies are still checked
+        transfer(pot, np.array([[0.5]]), [])
 
 
 def test_checkpoints_reject_negative_times():

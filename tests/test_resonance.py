@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracnlft import resonance
+import oracles
+from diracnlft import cli, resonance
 from diracnlft.cli import main
 from diracnlft.debranges import gamma_factor, kernel_probe, kernel_sinc
 from diracnlft.errors import (
     BoundaryNearZeroError,
     DerivativeDegenerateError,
+    DiracNLFTError,
     OverflowRangeError,
     PreconditionError,
     ValidationError,
@@ -20,7 +22,7 @@ from diracnlft.errors import (
 from diracnlft.experiments import run_convergence
 from diracnlft.nlft import parseval_check
 from diracnlft.potential import PotentialSpec, SampledPotential, sample
-from diracnlft.propagator import theta, transfer
+from diracnlft.propagator import theta, theta_derivs, transfer
 from diracnlft.resonance import (
     Box,
     ResonanceTrack,
@@ -158,14 +160,14 @@ def test_zero_count_matches_dense_winding_oracle(pot_name, t, box, refined, dept
         contours.append(0)
         return winding(*args)
 
-    def counted_collect(pot, t, rect, n0, level, out):
+    def counted_collect(pot, t, rects, n0, level, out):
         depths.append(level)
-        return collect(pot, t, rect, n0, level, out)
+        return collect(pot, t, rects, n0, level, out)
 
-    def counted_transfer(pot, z, *args, **kw):
-        if np.ndim(z) == 1:  # a contour's batch; Newton passes scalars
+    def counted_transfer(pot, z, *args, order=0, **kw):
+        if order == 0:  # a contour batch; Newton propagates at order 1
             contours[-1] += 1
-        return batch(pot, z, *args, **kw)
+        return batch(pot, z, *args, order=order, **kw)
 
     monkeypatch.setattr(resonance, "_winding", counted_winding)
     monkeypatch.setattr(resonance, "_collect_zeros", counted_collect)
@@ -204,7 +206,7 @@ def test_zero_on_boundary_is_refused(const_pot):
 
 def test_zeros_on_one_vertical_line_come_out_by_height(const_pot, monkeypatch):
     # real parts that differ by rounding noise only must not set the order
-    def two_zeros(pot, t, rect, n0, depth, out):
+    def two_zeros(pot, t, rects, n0, depth, out):
         out.extend([(1e-16 + 2j, 1.0), (1e-12 + 1j, 1.0)])
 
     monkeypatch.setattr(resonance, "_collect_zeros", two_zeros)
@@ -352,10 +354,92 @@ def test_track_start_is_one_propagation(monkeypatch):
     pot = sample(PotentialSpec(family="constant", params={"q": 1.0}), h=0.05, T=4.0)
     z0 = find_zeros(pot, 3.9, Box(0.0, 2.0))[-1][0]
     calls, propagate = [], resonance.transfer
-    monkeypatch.setattr(resonance, "transfer",
-                        lambda p, z, t, **k: calls.append((z, t)) or propagate(p, z, t, **k))
+    monkeypatch.setattr(resonance, "transfer", lambda p, z, t, **k: calls.append(
+        (tuple(np.atleast_1d(z)), t)) or propagate(p, z, t, **k))
     track_resonance(pot, z0, 3.9, 4.0, 0.05)
-    assert calls.count((z0, 3.9)) == 1
+    assert calls.count(((z0,), 3.9)) == 1
+
+
+def _outcome(f, *args):
+    """``repr`` of what ``f`` returns, or of the class of the error it raises
+    with the partial track the error carries: equal strings are equal bits."""
+    try:
+        return repr(f(*args))
+    except DiracNLFTError as exc:
+        return repr((type(exc), getattr(exc, "track", None)))
+
+
+# deck-like inputs: rough cells (h 0.05) with a 10-cell zero tail, Q(s, C/t)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 60), share=st.floats(0.0, 1.0),
+       s=st.floats(-3.0, 3.0), C=st.floats(2.0, 6.0))
+@settings(max_examples=40, deadline=None)
+def test_lockstep_search_and_tracks_are_the_loop_bit_for_bit(seed, n, share, s, C):
+    rng = np.random.default_rng(seed)
+    pot = SampledPotential(h=0.05, cells=tuple(rng.uniform(-0.8, 0.8, n)) + (0.0,) * 10)
+    t = 1.5 + share * (pot.T - 1.7)
+    box = Box.scaled(s, C, t)
+    zeros = _outcome(find_zeros, pot, t, box)
+    assert zeros == _outcome(oracles.find_zeros_by_loop, pot, t, box)
+    starts = [z for z, _ in find_zeros(pot, t, box)] if zeros.startswith("[") else []
+    assert _outcome(track_resonance, pot, starts, t, t + 0.1, 0.02) == _outcome(
+        oracles.track_resonance_by_loop, pot, starts, t, t + 0.1, 0.02)
+
+
+def test_lockstep_errors_are_the_loops(const_pot, tall_bump_pot, monkeypatch):
+    # the search: a cluster beyond the resolving power, a zero on the contour
+    zm, zp = (z for z, _ in find_zeros(const_pot, 3.0, Box(0.0, 2.0)))
+    for pot, t, box in ((tall_bump_pot, 5.0, Box(0.0, 4.0)),
+                        (const_pot, 3.0, Box(zp.real - 0.5, 0.5))):
+        got = _outcome(find_zeros, pot, t, box)
+        assert got.startswith("(<class") and got == _outcome(oracles.find_zeros_by_loop, pot, t, box)
+    # the tracks: a start that is no zero after one that is, and before another;
+    # then a theta_z floor that every start trips, with its (empty) partial track
+    for starts in ([zp, 1.0 + 0.5j, zm], [zm, zp]):
+        got = _outcome(track_resonance, const_pot, starts, 3.0, 3.1, 0.01)
+        assert got.startswith("(<class") and got == _outcome(
+            oracles.track_resonance_by_loop, const_pot, starts, 3.0, 3.1, 0.01)
+        for module in (resonance, oracles):
+            monkeypatch.setattr(module, "THETA_Z_FLOOR_SCALE", 1e6)
+
+
+def test_lockstep_results_are_per_start(const_pot):
+    # a start that is no zero raises between two that are: the one before it
+    # keeps its zero, the one after it is never finished
+    zm, zp = (z for z, _ in find_zeros(const_pot, 3.0, Box(0.0, 2.0)))
+    first, failed, after = resonance._newton(const_pot, 3.0, [zp, 1.0 + 0.5j, zm], pre_tol=1e-6)
+    assert first[0] == zp and isinstance(failed, PreconditionError) and after is None
+    # a batch whose transfer raises: each point gets what its own transfer gives
+    ok, refused = resonance._theta_at(const_pot, 3.0, [zp, 1.0 + 20.0j], 1)
+    assert ok == theta_derivs(transfer(const_pot, zp, 3.0, order=1))
+    assert isinstance(refused, OverflowRangeError)
+
+
+def test_resonances_cli_merges_the_loops_propagations(tmp_path, monkeypatch):
+    # four zeros, each tracked to t1: at most 60 % of the loop's transfer calls
+    # (measured 35 %), and the same CSV bytes
+    cells = tuple(np.random.default_rng(0).uniform(-0.8, 0.8, 45)) + (0.0,) * 10
+    (tmp_path / "pot.json").write_text(json.dumps({"h": 0.05, "cells": list(cells)}))
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "potential": str(tmp_path / "pot.json"), "t": 2.0, "t1": 2.1, "dt": 0.02,
+        "s": 0.0, "C": 6.0}))
+    propagate, written = resonance.transfer, []
+    for search in ("lock-step", "loop"):
+        calls = []
+        with monkeypatch.context() as patch:
+            for module in (resonance, oracles):
+                patch.setattr(module, "transfer",
+                              lambda *a, **k: calls.append(1) or propagate(*a, **k))
+            if search == "loop":
+                patch.setattr(cli, "find_zeros", oracles.find_zeros_by_loop)
+                patch.setattr(cli, "track_resonance", oracles.track_resonance_by_loop)
+            out = tmp_path / f"{search}.csv"
+            assert main(["resonances", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(out)]) == 0
+        written.append((len(calls), out.read_bytes()))
+    (merged, lockstep_csv), (loop, loop_csv) = written
+    rows = [line for line in lockstep_csv.splitlines() if line[:1].isdigit()]
+    assert len(rows) == 4 * 6 and lockstep_csv == loop_csv  # four whole tracks
+    assert merged <= 0.6 * loop
 
 
 # the resonance start is not polished to 1e-13, so its first Newton step
