@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import FitError, PreconditionError, ValidationError
 from .potential import SampledPotential, clip_to_support
-from .propagator import transfer
+from .propagator import _check_range, transfer
 from .resonance import Box, find_zeros
 
 __all__ = [
@@ -96,7 +96,7 @@ def gamma_factor(p: float) -> float:
     """sqrt(2) / sqrt(sinh(2p)); the peak amplitude scale of the sine model."""
     if not p > 0:  # NaN fails too
         raise ValidationError(f"gamma_factor needs p > 0, got {p}")
-    return math.sqrt(2.0) / math.sqrt(math.sinh(2.0 * p))
+    return 2.0 * math.exp(-p) / math.sqrt(-math.expm1(-4.0 * p))  # sinh(2p) overflows past 355
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,9 @@ def kernel_sinc(t: float, lam: complex, z: complex):
     """
     if not 0 < t < math.inf:  # NaN fails too
         raise ValidationError(f"kernel_sinc needs a finite t > 0, got {t}")
-    d = np.atleast_1d(np.asarray(z, dtype=complex) - np.conj(np.asarray(lam, dtype=complex)))
+    z, lam = (np.asarray(v, dtype=complex) for v in (z, lam))
+    _check_range(np.append(z, lam), t)  # the points transfer takes over t: no sinc overflows
+    d = np.atleast_1d(z - np.conj(lam))
     out = _sinc(t, d.real, d.imag)
     if np.ndim(z) == 0 and np.ndim(lam) == 0:
         return complex(out[0])
@@ -280,6 +282,8 @@ def _window_sweep(pot: SampledPotential, s: float, t_window: tuple, n: int):
     """``(mean, max/min - 1)`` of ``1/|E|^2`` and of ``1/|Etilde|^2`` over
     ``n`` times of the window from one sweep at ``s``, and ``(E, Etilde)``
     at the window end."""
+    if np.iscomplexobj(s):  # transfer would take it as a complex frequency
+        raise ValidationError(f"s must be a real frequency, got {s!r}")
     if np.shape(t_window) != (2,):
         raise ValidationError(f"need a window (t_a, t_b), got {t_window!r}")
     t_a, t_b = float(t_window[0]), float(t_window[1])

@@ -101,18 +101,18 @@ def box_sample_points(s: float, half_width: float, n: int, seed: int = 0) -> np.
     box-uniform one.  ``n`` runs from 1 to 2**16.
 
     Raises:
-        ValidationError: ``half_width`` not finite and > 0, ``s`` not finite,
-            ``n`` not an integer in 1..2**16, or ``seed`` not one >= 0.
+        ValidationError: ``half_width`` not finite and > 0, ``s`` not finite and real,
+            ``n`` not an integer in 1..2**16, or ``seed`` not one in 0..2**62.
     """
     if not (half_width > 0 and np.isfinite(half_width)):
         raise ValidationError(f"half_width must be finite and > 0, got {half_width}")
-    if not np.isfinite(s):
-        raise ValidationError(f"s must be finite, got {s}")
+    if np.iscomplexobj(s) or not np.isfinite(s):
+        raise ValidationError(f"s must be finite and real, got {s}")
     if not (isinstance(n, (int, np.integer)) and 1 <= n <= _MAX_BOX_SAMPLES):
         raise ValidationError(f"need an integer 1 <= n <= {_MAX_BOX_SAMPLES} box samples, "
                               f"got {n!r}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= 2**62):  # indices fit int64
+        raise ValidationError(f"seed must be an integer from 0 to 2**62, got {seed!r}")
     index = np.arange(n) + (1 + seed)
     pts = np.empty(n, dtype=complex)
     pts.real = s + (2.0 * _halton(index, 2) - 1.0) * half_width

@@ -42,11 +42,15 @@ by the product rule ``(L R)^(j) = sum_i binom(j, i) L^(i) R^(j-i)``.
 Number field.  The potential is real, so for a batch of real frequencies
 every cell jet, every product and the tracked determinant are real: such a
 batch runs the same code on float64 arrays, taking ``cosh``/``sinh`` of
-``sqrt(m)`` where ``m > 0`` and ``cos``/``sin`` of ``sqrt(-m)`` where
-``m < 0``, and is cast back to complex at the end.  It differs from the
-complex arithmetic by rounding only (<= 2e-14 relative).  Other batches
-run in complex arithmetic, ``cosh``/``sinh`` of ``a + ib`` taken from real
-ufuncs of ``a`` and ``b`` (~4x faster than complex ones, within 6e-16).
+``sqrt(m) w`` where ``m > 0`` and ``cos``/``sin`` of ``u = sqrt(-m) w`` where
+``m < 0``, and is cast back to complex at the end.  Those come from ``t =
+tan(u / 2)`` as ``(1 - t^2) / (1 + t^2)`` and ``2 t / (1 + t^2)``, within 2 eps
+absolute (libm: 0.25 eps), as numpy vectorizes ``tan`` but may take ``cos``
+and ``sin`` from scalar libm (3-5x slower).  It differs from the complex
+arithmetic by rounding only (<= 2e-14 relative).  Other batches run in complex
+arithmetic, ``cosh``/``sinh`` of ``a + ib`` taken from real ufuncs of ``a`` and
+``b`` (~4x faster than complex ones, within 6e-16), ``cos``/``sin`` of ``b``
+still libm's: few entries per narrow call, and the resonance zeros rest on them.
 
 Symmetries.  The potential is real, so ``M(conj z) = conj M(z)`` and
 ``M(-z) = S M(z) S``, ``S = diag(1, -1)`` (jet entry ``[j, r, c]`` times
@@ -265,8 +269,8 @@ def _series(x, w, order: int):
 
 
 def _closed(m, w, order: int):
-    """``_coeffs`` from ``cosh``/``sinh`` of ``l w`` (``cos``/``sin`` of
-    ``sqrt(-m) w`` where a real ``m < 0``); needs ``m != 0``."""
+    """``_coeffs`` from ``cosh``/``sinh`` of ``l w`` (``cos``/``sin`` of ``u =
+    sqrt(-m) w`` from ``tan(u / 2)`` where a real ``m < 0``); needs ``m != 0``."""
     if m.dtype.kind == "c":  # cosh and sinh of a + ib from real ufuncs of a and b
         lam = np.sqrt(m)
         lw = lam * w
@@ -279,10 +283,15 @@ def _closed(m, w, order: int):
         lam = np.sqrt(np.abs(m))
         lw, pos = lam * w, m > 0
         c, s, n = np.empty_like(lw), np.empty_like(lw), np.count_nonzero(pos)
-        for sel, k, fc, fs in ((pos, n, np.cosh, np.sinh), (~pos, pos.size - n, np.cos, np.sin)):
-            if k:  # masks only in a block of both signs
-                fc(lw, out=c, where=sel if k < pos.size else True)
-                fs(lw, out=s, where=sel if k < pos.size else True)
+        if n:  # masks only in a block of both signs
+            np.cosh(lw, out=c, where=pos if n < pos.size else True)
+            np.sinh(lw, out=s, where=pos if n < pos.size else True)
+        if n < pos.size:  # c = (1 - t^2) / (1 + t^2), s l = 2 t / (1 + t^2), t = tan(lw / 2)
+            neg = ~pos if n else True  # in place: numpy vectorizes tan, not cos/sin
+            t = np.tan(np.multiply(lw, 0.5, out=lw, where=neg), out=lw, where=neg)
+            np.add(np.multiply(t, t, out=c, where=neg), 1.0, out=s, where=neg)
+            np.divide(np.subtract(1.0, c, out=c, where=neg), s, out=c, where=neg)
+            np.divide(np.add(t, t, out=t, where=neg), s, out=s, where=neg)
     s /= lam
     sm = (w * c - s) / (m + m) if order else None
     smm = (w * (0.5 * w * s) - 3.0 * sm) / (m + m) if order >= 2 else None
@@ -495,9 +504,9 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
         sequence ``t``.
 
     Raises:
-        RangeError: ``order`` not an integer in 0..2, times below ``t1`` or
-            unsorted, a ``z`` of two or more dimensions, not finite or with a
-            part past ``1e150``, or ``t - t1`` past ``1e50`` (or ``|z| (t -
+        RangeError: ``order`` not an integer in 0..2, times below ``t1``, unsorted or
+            of two or more dimensions, a ``z`` of two or more dimensions, not finite
+            or with a part past ``1e150``, or ``t - t1`` past ``1e50`` (or ``|z| (t -
             t1)`` past ``1e150``).
         OverflowRangeError: ``|Im z| (t - t1)`` exceeds ``WORK_RANGE_LIMIT``,
             or the sum of ``|q| * width`` over ``[t1, t]`` exceeds ~305.
@@ -506,6 +515,8 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
     """
     if not (isinstance(order, (int, np.integer)) and order in (0, 1, 2)):
         raise RangeError(f"derivative order must be 0, 1 or 2, got {order}")
+    if np.ndim(t) > 1:
+        raise RangeError(f"t must be a time or a 1-d sequence of them, got shape {np.shape(t)}")
     sweep = np.ndim(t) == 1
     ts = [float(u) for u in t] if sweep else [pot.T if t is None else float(t)]
     if not all(b >= a for a, b in zip([t1] + ts, ts)):  # NaN fails too
@@ -541,13 +552,13 @@ def transfer(pot: SampledPotential, z, t=None, order: int = 0, t1: float = 0.0):
 
 
 def symmetric_grid(X: float, n: int) -> np.ndarray:
-    """``linspace(-X, X, n)`` made exactly symmetric, for an integer ``n >= 0``:
-    ``transfer`` folds its ±x pairs."""
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise ValidationError(f"grid size n must be an integer >= 0, got {n!r}")
+    """``linspace(-X, X, n)`` made exactly symmetric, for an integer ``0 <= n <=
+    2**24``: ``transfer`` folds its ±x pairs."""
+    if not (isinstance(n, (int, np.integer)) and 0 <= n <= 2**24):
+        raise ValidationError(f"grid size n must be an integer from 0 to 2**24, got {n!r}")
     if not abs(X) <= _Z_LIMIT:  # linspace would overflow; transfer refuses such z anyway
         raise RangeError(f"grid end X = {X} is not finite or exceeds {_Z_LIMIT:g}")
-    x = np.linspace(-X, X, n)
+    x = np.linspace(-float(X), float(X), n)  # float: an int past int64 gave an object array
     return 0.5 * (x - x[::-1])
 
 

@@ -454,6 +454,11 @@ def test_probe_validation(bump_pot):
 
 def test_gamma_factor_values():
     assert gamma_factor(0.5) == pytest.approx(np.sqrt(2.0 / np.sinh(1.0)), abs=1e-15)
+    for p in (1e-12, 0.01, 3.0, 300.0):
+        assert gamma_factor(p) == pytest.approx(np.sqrt(2.0 / np.sinh(2.0 * p)), rel=1e-15)
+    # sinh(2p) overflowed with an OverflowError past p = 355
+    assert gamma_factor(400.0) == pytest.approx(2.0 * math.exp(-400.0), rel=1e-15)
+    assert gamma_factor(1e4) == 0.0
     with pytest.raises(ValidationError):
         gamma_factor(0.0)
     with pytest.raises(ValidationError):

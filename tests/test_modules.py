@@ -107,9 +107,9 @@ def test_no_unused_private_names(path):
 #: Private names one module of the package imports from another, each for a
 #: stated reason.
 PRIVATE_IMPORTS = {
-    **{f"{mod} imports propagator._check_range": "checks a box's corners or a scalar z "
-       "against transfer's working range before work that would overflow first"
-       for mod in ("resonance", "riccati")},
+    **{f"{mod} imports propagator._check_range": "checks a box's corners, a scalar z or "
+       "the sinc kernel's points against transfer's working range before work that "
+       "would overflow first" for mod in ("debranges", "resonance", "riccati")},
     "cli imports propagator._Z_LIMIT": "bounds a frequency option by the largest |z| "
                                        "transfer accepts",
     "experiments imports debranges._window_sweep": "limit_identities reads both densities "

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -19,7 +20,7 @@ from diracnlft.errors import (
     RangeError,
     ValidationError,
 )
-from diracnlft.debranges import kernel_probe
+from diracnlft.debranges import estimate_w, kernel_probe, kernel_sinc
 from diracnlft.experiments import box_sample_points
 from diracnlft.nlft import nlft_forward
 from diracnlft.potential import SampledPotential
@@ -31,6 +32,7 @@ from diracnlft.propagator import (
     Transfer,
     _blocks,
     _cell_jets,
+    _closed,
     _coeffs,
     _prepared_cells,
     _tree,
@@ -102,6 +104,25 @@ def test_complex_coeffs_match_complex_ufuncs():
     assert worst <= 2e-15
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is float64 here: no extended-precision reference")
+def test_oscillatory_coeffs_from_the_half_angle_tangent():
+    # a real m < 0 takes c = cos(lw) and s l = sin(lw) from t = tan(lw / 2); against
+    # long double cos and sin of the same float64 lw over [0.1, 3e4], at the doubles
+    # next to k pi and at lw = 2 fl(pi / 2), where |t| peaks (measured: 0.95 and 1.3 eps)
+    rng = np.random.default_rng(18)
+    eps = np.finfo(float).eps
+    near = np.arange(1, 9550)[:, None] * np.pi * (1.0 + eps * np.arange(-3, 4))
+    lw = np.concatenate([10 ** rng.uniform(-1.0, math.log10(3e4), 20000), near.ravel(),
+                         [2.0 * (np.pi / 2.0)]])
+    assert np.max(np.abs(np.tan(lw / 2.0))) > 1e16
+    m = -(lw * lw)
+    c, s, _, _ = _closed(m, 1.0, 0)
+    lw = np.sqrt(np.abs(m)).astype(np.longdouble)  # as _closed forms l w at w = 1
+    assert np.max(np.abs(c - np.cos(lw))) <= 2.0 * eps
+    assert np.max(np.abs(s * lw - np.sin(lw))) <= 2.0 * eps
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_derivative_coeffs_match_extended_precision_series(kind):
     # c, s, ds/dm and d2s/dm2 at m w^2 log-uniform across the series switch, points
@@ -154,6 +175,44 @@ def test_cell_jets_do_not_depend_on_the_batch(kind):
             jet, d = _alone(q[i], w[i], z[j], order)
             np.testing.assert_array_equal(jet, block[..., i, j])
             assert d == det[i, j]
+
+
+def test_oscillatory_block_allocates_only_its_arrays():
+    # the half-angle form works in place on l w: at its peak a real all-oscillatory
+    # block holds l, l w, c, s and the sign mask (4.13 blocks); a further temporary
+    # would add a block-sized allocation to every call
+    q = np.linspace(-1.0, 1.0, 12)[:, None]
+    m = q * q - np.linspace(20.0, 64.0, 1281) ** 2
+    w = np.full((12, 1), 0.05)
+    tracemalloc.start()
+    try:
+        _closed(m, w, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * m.nbytes
+
+
+def test_oscillatory_entries_do_not_depend_on_the_signs_beside_them():
+    # m < 0 in every entry of the first two cells; the third (q = 3.5 > |z| in two
+    # columns) adds m > 0 entries, and the half-angle form stays the same bits
+    z = np.array([2.5, 3.1, 4.7])
+    q, w = np.array([0.4, -1.1, 3.5]), np.array([0.5, 0.3, 0.2])
+    m = (q * q)[:, None] - z * z
+    assert np.all(np.abs(m * (w * w)[:, None]) >= _SERIES)  # closed forms only
+    assert np.all(m[:2] < 0) and np.any(m[2] > 0) and np.any(m[2] < 0)
+    for order in (0, 1, 2):
+        jets = []
+        for k in (2, 3):  # all oscillatory, and both signs
+            block = np.empty((order + 1, 2, 2, k, z.size))
+            jets.append((block, _cell_jets(q[:k, None], w[:k, None], z, z * z, order, block, 0.0)))
+        (osc, osc_det), (mixed, det) = jets
+        np.testing.assert_array_equal(osc, mixed[..., :2, :])
+        np.testing.assert_array_equal(osc_det, det[:2])
+        for j in range(z.size):
+            jet, d = _alone(q[2], w[2], z[j], order)
+            np.testing.assert_array_equal(jet, mixed[..., 2, j])
+            assert d == det[2, j]
 
 
 @pytest.mark.parametrize("z", [np.array([1.3]), np.array([2.0 + 0.3j, 0.4 + 0.05j, 3.0 + 0.5j])])
@@ -632,12 +691,26 @@ def test_non_finite_or_huge_frequency_is_refused_by_value(z):
     (lambda pot: box_sample_points(0.0, 1.0, 6, seed=-5), ValidationError),
     (lambda pot: symmetric_grid(1.0, 2.5), ValidationError),
     (lambda pot: symmetric_grid(1.0, -3), ValidationError),
+    (lambda pot: transfer(pot, 0.5, [[0.1, 0.2]]), RangeError),
+    (lambda pot: estimate_w(pot, 1j, (0.1, 0.3), 8), ValidationError),
+    (lambda pot: kernel_sinc(1.0, math.nan, 0.5), RangeError),
+    (lambda pot: kernel_sinc(1.0, 0.5, math.inf), RangeError),
+    (lambda pot: kernel_sinc(1.0, 0.5, 1e308), RangeError),
+    (lambda pot: kernel_sinc(1e308, 0.5, 0.6), RangeError),
+    (lambda pot: symmetric_grid(3.0, 10**30), ValidationError),
+    (lambda pot: box_sample_points(0.0, 1.0, 4, seed=10**30), ValidationError),
+    (lambda pot: box_sample_points(1j, 1.0, 4), ValidationError),
 ], ids=["transfer_2d_z", "nlft_forward_2d_grid", "theta_derivs_order_0", "box_grid_n_8.5",
-        "box_samples_negative_seed", "symmetric_grid_n_2.5", "symmetric_grid_n_negative"])
+        "box_samples_negative_seed", "symmetric_grid_n_2.5", "symmetric_grid_n_negative",
+        "transfer_2d_times", "estimate_w_complex_s", "kernel_sinc_nan_lam", "kernel_sinc_inf_z",
+        "kernel_sinc_huge_z", "kernel_sinc_huge_t", "symmetric_grid_huge_n",
+        "box_samples_huge_seed", "box_samples_complex_s"])
 def test_library_inputs_the_cli_never_passes_are_refused(call, error):
     # a numpy broadcast ValueError, a TypeError, an accepted grid_n that
     # find_zeros failed on, samples on a corner, and numpy's TypeError and
-    # ValueError from linspace before
+    # ValueError from linspace before; then a TypeError, numbers at z = 1j,
+    # RuntimeWarnings of the sinc, "Maximum allowed size exceeded", an
+    # OverflowError and a ComplexWarning
     with pytest.raises(error):
         call(SampledPotential(h=0.1, cells=(1.0, -0.5, 0.25)))
 
@@ -702,6 +775,13 @@ def test_symmetric_grid_is_mirrored_and_nests_in_its_refinement(X, n):
     assert np.array_equal(x, -x[::-1])
     assert symmetric_grid(X, 2 * n - 1)[::2].tobytes() == x.tobytes()
     assert symmetric_grid(X, np.int64(n)).tobytes() == x.tobytes()  # a numpy count
+
+
+def test_symmetric_grid_takes_an_integer_end_past_int64():
+    # linspace made an object array of 10**30 and raised numpy's UFuncTypeError
+    assert symmetric_grid(10**30, 8).tobytes() == symmetric_grid(1e30, 8).tobytes()
+    with pytest.raises(RangeError):
+        symmetric_grid(10**400, 8)
 
 
 _S = np.diag([1.0, -1.0])
